@@ -6,35 +6,18 @@
 #include <cstring>
 #include <fstream>
 
+#include "serve/wire.h"
+
 namespace harmony::bench {
 
 PreparedModel Prepare(const std::string& name, const hw::MachineSpec& machine) {
-  model::LayerGraph graph;
-  model::Optimizer opt = model::Optimizer::kAdam;
-  if (name == "BERT-Large") {
-    graph = model::BertLarge();
-  } else if (name == "BERT96") {
-    graph = model::Bert96();
-  } else if (name == "GPT2") {
-    graph = model::Gpt2();
-  } else if (name == "GPT2-Medium") {
-    graph = model::Gpt2Medium();
-  } else if (name == "VGG416") {
-    graph = model::Vgg416();
-    opt = model::Optimizer::kSgdMomentum;
-  } else if (name == "ResNet1K") {
-    graph = model::ResNet1K();
-    opt = model::Optimizer::kSgdMomentum;
-  } else if (name.rfind("GPT2-", 0) == 0 && name.back() == 'B') {
-    const double billions = std::stod(name.substr(5, name.size() - 6));
-    graph = model::Gpt2Custom(billions);
-  } else {
-    HARMONY_LOG(Fatal) << "unknown model " << name;
-  }
-  model::SequentialModel seq = model::Sequentialize(graph);
+  const serve::ModelSpec spec = serve::ModelSpec::FromName(name).value();
+  model::SequentialModel seq =
+      model::Sequentialize(serve::BuildModel(spec).value());
   const profile::Profiler profiler(machine.gpu, profile::ProfilerOptions{});
   profile::ProfileDb db = profiler.Profile(seq);
-  return PreparedModel{name, std::move(seq), std::move(db), opt};
+  return PreparedModel{name, std::move(seq), std::move(db),
+                       serve::DefaultOptimizer(spec)};
 }
 
 const char* SchemeName(Scheme scheme) {
@@ -65,15 +48,14 @@ SchemeResult RunScheme(Scheme scheme, const PreparedModel& pm,
   switch (scheme) {
     case Scheme::kDpSwap: {
       const int u = baselines::MaxFeasibleMicrobatch(
-          pm.profiles, machine, /*recompute=*/false, /*replicas=*/n,
-          options.baseline_u_cap);
+          pm.profiles, machine, /*replicas=*/n, options.baseline_u_cap);
       graph = baselines::DpSwap(pm.profiles, n, minibatch, u);
       break;
     }
     case Scheme::kGpSwap:
     case Scheme::kGpSwapR: {
       const bool r = scheme == Scheme::kGpSwapR;
-      const int u = baselines::MaxFeasibleMicrobatch(pm.profiles, machine, r, 1,
+      const int u = baselines::MaxFeasibleMicrobatch(pm.profiles, machine, 1,
                                                      options.baseline_u_cap);
       graph = baselines::GpipeSwap(pm.profiles, n, minibatch, u, r);
       break;
@@ -81,7 +63,7 @@ SchemeResult RunScheme(Scheme scheme, const PreparedModel& pm,
     case Scheme::k2bwSwap:
     case Scheme::k2bwSwapR: {
       const bool r = scheme == Scheme::k2bwSwapR;
-      const int u = baselines::MaxFeasibleMicrobatch(pm.profiles, machine, r, 1,
+      const int u = baselines::MaxFeasibleMicrobatch(pm.profiles, machine, 1,
                                                      options.baseline_u_cap);
       graph = baselines::PipeDream2bwSwap(pm.profiles, n, minibatch, u, r);
       break;

@@ -16,9 +16,10 @@ void FootprintTable(const std::string& name, model::Optimizer opt) {
   const PreparedModel pm = Prepare(name, machine);
   Table t({"minibatch", "weights", "grads", "optimizer", "activations",
            "workspace", "total (GiB)"});
+  const model::PolicyTable keep_all = model::PolicyTable::Uniform(
+      pm.model.num_layers(), model::StashPolicy::kKeep);
   for (int d : {1, 2, 4, 8, 16, 32, 64}) {
-    const auto f =
-        model::ComputeFootprint(pm.model, d, opt, /*recompute=*/false);
+    const auto f = model::ComputeFootprint(pm.model, d, opt, keep_all);
     auto gib = [](Bytes b) {
       return Table::Cell(static_cast<double>(b) / GiB(1), 1);
     };

@@ -260,15 +260,16 @@ int main(int argc, char** argv) {
             << FormatBytes(r.best_estimate.swap_bytes) << ", p2p "
             << FormatBytes(r.best_estimate.p2p_bytes) << "\n";
 
+  // The final task graph; its stash_policy is the resolved per-layer table.
+  const auto graph = core::GenerateHarmonyTaskGraph(
+      r.best, mode, machine.num_gpus, minibatch, {}, pm.profiles);
+
   if (dump_policy) {
     const int R = pm.profiles.num_layers();
-    core::PolicyTable pol = r.best.policy;
-    if (pol.empty()) {
-      pol = core::PolicyTable::Legacy(R, core::OptimizationFlags{}.use_recompute);
-    }
+    const core::PolicyTable& pol = graph.stash_policy;
     std::cout << "\nResidency policy (" << (r.best.policy.empty() ? "legacy"
                                                                   : "searched")
-              << ", table " << (pol.ToString().empty() ? "-" : pol.ToString())
+              << ", table " << pol.ToString()
               << "), per layer run at U_B=" << r.best.u_bwd << ":\n";
     std::cout << "  layers      policy     stash        recompute\n";
     for (int lo = 0; lo < R;) {
@@ -295,8 +296,6 @@ int main(int argc, char** argv) {
   }
 
   // Show the wrap-around binding of the final task graph.
-  const auto graph = core::GenerateHarmonyTaskGraph(
-      r.best, mode, machine.num_gpus, minibatch, {}, pm.profiles);
   std::cout << "\nTask graph (" << graph.num_tasks() << " tasks):\n";
   for (const auto& t : graph.tasks) {
     if (t.id >= 24) {

@@ -85,8 +85,7 @@ int main(int argc, char** argv) {
       service_options.num_workers = std::atoi(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--cache-mb=", 11) == 0) {
       const long mb = std::atol(argv[i] + 11);
-      service_options.enable_cache = mb > 0;
-      service_options.cache_bytes = static_cast<size_t>(mb) << 20;
+      service_options.cache_bytes = mb > 0 ? static_cast<size_t>(mb) << 20 : 0;
     } else if (std::strncmp(argv[i], "--max-pending=", 14) == 0) {
       service_options.max_pending = std::atoi(argv[i] + 14);
     } else if (std::strncmp(argv[i], "--loop-threads=", 15) == 0) {

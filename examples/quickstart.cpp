@@ -26,9 +26,9 @@ int main() {
   // weights + gradients + optimizer state + activations -- far more than the
   // 44 GB the four GPUs offer together.
   const model::SequentialModel m = model::Sequentialize(model::Gpt2());
-  const auto footprint =
-      model::ComputeFootprint(m, /*minibatch=*/32, model::Optimizer::kAdam,
-                              /*recompute=*/false);
+  const auto footprint = model::ComputeFootprint(
+      m, /*minibatch=*/32, model::Optimizer::kAdam,
+      model::PolicyTable::Uniform(m.num_layers(), model::StashPolicy::kKeep));
   std::cout << "Model: " << m.model_name << " ("
             << FormatBytes(m.total_param_bytes()) << " of weights)\n"
             << "Training footprint at minibatch 32: "

@@ -33,7 +33,6 @@ OptimizationFlags LmsFlags() {
   f.prefetch = false;
   f.cpu_optimizer = false;
   f.smart_eviction = false;  // LMS always transfers evicted tensors
-  f.use_recompute = false;
   return f;
 }
 
@@ -52,10 +51,10 @@ TaskGraph BuildPipeline(const std::string& name,
   TaskGraph g;
   g.name = name;
   g.flags = LmsFlags();
-  g.flags.use_recompute = recompute;
   // Baselines are global-policy by construction: all-recompute ("R"
   // variants) or all-keep (full-stash variants, LMS-style demand paging).
-  g.stash_policy = core::PolicyTable::Legacy(R, recompute);
+  g.stash_policy = core::PolicyTable::Uniform(
+      R, recompute ? core::StashPolicy::kRecompute : core::StashPolicy::kKeep);
   g.num_devices = num_devices;
   g.num_replicas = 1;
   g.num_layers = R;
@@ -187,11 +186,14 @@ TaskGraph DpSwap(const profile::ProfileDb& profiles, int num_devices,
                  int minibatch, int microbatch) {
   // Expressed through the shared generator: a single fused pack covering the
   // whole model yields per-microbatch forward+backward (gradient
-  // accumulation); LMS flags disable every Harmony optimization.
+  // accumulation); LMS flags disable every Harmony optimization, and the
+  // whole stash stays resident (LMS-style demand paging, no recompute).
   Configuration config;
   config.u_fwd = microbatch;
   config.u_bwd = microbatch;
   config.bwd_packs = {Pack{0, profiles.num_layers() - 1}};
+  config.policy = core::PolicyTable::Uniform(profiles.num_layers(),
+                                             core::StashPolicy::kKeep);
   OptimizationFlags flags = LmsFlags();
   flags.jit_compute = true;  // fused per-microbatch fwd+bwd = vanilla autograd
   flags.p2p_transfers = false;  // DP GPUs exchange nothing but gradients
@@ -230,7 +232,6 @@ TaskGraph ZeroInfinity(const profile::ProfileDb& profiles,
   flags.prefetch = true;         // overlap-centric design
   flags.cpu_optimizer = true;    // optimizer offloaded to CPU
   flags.smart_eviction = true;   // gathered weights are freed, not written back
-  flags.use_recompute = true;
   TaskGraph g = core::GenerateHarmonyTaskGraph(harmony_config,
                                                HarmonyMode::kDataParallel,
                                                num_devices, minibatch, flags,
@@ -245,13 +246,13 @@ Bytes ZeroInfinityHostOverhead(const model::SequentialModel& model) {
 }
 
 int MaxFeasibleMicrobatch(const profile::ProfileDb& profiles,
-                          const hw::MachineSpec& machine, bool recompute,
+                          const hw::MachineSpec& machine,
                           int concurrent_stash_replicas, int cap) {
   // Half of usable memory: the live working set of adjacent layers (plus
-  // double-buffered prefetch) must fit even when everything else swaps.
+  // double-buffered prefetch) must fit even when everything else swaps. The
+  // stash transits through memory whether or not it is recomputed later.
   const Bytes budget = static_cast<Bytes>(
       static_cast<double>(machine.gpu.usable_memory()) * 0.5);
-  (void)recompute;  // stash transits through memory either way
 
   Bytes params = 0, stash_per_sample = 0;
   for (int l = 0; l < profiles.num_layers(); ++l) {

@@ -58,7 +58,7 @@ core::PackList BalancedStages(int num_stages, int microbatch,
 /// host memory across `concurrent_stash_replicas` simultaneous holders (N
 /// for data-parallel schemes); the baselines' per-GPU batch size.
 int MaxFeasibleMicrobatch(const profile::ProfileDb& profiles,
-                          const hw::MachineSpec& machine, bool recompute,
+                          const hw::MachineSpec& machine,
                           int concurrent_stash_replicas = 1, int cap = 32);
 
 }  // namespace harmony::baselines

@@ -406,6 +406,11 @@ Result<serve::PlanResponse> TierClient::Plan(
   auto annotate = [](const std::string& member, const Status& s) {
     return Status(s.code(), "member " + member + ": " + s.message());
   };
+  using Clock = std::chrono::steady_clock;
+  const auto deadline =
+      request.deadline_ms > 0
+          ? Clock::now() + std::chrono::milliseconds(request.deadline_ms)
+          : Clock::time_point::max();
   Status last = Status::Ok();
   Rng rng(retry_.seed);
   int shed_retries = 0;
@@ -431,6 +436,11 @@ Result<serve::PlanResponse> TierClient::Plan(
         // failing over would just stampede the next member.
         double delay = retry_.backoff.DelayFor(shed_retries, &rng);
         delay = std::max(delay, response.value().retry_after_ms / 1000.0);
+        // Never retry past the request deadline (as PlanWithRetry): surface
+        // the shed response while the caller still has time to act on it.
+        if (Clock::now() + std::chrono::duration<double>(delay) >= deadline) {
+          return response;
+        }
         ++shed_retries;
         std::this_thread::sleep_for(std::chrono::duration<double>(delay));
         continue;

@@ -198,7 +198,8 @@ class TierClient {
   /// the rendezvous ranking on transport errors (each candidate dialed at
   /// most once per call). A load-shed response is retried against the same
   /// member after max(backoff, the server's retry-after hint) until the shed
-  /// budget runs out; other in-band planning failures are returned as-is —
+  /// budget runs out or the next sleep would cross the request's deadline;
+  /// other in-band planning failures are returned as-is —
   /// only a dead daemon triggers failover. Dead-member errors are annotated
   /// with the member endpoint, so a multi-daemon deployment's failures name
   /// which daemon was unreachable.

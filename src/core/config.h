@@ -45,9 +45,8 @@ struct Configuration {
   int u_bwd = 1;
   PackList fwd_packs;
   PackList bwd_packs;
-  /// Per-layer stash residency. Empty = legacy: the task-graph generator
-  /// derives a uniform table from OptimizationFlags::use_recompute, which
-  /// reproduces the pre-policy-axis graphs bit-for-bit.
+  /// Per-layer stash residency. Empty = the paper's default, which the
+  /// task-graph generator resolves to all-kRecompute.
   PolicyTable policy;
 
   std::string ToString() const;
@@ -77,11 +76,6 @@ struct OptimizationFlags {
   /// tensors are dropped on eviction without a copy-out. (Per-GPU-swap
   /// baselines, which lack this context, always transfer on eviction.)
   bool smart_eviction = true;
-  /// Legacy coarse residency knob: when Configuration::policy is empty the
-  /// generator lowers this to a uniform PolicyTable (all-kRecompute when set
-  /// — Harmony's Sec 4.3.1 default — all-kKeep otherwise, the full-stash
-  /// baselines). A non-empty policy table overrides it per layer.
-  bool use_recompute = true;
 };
 
 }  // namespace harmony::core

@@ -169,7 +169,7 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   auto policy_tables = [&](int u_bwd) -> std::vector<PolicyTable> {
     switch (options.policy_mode) {
       case PolicyMode::kLegacy:
-        return {PolicyTable()};  // empty: flags.use_recompute decides
+        return {PolicyTable()};  // empty: the generator's default
       case PolicyMode::kRecomputeAll:
         return {PolicyTable::Uniform(R, StashPolicy::kRecompute)};
       case PolicyMode::kKeepAll:
@@ -189,7 +189,7 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
       options.policy_mode == PolicyMode::kSweep ? 3 : 1;
 
   // Capacity gate for tables the balanced-time packing (which models the
-  // legacy always-recompute working set) cannot vet: kept stash must stay
+  // default always-recompute working set) cannot vet: kept stash must stay
   // resident from forward to backward alongside every task's working set,
   // and swapped stash transits GPU memory before its move completes. The
   // kept term conservatively double-counts the backward pack's own stash
@@ -201,7 +201,7 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
           : minibatch;
   auto policy_feasible = [&](const Configuration& config,
                              const PolicyTable& table) {
-    if (table.empty()) return true;  // legacy: packing already vetted it
+    if (table.empty()) return true;  // the default: packing already vetted it
     Bytes kept = 0;
     for (int l = 0; l < R; ++l) {
       if (table.at(l) == StashPolicy::kKeep) {

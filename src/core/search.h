@@ -14,8 +14,8 @@ namespace harmony::core {
 
 /// How Algorithm 1 treats the per-layer {keep, swap, recompute} stash axis.
 enum class PolicyMode {
-  /// Empty policy tables: OptimizationFlags::use_recompute decides, and the
-  /// search is bit-identical to the pre-policy-axis implementation.
+  /// Empty policy tables, i.e. the paper's default (recompute everywhere):
+  /// the search is bit-identical to the pre-policy-axis implementation.
   kLegacy = 0,
   /// Force one uniform table on every candidate.
   kRecomputeAll,

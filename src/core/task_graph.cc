@@ -201,11 +201,10 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
   if (!flags.jit_compute) fwd_packs.push_back(last_bwd);
 
   // Resolve the residency policy table (the explicit {keep, swap, recompute}
-  // axis). An empty Configuration::policy lowers the legacy use_recompute
-  // flag to its canonical uniform table, reproducing pre-policy graphs
-  // bit-for-bit.
+  // axis). This is the one place an empty Configuration::policy is read: it
+  // means the paper's default, recompute everywhere (Sec 4.3.1).
   PolicyTable policy = config.policy;
-  if (policy.empty()) policy = PolicyTable::Legacy(R, flags.use_recompute);
+  if (policy.empty()) policy = PolicyTable::Uniform(R, StashPolicy::kRecompute);
   HARMONY_CHECK_EQ(policy.num_layers(), R)
       << "policy table size != model layers";
   g.stash_policy = policy;
@@ -411,6 +410,8 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
 void ValidateTaskGraph(const TaskGraph& graph) {
   HARMONY_CHECK_GE(graph.num_devices, 1);
   HARMONY_CHECK_GE(graph.num_layers, 1);
+  HARMONY_CHECK_EQ(graph.stash_policy.num_layers(), graph.num_layers)
+      << "every task-graph producer fills stash_policy";
   HARMONY_CHECK_EQ(static_cast<int>(graph.device_order.size()), graph.num_devices);
 
   for (int i = 0; i < graph.num_tasks(); ++i) {

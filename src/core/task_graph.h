@@ -79,10 +79,10 @@ struct TaskGraph {
   int u_fwd = 1;
   int u_bwd = 1;
 
-  /// Per-layer stash residency (tentpole of the policy-axis refactor): the
-  /// generator resolves Configuration::policy (or the legacy flag) into this
-  /// table and lowers it into checkpoint boundaries / reads_checkpoint;
-  /// StepCompiler and the estimator consult it through policy_at().
+  /// Per-layer stash residency, one entry per layer. Every producer fills
+  /// it (the generator resolves an empty Configuration::policy here) and
+  /// lowers it into checkpoint boundaries / reads_checkpoint; StepCompiler
+  /// and the estimator consult it through policy_at().
   PolicyTable stash_policy;
 
   std::vector<Task> tasks;
@@ -102,15 +102,8 @@ struct TaskGraph {
   const Task& task(int id) const { return tasks.at(id); }
   int num_tasks() const { return static_cast<int>(tasks.size()); }
 
-  /// Layer `l`'s stash policy. The one sanctioned compat shim: hand-built
-  /// graphs (tests, ad-hoc baselines) that never filled the table fall back
-  /// to the legacy flag, exactly as the old per-task bools were derived.
-  StashPolicy policy_at(int l) const {
-    if (stash_policy.empty()) {
-      return flags.use_recompute ? StashPolicy::kRecompute : StashPolicy::kKeep;
-    }
-    return stash_policy.at(l);
-  }
+  /// Layer `l`'s stash policy.
+  StashPolicy policy_at(int l) const { return stash_policy.at(l); }
 };
 
 /// Resolves structural dependencies between tasks.

@@ -129,8 +129,8 @@ struct MachineSpec {
   /// `gpu` exactly on a homogeneous machine.
   const GpuSpec& PlanningGpu() const;
 
-  /// Canonical link-id layout, mirrored exactly by sim::Interconnect's
-  /// constructor: per-GPU PCIe up/down pairs, per-switch uplink up/down
+  /// Canonical link-id layout, the one definition sim::Interconnect builds
+  /// its links from: per-GPU PCIe up/down pairs, per-switch uplink up/down
   /// pairs, host DRAM write/read, then (NVLink machines only) per-GPU NVLink
   /// out/in pairs.
   int LinkGpuUp(int g) const { return 2 * g; }

@@ -13,12 +13,6 @@ Bytes OptimizerStateBytesPerParamByte(Optimizer opt) {
 }
 
 MemoryFootprint ComputeFootprint(const SequentialModel& model, int minibatch,
-                                 Optimizer opt, bool recompute) {
-  return ComputeFootprint(model, minibatch, opt,
-                          PolicyTable::Legacy(model.num_layers(), recompute));
-}
-
-MemoryFootprint ComputeFootprint(const SequentialModel& model, int minibatch,
                                  Optimizer opt, const PolicyTable& policy) {
   MemoryFootprint f;
   const Bytes opt_mult = OptimizerStateBytesPerParamByte(opt);

@@ -30,16 +30,10 @@ struct MemoryFootprint {
 };
 
 /// Computes the footprint of training `model` with minibatch size
-/// `minibatch`. With `recompute` only pack-boundary activations are counted
-/// (here approximated as layer inputs, the Decomposer's checkpoint set).
-MemoryFootprint ComputeFootprint(const SequentialModel& model, int minibatch,
-                                 Optimizer opt, bool recompute);
-
-/// Policy-aware variant: layer l's contribution to `activations` follows
-/// `policy.at(l)` — kRecompute counts only the checkpointed layer input,
-/// kKeep/kSwap additionally count the stash that must survive to the
-/// backward pass (on GPU resp. host). The bool overload above equals the two
-/// uniform legacy tables.
+/// `minibatch`. Layer l's contribution to `activations` follows
+/// `policy.at(l)`: kRecompute counts only the checkpointed layer input (the
+/// Decomposer's checkpoint set), kKeep/kSwap additionally count the stash
+/// that must survive to the backward pass (on GPU resp. host).
 MemoryFootprint ComputeFootprint(const SequentialModel& model, int minibatch,
                                  Optimizer opt, const PolicyTable& policy);
 

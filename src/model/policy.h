@@ -26,20 +26,14 @@ enum class StashPolicy : uint8_t { kKeep = 0, kSwap = 1, kRecompute = 2 };
 const char* StashPolicyName(StashPolicy p);  // "keep" / "swap" / "recompute"
 char StashPolicyCode(StashPolicy p);         // 'k' / 's' / 'r'
 
-/// Per-layer residency policy table. An *empty* table means "legacy": the
-/// consumer derives a uniform table from OptimizationFlags::use_recompute
-/// (all-kRecompute when set, all-kKeep otherwise), which is exactly the
-/// pre-refactor pair of behaviors {recompute=true task-wide, save_full_stash}.
+/// Per-layer residency policy table. An *empty* table means the paper's
+/// default, recompute everywhere (Sec 4.3.1); core::GenerateHarmonyTaskGraph
+/// is the one place that resolves it to Uniform(R, kRecompute).
 class PolicyTable {
  public:
   PolicyTable() = default;
 
   static PolicyTable Uniform(int num_layers, StashPolicy fill);
-  /// The two canonical legacy tables (see class comment).
-  static PolicyTable Legacy(int num_layers, bool use_recompute) {
-    return Uniform(num_layers,
-                   use_recompute ? StashPolicy::kRecompute : StashPolicy::kKeep);
-  }
 
   bool empty() const { return entries_.empty(); }
   int num_layers() const { return static_cast<int>(entries_.size()); }

@@ -26,8 +26,7 @@ int64_t Nanos(Clock::duration d) {
 
 PlanService::PlanService(ServeOptions options)
     : options_(options),
-      cache_(options.enable_cache ? options.cache_bytes : 0,
-             options.cache_shards),
+      cache_(options.cache_bytes),
       pool_(options.num_workers),
       epoch_(Clock::now()) {}
 
@@ -81,7 +80,7 @@ void PlanService::SubmitAsync(const PlanRequest& request, PlanCallback done) {
   };
 
   // Fast path: content-addressed hit, no service lock taken.
-  if (options_.enable_cache && !request.bypass_cache) {
+  if (options_.cache_bytes > 0 && !request.bypass_cache) {
     if (std::shared_ptr<const CachedPlan> plan =
             cache_.Lookup(fingerprint, canonical)) {
       PlanResponse response;
@@ -313,7 +312,8 @@ void PlanService::RunRequest(PlanRequest request, uint64_t fingerprint,
   }
   response.latency_seconds = Seconds(Clock::now() - admit_time);
 
-  if (response.status.ok() && options_.enable_cache && !request.bypass_cache) {
+  if (response.status.ok() && options_.cache_bytes > 0 &&
+      !request.bypass_cache) {
     auto plan = std::make_shared<CachedPlan>();
     plan->canonical_request = inflight->canonical;
     plan->config = response.config;

@@ -53,10 +53,8 @@ struct ServeOptions {
   /// request's SearchOptions::num_threads; for a serving workload the useful
   /// parallelism is across requests, so requests default to serial searches.
   int num_workers = 2;
-  /// Plan cache byte budget (0 with enable_cache=false for a pure planner).
+  /// Plan cache byte budget; 0 turns the cache off (a pure planner).
   size_t cache_bytes = 64ull << 20;
-  int cache_shards = 16;
-  bool enable_cache = true;
   /// Admission bound: maximum requests admitted but not yet completed
   /// (queued + running). Beyond it, Submit load-sheds with an explicit
   /// ResourceExhausted + retry_after_ms response instead of queueing without
@@ -143,7 +141,7 @@ class PlanService {
   /// hit/miss counters or LRU order. Returns nullptr when caching is off.
   std::shared_ptr<const CachedPlan> PeekCache(
       uint64_t fingerprint, std::string_view canonical_request) const {
-    if (!options_.enable_cache) return nullptr;
+    if (options_.cache_bytes == 0) return nullptr;
     return cache_.Peek(fingerprint, canonical_request);
   }
 

@@ -353,7 +353,9 @@ json::Value OptimizationFlagsToJson(const core::OptimizationFlags& flags) {
   v.Set("prefetch", flags.prefetch);
   v.Set("cpu_optimizer", flags.cpu_optimizer);
   v.Set("smart_eviction", flags.smart_eviction);
-  v.Set("use_recompute", flags.use_recompute);
+  // The stash policy lives in Configuration::policy and SearchOptions; the
+  // key stays a constant so canonical bytes and fingerprints do not move.
+  v.Set("use_recompute", true);
   return v;
 }
 
@@ -367,7 +369,13 @@ Result<core::OptimizationFlags> OptimizationFlagsFromJson(const json::Value& v) 
   HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "prefetch", &f.prefetch));
   HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "cpu_optimizer", &f.cpu_optimizer));
   HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "smart_eviction", &f.smart_eviction));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "use_recompute", &f.use_recompute));
+  bool use_recompute = true;
+  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "use_recompute", &use_recompute));
+  if (!use_recompute) {
+    return Status::InvalidArgument(
+        "flags: use_recompute must be true; select a keep-all stash with "
+        "policy_mode=keep");
+  }
   return f;
 }
 

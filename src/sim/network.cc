@@ -232,62 +232,61 @@ void FlowNetwork::RemoveFromLinks(int slot) {
 // Interconnect
 // ---------------------------------------------------------------------------
 
-Interconnect::Interconnect(const hw::MachineSpec& machine) : machine_(machine) {
-  // Link ids are assigned in exactly the order hw::MachineSpec's Link*
-  // helpers document (NumLinks() mirrors this layout), so a heterogeneous
-  // machine's per-link scale applies by construction index. The scale is an
-  // exact 1.0 multiply on homogeneous machines.
-  auto add_link = [&](BytesPerSec cap, std::string name) {
-    const int id = static_cast<int>(capacities_.size());
-    capacities_.push_back(cap * machine.LinkScaleAt(id));
-    names_.push_back(std::move(name));
-    return id;
+Interconnect::Interconnect(const hw::MachineSpec& machine)
+    : machine_(machine),
+      capacities_(machine.NumLinks()),
+      names_(machine.NumLinks()) {
+  // Link ids come from hw::MachineSpec's Link* helpers, so a heterogeneous
+  // machine's per-link scale applies by id. The scale is an exact 1.0
+  // multiply on homogeneous machines.
+  auto set_link = [&](int id, BytesPerSec cap, std::string name) {
+    capacities_[id] = cap * machine.LinkScaleAt(id);
+    names_[id] = std::move(name);
   };
   for (int g = 0; g < machine.num_gpus; ++g) {
-    gpu_up_.push_back(add_link(machine.pcie_bw, "gpu" + std::to_string(g) + ".up"));
-    gpu_down_.push_back(add_link(machine.pcie_bw, "gpu" + std::to_string(g) + ".down"));
-  }
-  for (int s = 0; s < machine.num_switches; ++s) {
-    uplink_up_.push_back(add_link(machine.uplink_bw, "sw" + std::to_string(s) + ".up"));
-    uplink_down_.push_back(
-        add_link(machine.uplink_bw, "sw" + std::to_string(s) + ".down"));
-  }
-  hostmem_write_ = add_link(machine.host_mem_bw, "hostmem.write");
-  hostmem_read_ = add_link(machine.host_mem_bw, "hostmem.read");
-  if (machine.nvlink_bw > 0) {
-    for (int g = 0; g < machine.num_gpus; ++g) {
-      nvlink_out_.push_back(
-          add_link(machine.nvlink_bw, "gpu" + std::to_string(g) + ".nvl.out"));
-      nvlink_in_.push_back(
-          add_link(machine.nvlink_bw, "gpu" + std::to_string(g) + ".nvl.in"));
+    const std::string gpu = "gpu" + std::to_string(g);
+    set_link(machine.LinkGpuUp(g), machine.pcie_bw, gpu + ".up");
+    set_link(machine.LinkGpuDown(g), machine.pcie_bw, gpu + ".down");
+    if (machine.nvlink_bw > 0) {
+      set_link(machine.LinkNvlinkOut(g), machine.nvlink_bw, gpu + ".nvl.out");
+      set_link(machine.LinkNvlinkIn(g), machine.nvlink_bw, gpu + ".nvl.in");
     }
   }
-  HARMONY_CHECK_EQ(num_links(), machine.NumLinks());
+  for (int s = 0; s < machine.num_switches; ++s) {
+    const std::string sw = "sw" + std::to_string(s);
+    set_link(machine.LinkSwitchUp(s), machine.uplink_bw, sw + ".up");
+    set_link(machine.LinkSwitchDown(s), machine.uplink_bw, sw + ".down");
+  }
+  set_link(machine.LinkHostWrite(), machine.host_mem_bw, "hostmem.write");
+  set_link(machine.LinkHostRead(), machine.host_mem_bw, "hostmem.read");
 }
 
 std::vector<int> Interconnect::SwapInPath(int gpu) const {
   const int s = machine_.gpu_to_switch[gpu];
-  return {hostmem_read_, uplink_down_[s], gpu_down_[gpu]};
+  return {machine_.LinkHostRead(), machine_.LinkSwitchDown(s),
+          machine_.LinkGpuDown(gpu)};
 }
 
 std::vector<int> Interconnect::SwapOutPath(int gpu) const {
   const int s = machine_.gpu_to_switch[gpu];
-  return {gpu_up_[gpu], uplink_up_[s], hostmem_write_};
+  return {machine_.LinkGpuUp(gpu), machine_.LinkSwitchUp(s),
+          machine_.LinkHostWrite()};
 }
 
 std::vector<int> Interconnect::P2pPath(int src_gpu, int dst_gpu) const {
   HARMONY_CHECK_NE(src_gpu, dst_gpu);
-  if (!nvlink_out_.empty()) {
+  if (machine_.nvlink_bw > 0) {
     // Dedicated NVLink ports: p2p bypasses the PCIe tree entirely.
-    return {nvlink_out_[src_gpu], nvlink_in_[dst_gpu]};
+    return {machine_.LinkNvlinkOut(src_gpu), machine_.LinkNvlinkIn(dst_gpu)};
   }
   const int ss = machine_.gpu_to_switch[src_gpu];
   const int ds = machine_.gpu_to_switch[dst_gpu];
   if (ss == ds) {
-    return {gpu_up_[src_gpu], gpu_down_[dst_gpu]};
+    return {machine_.LinkGpuUp(src_gpu), machine_.LinkGpuDown(dst_gpu)};
   }
   // Cross-switch p2p bounces through the root complex (no DRAM hop).
-  return {gpu_up_[src_gpu], uplink_up_[ss], uplink_down_[ds], gpu_down_[dst_gpu]};
+  return {machine_.LinkGpuUp(src_gpu), machine_.LinkSwitchUp(ss),
+          machine_.LinkSwitchDown(ds), machine_.LinkGpuDown(dst_gpu)};
 }
 
 std::string Interconnect::LinkName(int link) const { return names_.at(link); }

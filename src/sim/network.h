@@ -124,10 +124,11 @@ class FlowNetwork {
   int64_t wakeups_suppressed_ = 0;
 };
 
-/// Maps a MachineSpec's PCIe tree onto FlowNetwork link ids and provides the
-/// canonical paths used by the runtime: host<->GPU swaps (which traverse the
-/// shared switch uplinks and host DRAM) and GPU<->GPU p2p (which bypasses host
-/// DRAM, and bypasses the uplinks entirely when both GPUs share a switch).
+/// Maps a MachineSpec's PCIe tree onto FlowNetwork links, using the link ids
+/// of MachineSpec's Link* helpers, and provides the canonical paths used by
+/// the runtime: host<->GPU swaps (which traverse the shared switch uplinks
+/// and host DRAM) and GPU<->GPU p2p (which bypasses host DRAM, and bypasses
+/// the uplinks entirely when both GPUs share a switch).
 class Interconnect {
  public:
   explicit Interconnect(const hw::MachineSpec& machine);
@@ -145,16 +146,7 @@ class Interconnect {
  private:
   hw::MachineSpec machine_;
   std::vector<BytesPerSec> capacities_;
-  std::vector<std::string> names_;
-  // Link id layout
-  std::vector<int> gpu_up_;      // gpu -> switch direction
-  std::vector<int> gpu_down_;    // switch -> gpu direction
-  std::vector<int> uplink_up_;   // switch -> host root
-  std::vector<int> uplink_down_; // host root -> switch
-  std::vector<int> nvlink_out_;  // dedicated NVLink ports (when present)
-  std::vector<int> nvlink_in_;
-  int hostmem_write_ = -1;       // DMA into host DRAM
-  int hostmem_read_ = -1;        // DMA out of host DRAM
+  std::vector<std::string> names_;  // indexed by MachineSpec link id
 };
 
 }  // namespace harmony::sim

@@ -132,18 +132,18 @@ TEST(Baselines, OneFOneBInterleavesAfterWarmup) {
 
 TEST(Baselines, MaxFeasibleMicrobatchShrinksWithMemory) {
   Fixture f;
-  const int big = MaxFeasibleMicrobatch(*f.db, f.machine, true, 1);
+  const int big = MaxFeasibleMicrobatch(*f.db, f.machine, 1);
   f.machine.gpu.memory_capacity = MiB(256);
-  const int small = MaxFeasibleMicrobatch(*f.db, f.machine, true, 1);
+  const int small = MaxFeasibleMicrobatch(*f.db, f.machine, 1);
   EXPECT_LE(small, big);
   EXPECT_GE(small, 1);
 }
 
 TEST(Baselines, MaxFeasibleMicrobatchHostConstrained) {
   Fixture f;
-  const int loose = MaxFeasibleMicrobatch(*f.db, f.machine, false, 1);
+  const int loose = MaxFeasibleMicrobatch(*f.db, f.machine, 1);
   f.machine.host_memory = f.model.total_param_bytes() * 4 + GiB(1);
-  const int tight = MaxFeasibleMicrobatch(*f.db, f.machine, false, 64);
+  const int tight = MaxFeasibleMicrobatch(*f.db, f.machine, 64);
   EXPECT_LE(tight, loose * 64);
   EXPECT_GE(tight, 1);
 }
@@ -177,7 +177,7 @@ class ComparisonTest : public ::testing::Test {
                       core::OptimizationFlags{}, s)
             .value());
     dp_ = new runtime::RunMetrics(f_->Run(dp_outcome_->graph));
-    const int u = MaxFeasibleMicrobatch(*f_->db, f_->machine, false, 4);
+    const int u = MaxFeasibleMicrobatch(*f_->db, f_->machine, 4);
     dp_swap_ = new runtime::RunMetrics(f_->Run(DpSwap(*f_->db, 4, 32, u)));
     gp_swap_ = new runtime::RunMetrics(f_->Run(GpipeSwap(*f_->db, 4, 32, u, false)));
     gp_swap_r_ = new runtime::RunMetrics(f_->Run(GpipeSwap(*f_->db, 4, 32, u, true)));

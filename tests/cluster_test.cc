@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -365,13 +366,12 @@ TEST(Cluster, RestartWarmServesBitIdenticalPlanWithoutASearch) {
 /// harmony_serve wires them (fill source, cache_get extension, stats block).
 struct TierDaemon {
   TierDaemon(const std::string& name, std::vector<std::string> members,
-             std::string self, DiskStore* disk = nullptr) {
+             std::string self, DiskStore* disk = nullptr,
+             ServeOptions sopts = {}) {
     cluster_options.members = std::move(members);
     cluster_options.self = std::move(self);
     cluster_options.disk = disk;
     node = std::make_unique<ClusterNode>(cluster_options);
-    ServeOptions sopts;
-    sopts.num_workers = 2;
     sopts.fill = node.get();
     service = std::make_unique<PlanService>(sopts);
     node->set_service(service.get());
@@ -584,6 +584,33 @@ TEST(Cluster, TierClientReportsTheLastEndpointWhenAllMembersAreDown) {
       << response.status();
   EXPECT_NE(response.status().message().find("unix:"), std::string::npos)
       << response.status();
+}
+
+TEST(Cluster, TierClientShedRetryStopsAtTheRequestDeadline) {
+  // A one-member tier whose single admission slot is held by a stalled
+  // search, so every other request is shed with the default retry-after.
+  const std::string ep = "unix:" + SockPath("tc_shed");
+  ServeOptions sopts;
+  sopts.num_workers = 1;
+  sopts.max_pending = 1;
+  sopts.stall_for_test = 0.5;
+  TierDaemon daemon("tc_shed", {ep}, ep, nullptr, sopts);
+  auto inflight = daemon.service->Submit(TinyRequest(4));
+
+  // The deadline is shorter than one retry-after: no shed retry fits, so
+  // Plan must surface the first shed response instead of sleeping past it.
+  PlanRequest request = TinyRequest(8);
+  request.deadline_ms = 10;
+  TierClient tier({ep});
+  const auto start = std::chrono::steady_clock::now();
+  auto response = tier.Plan(request);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response.value().status.code(), StatusCode::kResourceExhausted);
+  EXPECT_LT(waited, response.value().retry_after_ms / 1000.0);
+  EXPECT_TRUE(inflight.get().status.ok());
 }
 
 // --- stats plumbing -------------------------------------------------------

@@ -157,14 +157,14 @@ TEST(GoldenParity, Gpt2PipelineParallel) {
 }
 
 // ---------------------------------------------------------------------------
-// Residency-policy parity: the legacy coarse knob (use_recompute) and its
-// explicit uniform PolicyTable equivalents must lower to bit-identical
-// executions. These cases prove the {keep, swap, recompute} refactor is a
-// pure generalization — same goldens, no re-record.
+// Residency-policy parity: the default (empty) policy and the explicit uniform
+// PolicyTables must lower to pinned, bit-identical executions. These cases
+// prove the {keep, swap, recompute} refactor is a pure generalization — same
+// goldens, no re-record.
 // ---------------------------------------------------------------------------
 
 TEST(GoldenParity, ExplicitRecomputeTableMatchesLegacyGoldens) {
-  // An all-recompute table is the legacy default (use_recompute=true): the
+  // An all-recompute table is the default an empty table resolves to: the
   // run must reproduce the exact pinned goldens above.
   const core::PolicyTable policy = core::PolicyTable::Uniform(
       model::Sequentialize(model::Bert96()).num_layers(),
@@ -181,29 +181,20 @@ TEST(GoldenParity, ExplicitRecomputeTableMatchesLegacyGoldens) {
 }
 
 TEST(GoldenParity, ExplicitKeepTableMatchesLegacyNoRecompute) {
-  // An all-keep table is exactly use_recompute=false; compare the two runs
-  // field by field (no pinned constants needed — both run in-test).
-  OptimizationFlags legacy_flags;
-  legacy_flags.use_recompute = false;
-  const GoldenRun legacy = RunModel(model::Gpt2(), 16, 4, 4, legacy_flags);
-
+  // An all-keep table is the full-stash run (no recompute anywhere). Its
+  // goldens predate the policy table and must hold without a re-record.
   const core::PolicyTable policy = core::PolicyTable::Uniform(
       model::Sequentialize(model::Gpt2()).num_layers(),
       core::StashPolicy::kKeep);
-  const GoldenRun expl =
-      RunModel(model::Gpt2(), 16, 4, 4, legacy_flags, &policy);
-
-  EXPECT_EQ(BitsOf(expl.metrics.iteration_time),
-            BitsOf(legacy.metrics.iteration_time));
-  EXPECT_EQ(expl.metrics.total_swap(), legacy.metrics.total_swap());
-  EXPECT_EQ(expl.metrics.evictions, legacy.metrics.evictions);
-  EXPECT_EQ(expl.metrics.clean_drops, legacy.metrics.clean_drops);
-  EXPECT_EQ(expl.trace_events, legacy.trace_events);
-  EXPECT_EQ(expl.trace_hash, legacy.trace_hash);
-  if (HasFailure()) {
-    PrintGoldens("GPT2 legacy no-recompute", legacy);
-    PrintGoldens("GPT2 explicit keep-all", expl);
-  }
+  const GoldenRun r =
+      RunModel(model::Gpt2(), 16, 4, 4, OptimizationFlags{}, &policy);
+  EXPECT_EQ(BitsOf(r.metrics.iteration_time), 0x4030a5f12c713a6cull);
+  EXPECT_EQ(r.metrics.total_swap(), 261246871808);
+  EXPECT_EQ(r.metrics.evictions, 185);
+  EXPECT_EQ(r.metrics.clean_drops, 142);
+  EXPECT_EQ(r.trace_events, 6145);
+  EXPECT_EQ(r.trace_hash, 0xa65e4d967d703009ull);
+  if (HasFailure()) PrintGoldens("GPT2 pp mb16 u4 keep-all", r);
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ TEST(Integration, HarmonyBeatsDpSwapOnEveryPaperModel) {
     runtime::RuntimeOptions opts;
     opts.optimizer = mc.optimizer;
 
-    const int u = baselines::MaxFeasibleMicrobatch(db, machine, false, 4, 8);
+    const int u = baselines::MaxFeasibleMicrobatch(db, machine, 4, 8);
     const auto baseline = rt.Execute(baselines::DpSwap(db, 4, 16, u), opts);
     const core::Scheduler scheduler(machine);
     core::SearchOptions search;

@@ -11,6 +11,11 @@ double Billions(Bytes param_bytes) {
   return static_cast<double>(param_bytes) / 4.0 / 1e9;
 }
 
+/// The full-stash table: every layer keeps its activations (no recompute).
+PolicyTable KeepAll(const SequentialModel& m) {
+  return PolicyTable::Uniform(m.num_layers(), StashPolicy::kKeep);
+}
+
 TEST(Models, LayerCountsMatchPaperTables) {
   // Table 5's pack indices imply these layer counts.
   EXPECT_EQ(Gpt2().num_layers(), 52);       // L0..L51
@@ -134,7 +139,7 @@ TEST(CostModel, TransformerBlockTimeIsPlausible) {
 TEST(Memory, FootprintBreakdownGpt2) {
   const SequentialModel m = Sequentialize(Gpt2());
   const MemoryFootprint f =
-      ComputeFootprint(m, /*minibatch=*/8, Optimizer::kAdam, /*recompute=*/false);
+      ComputeFootprint(m, /*minibatch=*/8, Optimizer::kAdam, KeepAll(m));
   // Weights ~5.8 GiB; gradients equal; Adam state 2x.
   EXPECT_NEAR(static_cast<double>(f.weights) / GiB(1), 5.8, 0.3);
   EXPECT_EQ(f.gradients, f.weights);
@@ -147,24 +152,26 @@ TEST(Memory, FootprintBreakdownGpt2) {
 
 TEST(Memory, RecomputeShrinksActivations) {
   const SequentialModel m = Sequentialize(Bert96());
-  const auto full = ComputeFootprint(m, 16, Optimizer::kAdam, false);
-  const auto ckpt = ComputeFootprint(m, 16, Optimizer::kAdam, true);
+  const auto full = ComputeFootprint(m, 16, Optimizer::kAdam, KeepAll(m));
+  const auto ckpt = ComputeFootprint(
+      m, 16, Optimizer::kAdam,
+      PolicyTable::Uniform(m.num_layers(), StashPolicy::kRecompute));
   EXPECT_LT(ckpt.activations, full.activations / 4);
   EXPECT_EQ(ckpt.weights, full.weights);
 }
 
 TEST(Memory, FootprintGrowsLinearlyWithBatch) {
   const SequentialModel m = Sequentialize(Gpt2());
-  const auto f8 = ComputeFootprint(m, 8, Optimizer::kAdam, false);
-  const auto f16 = ComputeFootprint(m, 16, Optimizer::kAdam, false);
+  const auto f8 = ComputeFootprint(m, 8, Optimizer::kAdam, KeepAll(m));
+  const auto f16 = ComputeFootprint(m, 16, Optimizer::kAdam, KeepAll(m));
   EXPECT_EQ(f16.activations, 2 * f8.activations);
   EXPECT_EQ(f16.weights, f8.weights);
 }
 
 TEST(Memory, SgdStateSmallerThanAdam) {
   const SequentialModel m = Sequentialize(Vgg416());
-  const auto adam = ComputeFootprint(m, 8, Optimizer::kAdam, false);
-  const auto sgd = ComputeFootprint(m, 8, Optimizer::kSgdMomentum, false);
+  const auto adam = ComputeFootprint(m, 8, Optimizer::kAdam, KeepAll(m));
+  const auto sgd = ComputeFootprint(m, 8, Optimizer::kSgdMomentum, KeepAll(m));
   EXPECT_EQ(sgd.optimizer_state * 2, adam.optimizer_state);
 }
 

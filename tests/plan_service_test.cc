@@ -211,7 +211,7 @@ TEST(PlanService, ShutdownWithCancelTripsQueuedRequests) {
 TEST(PlanService, CacheOnAndOffProduceIdenticalPlans) {
   ServeOptions cached;
   ServeOptions uncached;
-  uncached.enable_cache = false;
+  uncached.cache_bytes = 0;
   PlanService with_cache(cached);
   PlanService without_cache(uncached);
 

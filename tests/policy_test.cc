@@ -40,11 +40,8 @@ TEST(PolicyTable, UniformAndLegacy) {
   EXPECT_EQ(r.Count(StashPolicy::kRecompute), 5);
   EXPECT_EQ(r.Count(StashPolicy::kKeep), 0);
 
-  EXPECT_EQ(PolicyTable::Legacy(5, /*use_recompute=*/true), r);
-  EXPECT_EQ(PolicyTable::Legacy(5, /*use_recompute=*/false),
-            PolicyTable::Uniform(5, StashPolicy::kKeep));
-
-  // The empty table is uniform in nothing: it means "defer to the flags".
+  // The empty table is uniform in nothing: it means "the generator's
+  // default", resolved only when a task graph is generated.
   EXPECT_TRUE(PolicyTable().empty());
   EXPECT_FALSE(PolicyTable().IsUniform(StashPolicy::kKeep));
 }
@@ -150,18 +147,12 @@ TEST(Footprint, PolicyOverloadMatchesLegacyBools) {
       model::Sequentialize(model::TinyTransformer(8));
   const int R = m.num_layers();
   for (const int mb : {1, 8}) {
-    const auto legacy_r =
-        model::ComputeFootprint(m, mb, model::Optimizer::kAdam, true);
     const auto table_r = model::ComputeFootprint(
-        m, mb, model::Optimizer::kAdam, PolicyTable::Legacy(R, true));
-    EXPECT_EQ(legacy_r.activations, table_r.activations);
-    EXPECT_EQ(legacy_r.total(), table_r.total());
-
-    const auto legacy_k =
-        model::ComputeFootprint(m, mb, model::Optimizer::kAdam, false);
+        m, mb, model::Optimizer::kAdam,
+        PolicyTable::Uniform(R, StashPolicy::kRecompute));
     const auto table_k = model::ComputeFootprint(
-        m, mb, model::Optimizer::kAdam, PolicyTable::Legacy(R, false));
-    EXPECT_EQ(legacy_k.activations, table_k.activations);
+        m, mb, model::Optimizer::kAdam,
+        PolicyTable::Uniform(R, StashPolicy::kKeep));
 
     // A mixed table sits strictly between the two uniform bounds whenever
     // keep and recompute actually differ.
@@ -171,7 +162,7 @@ TEST(Footprint, PolicyOverloadMatchesLegacyBools) {
         model::ComputeFootprint(m, mb, model::Optimizer::kAdam, mixed);
     EXPECT_GE(mid.activations, table_r.activations);
     EXPECT_LE(mid.activations, table_k.activations);
-    if (legacy_k.activations > legacy_r.activations) {
+    if (table_k.activations > table_r.activations) {
       EXPECT_GT(mid.activations, table_r.activations);
       EXPECT_LT(mid.activations, table_k.activations);
     }
@@ -215,19 +206,11 @@ TEST(EstimatorPolicy, UniformTablesMatchLegacyBitForBit) {
   const int R = s.db.num_layers();
 
   const core::Estimate legacy_r = s.Estimate(OptimizationFlags{}, {});
-  const core::Estimate table_r =
-      s.Estimate(OptimizationFlags{}, PolicyTable::Legacy(R, true));
+  const core::Estimate table_r = s.Estimate(
+      OptimizationFlags{}, PolicyTable::Uniform(R, StashPolicy::kRecompute));
   EXPECT_EQ(legacy_r.iteration_time, table_r.iteration_time);
   EXPECT_EQ(legacy_r.swap_bytes, table_r.swap_bytes);
   EXPECT_EQ(legacy_r.p2p_bytes, table_r.p2p_bytes);
-
-  OptimizationFlags keep_flags;
-  keep_flags.use_recompute = false;
-  const core::Estimate legacy_k = s.Estimate(keep_flags, {});
-  const core::Estimate table_k =
-      s.Estimate(keep_flags, PolicyTable::Legacy(R, false));
-  EXPECT_EQ(legacy_k.iteration_time, table_k.iteration_time);
-  EXPECT_EQ(legacy_k.swap_bytes, table_k.swap_bytes);
 }
 
 TEST(EstimatorPolicy, SwapChargesTrafficKeepDoesNot) {

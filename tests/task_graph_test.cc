@@ -212,11 +212,10 @@ TEST_F(TaskGraphTest, JitComputeOffUnfusesLastPack) {
 }
 
 TEST_F(TaskGraphTest, NoRecomputeLowersToKeepEverywhere) {
-  const Configuration c = MakeConfig(db_, 2, 2);
-  OptimizationFlags flags;
-  flags.use_recompute = false;
+  Configuration c = MakeConfig(db_, 2, 2);
+  c.policy = PolicyTable::Uniform(db_.num_layers(), StashPolicy::kKeep);
   const TaskGraph g = GenerateHarmonyTaskGraph(
-      c, HarmonyMode::kPipelineParallel, 4, 8, flags, db_);
+      c, HarmonyMode::kPipelineParallel, 4, 8, OptimizationFlags{}, db_);
   EXPECT_TRUE(g.stash_policy.IsUniform(StashPolicy::kKeep));
   for (int l = 0; l < g.num_layers; ++l) {
     EXPECT_EQ(g.policy_at(l), StashPolicy::kKeep);
@@ -236,7 +235,7 @@ TEST_F(TaskGraphTest, ExplicitPolicyTableLowersCheckpointsPerLayer) {
   const Configuration base = MakeConfig(db, 2, 2);
   const int R = db.num_layers();
 
-  // An explicit all-recompute table matches the legacy use_recompute=true
+  // An explicit all-recompute table matches the default (empty-table)
   // lowering exactly.
   Configuration c = base;
   c.policy = PolicyTable::Uniform(R, StashPolicy::kRecompute);
@@ -371,12 +370,13 @@ class GenerateProperty : public ::testing::TestWithParam<GenParam> {};
 TEST_P(GenerateProperty, ValidGraph) {
   static const profile::ProfileDb db = MakeDb();
   const GenParam p = GetParam();
-  const Configuration c = MakeConfig(db, p.u_fwd, p.u_bwd);
+  Configuration c = MakeConfig(db, p.u_fwd, p.u_bwd);
+  c.policy = PolicyTable::Uniform(
+      db.num_layers(), p.recompute ? StashPolicy::kRecompute : StashPolicy::kKeep);
   OptimizationFlags flags;
   flags.input_batch_grouping = p.grouping;
   flags.jit_update = p.jit_update;
   flags.jit_compute = p.jit_compute;
-  flags.use_recompute = p.recompute;
   const TaskGraph g = GenerateHarmonyTaskGraph(
       c, p.dp ? HarmonyMode::kDataParallel : HarmonyMode::kPipelineParallel, 4,
       p.minibatch, flags, db);

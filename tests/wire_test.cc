@@ -172,9 +172,31 @@ TEST(Wire, SearchOptionsAndFlagsRoundTrip) {
   EXPECT_EQ(legacy.value().policy_mode, core::PolicyMode::kLegacy);
   core::OptimizationFlags flags;
   flags.jit_compute = false;
-  flags.use_recompute = true;
   ExpectRoundTrip(flags, serve::OptimizationFlagsToJson,
                   serve::OptimizationFlagsFromJson);
+}
+
+TEST(Wire, UseRecomputeFalseIsRejected) {
+  // The stash policy travels as SearchOptions::policy_mode; the flags key is
+  // a constant `true`, kept so canonical bytes and fingerprints hold.
+  const std::string flags =
+      "{\"input_batch_grouping\":true,\"jit_update\":true,"
+      "\"jit_compute\":true,\"p2p_transfers\":true,\"prefetch\":true,"
+      "\"cpu_optimizer\":true,\"smart_eviction\":true,\"use_recompute\":";
+  const auto on = json::Parse(flags + "true}");
+  ASSERT_TRUE(on.ok());
+  EXPECT_TRUE(serve::OptimizationFlagsFromJson(on.value()).ok());
+  EXPECT_EQ(serve::OptimizationFlagsToJson(core::OptimizationFlags{}).Dump(),
+            on.value().Dump());
+
+  const auto off = json::Parse(flags + "false}");
+  ASSERT_TRUE(off.ok());
+  const auto decoded = serve::OptimizationFlagsFromJson(off.value());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("policy_mode=keep"),
+            std::string::npos)
+      << decoded.status();
 }
 
 TEST(Wire, ConfigurationRoundTrips) {
