@@ -14,6 +14,17 @@ uint64_t RendezvousScore(const std::string& id, uint64_t fingerprint) {
   return json::Fnv1a(json::FingerprintHex(fingerprint) + "@" + id);
 }
 
+/// Ring position of a member's i-th point. FNV-1a of strings that differ
+/// only in their last characters ("...#0", "...#1") leaves the top bits
+/// nearly unchanged, so the raw hashes cluster and one member can own
+/// almost the whole ring; the SplitMix64 finalizer spreads them.
+uint64_t PointOf(const std::string& id, int i) {
+  uint64_t z = json::Fnv1a(id + "#" + std::to_string(i));
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 }  // namespace
 
 HashRing::HashRing(int vnodes_per_node) : vnodes_(vnodes_per_node) {
@@ -23,7 +34,7 @@ HashRing::HashRing(int vnodes_per_node) : vnodes_(vnodes_per_node) {
 void HashRing::AddNode(const std::string& id) {
   if (!nodes_.insert(id).second) return;
   for (int i = 0; i < vnodes_; ++i) {
-    ring_.emplace(json::Fnv1a(id + "#" + std::to_string(i)), id);
+    ring_.emplace(PointOf(id, i), id);
   }
 }
 

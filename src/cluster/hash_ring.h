@@ -15,10 +15,10 @@ namespace harmony::cluster {
 /// on the member list agrees on each fingerprint's owner — no coordinator.
 ///
 /// Each member contributes `vnodes_per_node` points at
-/// FNV-1a(id + "#" + i); a fingerprint's owner is the first point clockwise
-/// from it. Virtual nodes bound rebalance churn: removing one of N members
-/// remaps only the keys the departed member owned (~1/N of the space), a
-/// bound cluster_test asserts.
+/// SplitMix64-finalized FNV-1a(id + "#" + i); a fingerprint's owner is the
+/// first point clockwise from it. Virtual nodes bound rebalance churn:
+/// removing one of N members remaps only the keys the departed member owned
+/// (~1/N of the space), a bound cluster_test asserts.
 ///
 /// When the ring has no points (vnodes_per_node == 0 — a degenerate but
 /// legal configuration), ownership falls back to rendezvous (highest-

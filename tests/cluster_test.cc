@@ -164,6 +164,26 @@ TEST(HashRing, RemovalRemapsOnlyTheDepartedMembersKeys) {
   }
 }
 
+TEST(HashRing, EveryMemberOwnsAFairShareWhateverItsName) {
+  // Endpoints that differ in a few characters (a pid, a host suffix) must
+  // still interleave their points: each of two members owns a fair share of
+  // keys spread evenly over the 64-bit space, for every naming tried.
+  for (int n = 0; n < 500; ++n) {
+    HashRing ring;
+    const std::string a = "unix:/tmp/tier_a_" + std::to_string(n) + ".sock";
+    const std::string b = "unix:/tmp/tier_b_" + std::to_string(n) + ".sock";
+    ring.AddNode(a);
+    ring.AddNode(b);
+    int a_owned = 0;
+    constexpr int kKeys = 1000;
+    for (uint64_t i = 1; i <= kKeys; ++i) {
+      if (ring.OwnerOf(i * 0x9e3779b97f4a7c15ull) == a) ++a_owned;
+    }
+    EXPECT_GT(a_owned, kKeys / 5) << a;
+    EXPECT_LT(a_owned, kKeys - kKeys / 5) << a;
+  }
+}
+
 TEST(HashRing, RendezvousFallbackWhenTheRingHasNoPoints) {
   // vnodes_per_node == 0 is degenerate but legal: ownership falls back to
   // rendezvous hashing, which is still deterministic and balanced.

@@ -27,6 +27,10 @@ const ModelCase kModels[] = {
     {"ResNet1K", model::ResNet1K, model::Optimizer::kSgdMomentum},
 };
 
+// Without this, gtest prints the case as raw bytes, pointers included, so
+// the listed test names would change with every address-space layout.
+void PrintTo(const ModelCase& mc, std::ostream* os) { *os << mc.name; }
+
 class FullModelTest : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(FullModelTest, ScheduleAndExecuteBothModes) {
