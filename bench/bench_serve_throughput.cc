@@ -48,6 +48,7 @@
 
 #include "bench/bench_common.h"
 #include "cluster/cluster.h"
+#include "common/percentile.h"
 #include "serve/client.h"
 #include "serve/plan_service.h"
 #include "serve/server.h"
@@ -57,13 +58,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using harmony::bench::JsonObject;
-
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
 
 struct LoadResult {
   double seconds_per_op = 0;
@@ -101,8 +95,8 @@ LoadResult RunClosedLoop(harmony::serve::PlanService* service,
   const double total = static_cast<double>(latencies.size());
   out.seconds_per_op = wall / total;
   out.requests_per_second = total / wall;
-  out.p50 = Percentile(latencies, 0.50);
-  out.p99 = Percentile(latencies, 0.99);
+  out.p50 = harmony::NearestRankPercentile(latencies, 0.50);
+  out.p99 = harmony::NearestRankPercentile(latencies, 0.99);
   return out;
 }
 
@@ -129,16 +123,17 @@ LoadResult RunSocketRoundTrip(const std::string& path,
   LoadResult out;
   out.seconds_per_op = wall / iters;
   out.requests_per_second = iters / wall;
-  out.p50 = Percentile(latencies, 0.50);
-  out.p99 = Percentile(latencies, 0.99);
+  out.p50 = harmony::NearestRankPercentile(latencies, 0.50);
+  out.p99 = harmony::NearestRankPercentile(latencies, 0.99);
   return out;
 }
 
 /// `conns` connections, each pipelining the same pre-encoded warm request
-/// `window` deep (below the server's max_pipeline_frames so flow control
-/// never stalls the sender). Responses are collected raw — decoding happens
-/// off the clock, and the first response per connection is decoded afterwards
-/// to assert the wire answer is still a cache hit, bit-identical to `want`.
+/// `window` deep (below the server's 128-frame pipelining window, so flow
+/// control never stalls the sender). Responses are collected raw — decoding
+/// happens off the clock, and the first response per connection is decoded
+/// afterwards to assert the wire answer is still a cache hit, bit-identical
+/// to `want`.
 LoadResult RunSocketPipelined(const std::string& path,
                               const std::string& envelope, int conns,
                               int per_conn, int window,
@@ -229,8 +224,8 @@ LoadResult RunOpenLoop(const std::string& path,
   std::sort(latencies.begin(), latencies.end());
   LoadResult out;
   out.requests_per_second = static_cast<double>(latencies.size()) / wall;
-  out.p50 = Percentile(latencies, 0.50);
-  out.p99 = Percentile(latencies, 0.99);
+  out.p50 = harmony::NearestRankPercentile(latencies, 0.50);
+  out.p99 = harmony::NearestRankPercentile(latencies, 0.99);
   out.seconds_per_op = out.p99;  // the gated value IS the tail latency
   return out;
 }
@@ -293,8 +288,8 @@ LoadResult RunTierLoop(harmony::cluster::TierClient* tier,
   LoadResult out;
   out.seconds_per_op = wall / iters;
   out.requests_per_second = iters / wall;
-  out.p50 = Percentile(latencies, 0.50);
-  out.p99 = Percentile(latencies, 0.99);
+  out.p50 = harmony::NearestRankPercentile(latencies, 0.50);
+  out.p99 = harmony::NearestRankPercentile(latencies, 0.99);
   return out;
 }
 
@@ -490,7 +485,7 @@ int main(int argc, char** argv) {
                         .Set("p99_seconds", rt.p99));
 
   const std::string envelope = serve::ServeClient::EncodePlanEnvelope(request);
-  constexpr int kPipelineWindow = 64;  // < ServerOptions::max_pipeline_frames
+  constexpr int kPipelineWindow = 64;  // < the server's 128-frame window
   double pipelined_1c_rps = 0;
   for (const int conns : {1, 2, 4, 8}) {
     const int per_conn = 20000 / conns;

@@ -1,17 +1,15 @@
-// Microbenchmarks for the simulator core's calendar event queue: schedule +
-// dispatch throughput of harmony::sim::Engine under three adversarial event
-// mixes, with --json emitting the machine-readable baseline BENCH_sim.json
-// (seconds per event) that scripts/check_bench.py gates in CI.
+// Microbenchmarks for the simulator core's event queue: schedule + dispatch
+// throughput of harmony::sim::Engine under three event mixes, with --json
+// emitting the machine-readable baseline BENCH_sim.json (seconds per event)
+// that scripts/check_bench.py gates in CI.
 //
 //   uniform          steady-state: leaders reschedule at jittered deltas, so
-//                    the calendar cursor advances smoothly (the happy path
-//                    the width auto-tuner targets).
+//                    the clock advances smoothly and the heap stays small.
 //   bursty           dense ties: every leader schedules an 8-event burst at
-//                    one exact timestamp (FIFO tie-break stress, long bucket
-//                    chains).
-//   far_future_heavy 20% of inserts land ~3 years past the cursor, routing
-//                    through the overflow heap and draining back into the
-//                    calendar when the clock catches up.
+//                    one exact timestamp (FIFO tie-break stress).
+//   far_future_heavy 20% of inserts land ~1e8 s past the clock, so the heap
+//                    grows with pending far-future events that drain only
+//                    once the near-term chain is spent.
 //
 // The workloads are seeded and self-contained: identical event counts and
 // identical schedules on every run, so the baseline measures the queue, not
@@ -46,8 +44,6 @@ class SimCoreDriver {
     return engine_.events_processed();
   }
 
-  const sim::Engine& engine() const { return engine_; }
-
  private:
   void Arm() {
     if (budget_ <= 0) return;
@@ -57,8 +53,7 @@ class SimCoreDriver {
     for (int b = 0; b < followers; ++b) {
       --budget_;
       if (far_fraction_ > 0 && far_coin_(rng_) < far_fraction_) {
-        // ~3 years out: strictly beyond the overflow horizon (one year),
-        // whatever the cursor position.
+        // Far future: stays pending until the near-term chain is spent.
         engine_.At(engine_.now() + 1.0e8 + jitter_(rng_), [] {});
       } else {
         engine_.At(t, [] {});
@@ -85,7 +80,7 @@ struct Workload {
 
 int Run(int argc, char** argv) {
   const bool json = JsonFlag(argc, argv);
-  PrintHeader("Simulator core: calendar event queue throughput",
+  PrintHeader("Simulator core: event queue throughput",
               "engine hot path under uniform / bursty / far-future mixes");
 
   constexpr int64_t kEvents = 200000;
@@ -97,12 +92,9 @@ int Run(int argc, char** argv) {
   };
 
   std::vector<JsonObject> records;
-  Table t({"Workload", "events", "ns/event", "Mevents/s", "rebuilds",
-           "overflow pushes"});
+  Table t({"Workload", "events", "ns/event", "Mevents/s"});
   for (const Workload& w : workloads) {
     int64_t events = 0;
-    int64_t rebuilds = 0;
-    int64_t overflow = 0;
     std::vector<double> per_event;
     for (int rep = 0; rep < kReps + 1; ++rep) {
       SimCoreDriver driver(kEvents, w.burst, w.far_fraction);
@@ -114,13 +106,10 @@ int Run(int argc, char** argv) {
               .count();
       if (rep == 0) continue;  // warm-up: page in the arenas
       per_event.push_back(wall / static_cast<double>(events));
-      rebuilds = driver.engine().queue().rebuilds();
-      overflow = driver.engine().queue().overflow_pushes();
     }
     const double sec = Median(std::move(per_event));
     t.AddRow({w.name, Table::Cell(events), Table::Cell(sec * 1e9, 1),
-              Table::Cell(1e-6 / sec, 2), Table::Cell(rebuilds),
-              Table::Cell(overflow)});
+              Table::Cell(1e-6 / sec, 2)});
     records.push_back(JsonObject()
                           .Set("benchmark", w.name)
                           .Set("iterations", static_cast<int64_t>(events))

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/percentile.h"
 #include "serve/client.h"
 
 namespace {
@@ -58,12 +59,6 @@ int Usage() {
          "  model: BERT-Large | BERT96 | GPT2 | GPT2-Medium | VGG416 |\n"
          "         ResNet1K | GPT2-<n>B\n";
   return 2;
-}
-
-double Percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0;
-  const size_t idx = static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
 }
 
 }  // namespace
@@ -289,8 +284,8 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - bench_start).count();
 
   std::sort(latencies.begin(), latencies.end());
-  const double p50 = Percentile(latencies, 0.50);
-  const double p99 = Percentile(latencies, 0.99);
+  const double p50 = NearestRankPercentile(latencies, 0.50);
+  const double p99 = NearestRankPercentile(latencies, 0.99);
   const double rps = wall > 0 ? static_cast<double>(ok_count) / wall : 0;
 
   if (as_json) {

@@ -6,6 +6,37 @@
 #include "common/rng.h"
 
 namespace harmony::serve {
+namespace {
+
+/// Parses a reply envelope and checks its type: "error" replies surface as
+/// Internal with the server's detail, any other mismatch as Internal too.
+Result<json::Value> CheckReply(const std::string& frame,
+                               const std::string& expect_type) {
+  auto reply = json::Parse(frame);
+  HARMONY_RETURN_IF_ERROR(reply.status());
+  std::string type;
+  HARMONY_RETURN_IF_ERROR(json::ReadString(reply.value(), "type", &type));
+  if (type == "error") {
+    std::string error = "(no detail)";
+    (void)json::ReadString(reply.value(), "error", &error);
+    return Status::Internal("server error: " + error);
+  }
+  if (type != expect_type) {
+    return Status::Internal("unexpected reply type \"" + type +
+                            "\" (wanted \"" + expect_type + "\")");
+  }
+  return std::move(reply).value();
+}
+
+Result<PlanResponse> PlanResponseFromReply(const json::Value& reply) {
+  const json::Value* response = reply.Find("response");
+  if (response == nullptr) {
+    return Status::Internal("plan reply missing \"response\"");
+  }
+  return PlanResponseFromJson(*response);
+}
+
+}  // namespace
 
 Status ServeClient::ConnectUnix(const std::string& path) {
   Close();
@@ -66,11 +97,6 @@ void ServeClient::Close() {
   in_flight_ = 0;
 }
 
-Result<json::Value> ServeClient::RoundTrip(const json::Value& envelope,
-                                           const std::string& expect_type) {
-  return RoundTripEncoded(envelope.Dump(), expect_type);
-}
-
 Result<json::Value> ServeClient::RoundTripEncoded(
     const std::string& envelope_bytes, const std::string& expect_type) {
   if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
@@ -82,33 +108,13 @@ Result<json::Value> ServeClient::RoundTripEncoded(
   HARMONY_RETURN_IF_ERROR(AnnotateTransport(net::SendFrame(fd_, envelope_bytes)));
   auto frame = net::RecvFrame(fd_);
   HARMONY_RETURN_IF_ERROR(AnnotateTransport(frame.status()));
-  auto reply = json::Parse(frame.value());
-  HARMONY_RETURN_IF_ERROR(reply.status());
-  std::string type;
-  HARMONY_RETURN_IF_ERROR(json::ReadString(reply.value(), "type", &type));
-  if (type == "error") {
-    std::string error = "(no detail)";
-    (void)json::ReadString(reply.value(), "error", &error);
-    return Status::Internal("server error: " + error);
-  }
-  if (type != expect_type) {
-    return Status::Internal("unexpected reply type \"" + type +
-                            "\" (wanted \"" + expect_type + "\")");
-  }
-  return std::move(reply).value();
+  return CheckReply(frame.value(), expect_type);
 }
 
 Result<PlanResponse> ServeClient::Plan(const PlanRequest& request) {
-  json::Value envelope = json::Value::Object();
-  envelope.Set("type", "plan");
-  envelope.Set("request", PlanRequestToJson(request));
-  auto reply = RoundTrip(envelope, "plan");
+  auto reply = RoundTripEncoded(EncodePlanEnvelope(request), "plan");
   HARMONY_RETURN_IF_ERROR(reply.status());
-  const json::Value* response = reply.value().Find("response");
-  if (response == nullptr) {
-    return Status::Internal("plan reply missing \"response\"");
-  }
-  return PlanResponseFromJson(*response);
+  return PlanResponseFromReply(reply.value());
 }
 
 Result<PlanResponse> ServeClient::PlanWithRetry(const PlanRequest& request,
@@ -193,42 +199,21 @@ Result<std::string> ServeClient::CollectRaw() {
 Result<PlanResponse> ServeClient::Collect() {
   auto raw = CollectRaw();
   HARMONY_RETURN_IF_ERROR(raw.status());
-  auto reply = json::Parse(raw.value());
+  auto reply = CheckReply(raw.value(), "plan");
   HARMONY_RETURN_IF_ERROR(reply.status());
-  std::string type;
-  HARMONY_RETURN_IF_ERROR(json::ReadString(reply.value(), "type", &type));
-  if (type == "error") {
-    std::string error = "(no detail)";
-    (void)json::ReadString(reply.value(), "error", &error);
-    return Status::Internal("server error: " + error);
-  }
-  if (type != "plan") {
-    return Status::Internal("unexpected reply type \"" + type +
-                            "\" (wanted \"plan\")");
-  }
-  const json::Value* response = reply.value().Find("response");
-  if (response == nullptr) {
-    return Status::Internal("plan reply missing \"response\"");
-  }
-  return PlanResponseFromJson(*response);
+  return PlanResponseFromReply(reply.value());
 }
 
 Result<json::Value> ServeClient::Stats() {
-  json::Value envelope = json::Value::Object();
-  envelope.Set("type", "stats");
-  return RoundTrip(envelope, "stats");
+  return RoundTripEncoded(R"({"type":"stats"})", "stats");
 }
 
 Status ServeClient::Ping() {
-  json::Value envelope = json::Value::Object();
-  envelope.Set("type", "ping");
-  return RoundTrip(envelope, "pong").status();
+  return RoundTripEncoded(R"({"type":"ping"})", "pong").status();
 }
 
 Status ServeClient::Shutdown() {
-  json::Value envelope = json::Value::Object();
-  envelope.Set("type", "shutdown");
-  return RoundTrip(envelope, "ok").status();
+  return RoundTripEncoded(R"({"type":"shutdown"})", "ok").status();
 }
 
 }  // namespace harmony::serve

@@ -70,8 +70,8 @@ class ServeClient {
   static std::string EncodePlanEnvelope(const PlanRequest& request);
 
   /// Queues one plan request without waiting for its response. Bounded by
-  /// the server's pipelining window (ServerOptions::max_pipeline_frames):
-  /// keep fewer frames in flight than that, or the server stops reading
+  /// the server's 128-frame pipelining window (kMaxPipelineFrames): keep
+  /// fewer frames in flight than that, or the server stops reading
   /// while this side keeps a blocking send — mutual stall by design of the
   /// flow control, so the window contract is the caller's to respect.
   Status SendNowait(const PlanRequest& request);
@@ -118,9 +118,6 @@ class ServeClient {
   /// (kNotFound = peer closed, kResourceExhausted = shed), so annotation
   /// must never rewrite them.
   Status AnnotateTransport(Status s) const;
-  /// One request/response round trip; checks the reply's envelope type.
-  Result<json::Value> RoundTrip(const json::Value& envelope,
-                                const std::string& expect_type);
   /// Re-dials the endpoint the last Connect* call saved.
   Status Reconnect();
 

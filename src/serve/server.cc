@@ -19,6 +19,17 @@ namespace {
 // the eventfd round-trip and deliver the response directly.
 thread_local void* g_current_loop = nullptr;
 
+// Per-connection pipelining window: frames admitted but not yet answered.
+// At the cap the loop stops reading that connection (EPOLLIN off) until
+// responses drain — flow control, not an error.
+constexpr int kMaxPipelineFrames = 128;
+
+// Warm-path byte memo capacity per loop: exact request-frame bytes -> exact
+// response-frame bytes, filled only from plan-cache hits. A memo hit skips
+// JSON parsing entirely, which is what lets one pipelined connection push
+// past the thread-per-connection throughput plateau.
+constexpr size_t kResponseMemoEntries = 1024;
+
 json::Value ServiceStatsToJson(const ServiceStats& s) {
   json::Value v = json::Value::Object();
   v.Set("admitted", static_cast<int64_t>(s.admitted));
@@ -71,7 +82,6 @@ std::string ErrorPayload(const std::string& message) {
 PlanServer::PlanServer(PlanService* service, ServerOptions options)
     : service_(service), options_(std::move(options)) {
   if (options_.loop_threads < 1) options_.loop_threads = 1;
-  if (options_.max_pipeline_frames < 1) options_.max_pipeline_frames = 1;
 }
 
 PlanServer::~PlanServer() { Stop(); }
@@ -291,7 +301,7 @@ void PlanServer::HandleReadable(Loop* loop, Conn* conn) {
 
 void PlanServer::ProcessFrames(Loop* loop, Conn* conn) {
   while (!conn->dead && !conn->stop_reading && conn->decoder.HasFrame()) {
-    if (conn->service_inflight >= options_.max_pipeline_frames) break;
+    if (conn->service_inflight >= kMaxPipelineFrames) break;
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     DispatchFrame(loop, conn, conn->decoder.PopFrame());
   }
@@ -302,16 +312,13 @@ void PlanServer::DispatchFrame(Loop* loop, Conn* conn, std::string payload) {
 
   // Warm fast path: a byte-identical request already answered from the plan
   // cache replays the memoized response without parsing a byte of JSON.
-  if (options_.response_memo_entries > 0) {
-    const uint64_t h = json::Fnv1a(payload);
-    auto it = loop->memo.find(h);
-    if (it != loop->memo.end() && it->second.request == payload) {
-      fastpath_hits_.fetch_add(1, std::memory_order_relaxed);
-      EmitConnEvent(trace::EventKind::kServeFastPath, loop->index, conn->fd,
-                    "", static_cast<int64_t>(it->second.response->size()));
-      DeliverResponse(loop, conn, seq, std::string(*it->second.response));
-      return;
-    }
+  auto memo_it = loop->memo.find(json::Fnv1a(payload));
+  if (memo_it != loop->memo.end() && memo_it->second.request == payload) {
+    fastpath_hits_.fetch_add(1, std::memory_order_relaxed);
+    EmitConnEvent(trace::EventKind::kServeFastPath, loop->index, conn->fd, "",
+                  static_cast<int64_t>(memo_it->second.response->size()));
+    DeliverResponse(loop, conn, seq, std::string(*memo_it->second.response));
+    return;
   }
 
   auto parsed = json::Parse(payload);
@@ -371,13 +378,12 @@ void PlanServer::DispatchFrame(Loop* loop, Conn* conn, std::string payload) {
     frames_in_flight_.fetch_add(1, std::memory_order_relaxed);
     const int conn_fd = conn->fd;
     const uint64_t conn_gen = conn->gen;
-    const bool memoizable = options_.response_memo_entries > 0;
     // Load-shed / cache-hit outcomes run this callback inline on the loop
     // thread; searches run it on a PlanService worker, which serializes the
     // envelope off-loop and posts the bytes through the completion queue.
     service_->SubmitAsync(
         request.value(),
-        [this, loop, conn_fd, conn_gen, seq, memoizable,
+        [this, loop, conn_fd, conn_gen, seq,
          request_bytes = std::move(payload)](PlanResponse response) mutable {
           json::Value reply = json::Value::Object();
           reply.Set("type", "plan");
@@ -389,7 +395,7 @@ void PlanServer::DispatchFrame(Loop* loop, Conn* conn, std::string payload) {
           c.payload = reply.Dump();
           // Only plan-cache hits are memoized: the cached bytes must carry
           // cache_hit=true, exactly what a real service round-trip would say.
-          if (memoizable && response.status.ok() && response.cache_hit) {
+          if (response.status.ok() && response.cache_hit) {
             c.memo_key = std::move(request_bytes);
           }
           if (g_current_loop == loop) {
@@ -469,7 +475,7 @@ void PlanServer::UpdateInterest(Loop* loop, Conn* conn) {
   // epoll would otherwise spin on the unread bytes) and once the connection
   // is draining toward close.
   if (!conn->stop_reading &&
-      conn->service_inflight < options_.max_pipeline_frames) {
+      conn->service_inflight < kMaxPipelineFrames) {
     want |= EPOLLIN;
   }
   if (conn->writer.pending_bytes() > 0) want |= EPOLLOUT;
@@ -546,7 +552,7 @@ void PlanServer::PostCompletion(Loop* loop, Completion c) {
 
 void PlanServer::MemoInsert(Loop* loop, std::string key, std::string payload) {
   auto& memo = loop->memo;
-  if (memo.size() >= static_cast<size_t>(options_.response_memo_entries)) {
+  if (memo.size() >= kResponseMemoEntries) {
     // Epoch flush: the memo refills from plan-cache hits within a few
     // round-trips, and wholesale clearing keeps the structure allocation-
     // and scan-free on the hot path.

@@ -42,15 +42,6 @@ struct ServerOptions {
   /// arrives, the rest must follow within this window or the connection is
   /// reaped. Bounds how long a stalled peer can pin per-connection buffers.
   int frame_deadline_ms = 30000;
-  /// Per-connection pipelining window: frames admitted but not yet answered.
-  /// At the cap the loop stops reading that connection (EPOLLIN off) until
-  /// responses drain — flow control, not an error.
-  int max_pipeline_frames = 128;
-  /// Warm-path byte memo: exact request-frame bytes -> exact response-frame
-  /// bytes, filled only from plan-cache hits. A memo hit skips JSON parsing
-  /// entirely, which is what lets one pipelined connection push past the
-  /// thread-per-connection throughput plateau. 0 disables.
-  int response_memo_entries = 1024;
   /// Optional observer (borrowed) for reactor lifecycle events
   /// (kServeConnOpen/kServeConnClose/kServeFastPath). Emissions are
   /// serialized; event times are wall-clock seconds since server start.

@@ -335,6 +335,14 @@ Result<core::SearchOptions> SearchOptionsFromJson(const json::Value& v) {
   HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "equi_fb", &o.equi_fb));
   HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "num_threads", &o.num_threads));
   HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "keep_explored", &o.keep_explored));
+  // Out-of-range values would trip CHECKs deep in the search (a non-positive
+  // packing capacity aborts the process), so reject them at the boundary.
+  if (!(o.capacity_fraction > 0.0 && o.capacity_fraction <= 1.0)) {
+    return Status::InvalidArgument("options: capacity_fraction must be in (0, 1]");
+  }
+  if (o.u_fwd_max < 1 || o.u_bwd_max < 1) {
+    return Status::InvalidArgument("options: u_fwd_max and u_bwd_max must be >= 1");
+  }
   // Residency-policy knob: absent from pre-policy peers, so default to legacy.
   std::string policy_mode = "legacy";
   (void)json::ReadString(v, "policy_mode", &policy_mode);

@@ -11,18 +11,18 @@
 
 #include "common/logging.h"
 #include "common/units.h"
-#include "sim/calendar_queue.h"
+#include "sim/event_queue.h"
 
 namespace harmony::sim {
 
 /// Discrete-event simulation engine. Deterministic: events at equal timestamps
 /// run in insertion order (FIFO tie-break by sequence number).
 ///
-/// Events live in a calendar (bucket) queue — amortized O(1) schedule and
-/// dispatch — as fixed-size arena records. Callables up to 32 bytes (which
-/// covers std::function and almost every capture lambda in the codebase) are
-/// stored inline in the record; larger ones spill to the queue's size-classed
-/// spill arena. No per-event heap allocation on either path.
+/// Events live in a binary min-heap on (time, seq) as fixed-size arena
+/// records. Callables up to 32 bytes (which covers std::function and almost
+/// every capture lambda in the codebase) are stored inline in the record;
+/// larger ones spill to the queue's size-classed spill arena. No per-event
+/// heap allocation on either path.
 class Engine {
  public:
   Engine() = default;
@@ -74,8 +74,6 @@ class Engine {
   int64_t events_processed() const { return events_processed_; }
   /// Times a release build clamped a past-scheduled event to now().
   int64_t causality_clamps() const { return causality_clamps_; }
-  /// The underlying queue, for introspection in tests and benches.
-  const CalendarQueue& queue() const { return queue_; }
 
  private:
   /// Trampoline for callables stored inline in the record payload.
@@ -106,7 +104,7 @@ class Engine {
   int64_t next_seq_ = 0;
   int64_t events_processed_ = 0;
   int64_t causality_clamps_ = 0;
-  CalendarQueue queue_;
+  EventQueue queue_;
 };
 
 /// One-shot synchronization flag, analogous to a CUDA event: consumers

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/percentile.h"
 #include "common/regression.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -114,6 +115,19 @@ TEST(Rng, SplitIndependence) {
   int equal = 0;
   for (int i = 0; i < 64; ++i) equal += c1.NextU64() == c2.NextU64();
   EXPECT_LT(equal, 2);
+}
+
+TEST(Percentile, NearestRank) {
+  std::vector<double> ten;
+  for (int i = 1; i <= 10; ++i) ten.push_back(i);
+  EXPECT_EQ(NearestRankPercentile(ten, 0.99), 10.0);  // the max, not the 9th
+  EXPECT_EQ(NearestRankPercentile(ten, 0.50), 5.0);
+  EXPECT_EQ(NearestRankPercentile(ten, 0.0), 1.0);
+  std::vector<double> hundred;
+  for (int i = 1; i <= 100; ++i) hundred.push_back(i);
+  EXPECT_EQ(NearestRankPercentile(hundred, 0.50), 50.0);
+  EXPECT_EQ(NearestRankPercentile(hundred, 0.99), 99.0);
+  EXPECT_EQ(NearestRankPercentile({}, 0.99), 0.0);
 }
 
 TEST(Regression, ExactLinearFit) {

@@ -274,7 +274,7 @@ TEST(Machine, WithNumGpusRestricts) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine causality + calendar queue
+// Engine causality + event queue
 // ---------------------------------------------------------------------------
 
 #ifdef NDEBUG
@@ -298,10 +298,10 @@ TEST(Engine, PastScheduleClampsToNowAndCounts) {
 #endif
 
 TEST(Engine, CalendarMatchesReferenceOrderUnderStress) {
-  // Adversarial mix for the calendar queue: uniform spread, dense bursts of
-  // exact ties, and far-future outliers that must route through the overflow
-  // heap. The contract is total order by (time, insertion seq); the
-  // reference is a stable sort of the schedule by time.
+  // Adversarial mix for the event queue: uniform spread, dense bursts of
+  // exact ties, and far-future outliers. The contract is total order by
+  // (time, insertion seq); the reference is a stable sort of the schedule
+  // by time.
   std::mt19937_64 rng(0xbadc0ffee);
   std::uniform_real_distribution<double> uniform(0.0, 50.0);
   std::uniform_int_distribution<int> coin(0, 9);
@@ -318,7 +318,7 @@ TEST(Engine, CalendarMatchesReferenceOrderUnderStress) {
         times.push_back(t);
       }
     } else {
-      times.push_back(1.0e8 + uniform(rng));  // > one year: overflow heap
+      times.push_back(1.0e8 + uniform(rng));  // far-future outlier
     }
   }
   std::vector<int> expected(times.size());
@@ -335,9 +335,6 @@ TEST(Engine, CalendarMatchesReferenceOrderUnderStress) {
   e.Run();
   ASSERT_EQ(observed.size(), expected.size());
   EXPECT_EQ(observed, expected);
-  // The stress mix must actually exercise the paths it claims to cover.
-  EXPECT_GT(e.queue().overflow_pushes(), 0);
-  EXPECT_GT(e.queue().rebuilds(), 0);
 }
 
 TEST(Engine, EventsScheduledMidRunKeepFifoOrder) {

@@ -7,6 +7,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/cancel.h"
 #include "common/json.h"
@@ -174,6 +175,37 @@ TEST(Wire, SearchOptionsAndFlagsRoundTrip) {
   flags.jit_compute = false;
   ExpectRoundTrip(flags, serve::OptimizationFlagsToJson,
                   serve::OptimizationFlagsFromJson);
+}
+
+TEST(Wire, OutOfRangeSearchOptionsAreRejected) {
+  // A capacity_fraction <= 0 would reach the packing CHECK and abort the
+  // daemon, so out-of-range knobs must fail at decode.
+  std::vector<core::SearchOptions> bad(4);
+  bad[0].capacity_fraction = -1.0;
+  bad[1].capacity_fraction = 0.0;
+  bad[2].capacity_fraction = 1.5;
+  bad[3].u_bwd_max = 0;
+  for (const core::SearchOptions& options : bad) {
+    const json::Value v = serve::SearchOptionsToJson(options);
+    const auto decoded = serve::SearchOptionsFromJson(v);
+    ASSERT_FALSE(decoded.ok()) << v.Dump();
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << v.Dump();
+  }
+
+  // A valid request at the edges still round-trips byte-identically...
+  PlanRequest request;
+  request.model = ModelSpec::FromName("GPT2").value();
+  request.options.capacity_fraction = 1.0;
+  request.options.u_bwd_max = 1;
+  ExpectRoundTrip(request, serve::PlanRequestToJson,
+                  serve::PlanRequestFromJson);
+  // ...and a bad one is refused on the daemon's decode path.
+  request.options.capacity_fraction = 0.0;
+  const auto rejected =
+      serve::PlanRequestFromJson(serve::PlanRequestToJson(request));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Wire, UseRecomputeFalseIsRejected) {
