@@ -71,8 +71,13 @@ class Value {
 
   bool AsBool() const { return bool_; }
   double AsDouble() const { return number_; }
-  int64_t AsInt() const { return static_cast<int64_t>(number_); }
   const std::string& AsString() const { return string_; }
+
+  /// Sizes an array's items or an object's members for `n` entries.
+  void Reserve(size_t n) {
+    if (type_ == Type::kArray) items_.reserve(n);
+    if (type_ == Type::kObject) members_.reserve(n);
+  }
 
   // --- array interface -----------------------------------------------------
   size_t size() const { return items_.size(); }
@@ -118,6 +123,93 @@ class Value {
   std::vector<std::pair<std::string, Value>> members_;   // kObject
 };
 
+/// The canonical renderings of a string (quoted, escaped) and a number (see
+/// Value's class comment), appended to `out`. Value::DumpTo and Writer both
+/// render through these, so the canonical bytes are defined once.
+void AppendQuoted(std::string_view s, std::string* out);
+void AppendNumber(double d, std::string* out);
+
+/// Streams JSON into a string with exactly the bytes Value::DumpTo would
+/// produce for the same document, without building the document. The
+/// caller balances Begin/End and pairs each Key with one value; the writer
+/// only places the commas.
+class Writer {
+ public:
+  explicit Writer(std::string* out) : out_(out) {}
+
+  void BeginObject() { Open('{'); }
+  void EndObject() { Close('}'); }
+  void BeginArray() { Open('['); }
+  void EndArray() { Close(']'); }
+
+  /// Starts an object member; the next call writes its value.
+  void Key(std::string_view key) {
+    Separate();
+    AppendQuoted(key, out_);
+    out_->push_back(':');
+    first_ = true;
+  }
+
+  void Bool(bool b) {
+    Separate();
+    *out_ += b ? "true" : "false";
+  }
+  void Number(double d) {
+    Separate();
+    AppendNumber(d, out_);
+  }
+  /// Integers render as the double they become in a Value (Value::Int).
+  void Int(int64_t i) { Number(static_cast<double>(i)); }
+  void String(std::string_view s) {
+    Separate();
+    AppendQuoted(s, out_);
+  }
+
+  // Key + value, with the overload set of Value::Set.
+  void Field(std::string_view key, bool b) {
+    Key(key);
+    Bool(b);
+  }
+  void Field(std::string_view key, double d) {
+    Key(key);
+    Number(d);
+  }
+  void Field(std::string_view key, int64_t i) {
+    Key(key);
+    Int(i);
+  }
+  void Field(std::string_view key, int i) {
+    Key(key);
+    Int(i);
+  }
+  void Field(std::string_view key, const char* s) {
+    Key(key);
+    String(s);
+  }
+  void Field(std::string_view key, std::string_view s) {
+    Key(key);
+    String(s);
+  }
+
+ private:
+  void Separate() {
+    if (!first_) out_->push_back(',');
+    first_ = false;
+  }
+  void Open(char c) {
+    Separate();
+    out_->push_back(c);
+    first_ = true;
+  }
+  void Close(char c) {
+    out_->push_back(c);
+    first_ = false;
+  }
+
+  std::string* out_;
+  bool first_ = true;  // no comma before the next value
+};
+
 /// Parses a JSON document (UTF-8 passed through uncheck-ed; \uXXXX escapes
 /// outside ASCII are rejected rather than decoded — the wire format never
 /// produces them). Trailing garbage after the document is an error.
@@ -129,8 +221,18 @@ uint64_t Fnv1a(std::string_view bytes);
 /// Lower-case 16-digit hex rendering of a fingerprint.
 std::string FingerprintHex(uint64_t fp);
 
+/// Inverse of FingerprintHex: exactly 16 hex digits (either case), else
+/// InvalidArgument.
+Result<uint64_t> ParseFingerprintHex(std::string_view hex);
+
+/// True when `d` is an integer in [lo, hi], i.e. converts to int64_t
+/// without truncating, wrapping or undefined behaviour.
+bool IsIntegerIn(double d, int64_t lo, int64_t hi);
+
 // Typed field accessors: read `key` from object `obj` into `out`, failing
 // with a descriptive InvalidArgument when the key is missing or mistyped.
+// The integer readers also refuse numbers that are not integers or do not
+// fit the output type.
 Status ReadBool(const Value& obj, std::string_view key, bool* out);
 Status ReadInt(const Value& obj, std::string_view key, int* out);
 Status ReadInt64(const Value& obj, std::string_view key, int64_t* out);

@@ -144,6 +144,10 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   // same schedule); identical to machine.gpu on homogeneous machines.
   packing.capacity = static_cast<Bytes>(
       static_cast<double>(machine.MinUsableMemory()) * options.capacity_fraction);
+  if (packing.capacity < 1) {
+    return Status::InvalidArgument(
+        "usable GPU memory x capacity_fraction is below one byte");
+  }
 
   const RuntimeEstimator estimator(profiles, machine);
   const int n = machine.num_gpus;

@@ -21,6 +21,20 @@ size_t CachedPlan::ApproxBytes() const {
   return bytes;
 }
 
+PlanResponse PlanResponseFromCache(const CachedPlan& plan,
+                                   uint64_t fingerprint) {
+  PlanResponse response;
+  response.fingerprint = fingerprint;
+  response.config = plan.config;
+  response.estimate = plan.estimate;
+  response.configs_explored = plan.configs_explored;
+  response.configs_feasible = plan.configs_feasible;
+  response.search_seconds = plan.search_seconds;
+  response.has_metrics = plan.has_metrics;
+  if (plan.has_metrics) response.metrics = plan.metrics;
+  return response;
+}
+
 json::Value CachedPlanToJson(const CachedPlan& plan) {
   json::Value v = json::Value::Object();
   v.Set("canonical_request", plan.canonical_request);
@@ -73,7 +87,8 @@ PlanCache::PlanCache(size_t byte_budget, int num_shards)
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::Lookup(
-    uint64_t fingerprint, std::string_view canonical_request) {
+    uint64_t fingerprint, std::string_view canonical_request,
+    std::shared_ptr<const HitReply>* reply) {
   Shard& shard = ShardOf(fingerprint);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(fingerprint);
@@ -90,6 +105,7 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+  if (reply != nullptr) *reply = it->second.reply;
   return it->second.plan;
 }
 
@@ -105,7 +121,12 @@ std::shared_ptr<const CachedPlan> PlanCache::Peek(
 
 void PlanCache::Insert(uint64_t fingerprint,
                        std::shared_ptr<const CachedPlan> plan) {
-  const size_t cost = plan->ApproxBytes();
+  // Encoded outside the shard lock; a lost race wastes one encoding.
+  PlanResponse hit = PlanResponseFromCache(*plan, fingerprint);
+  hit.cache_hit = true;
+  auto reply = std::make_shared<const HitReply>(EncodeHitReply(hit));
+  const size_t cost = plan->ApproxBytes() + sizeof(HitReply) +
+                      reply->head.capacity() + reply->tail.capacity();
   Shard& shard = ShardOf(fingerprint);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.map.count(fingerprint) != 0) return;  // lost race: identical plan
@@ -121,6 +142,7 @@ void PlanCache::Insert(uint64_t fingerprint,
   shard.lru.push_front(fingerprint);
   Entry entry;
   entry.plan = std::move(plan);
+  entry.reply = std::move(reply);
   entry.bytes = cost;
   entry.lru_pos = shard.lru.begin();
   shard.map.emplace(fingerprint, std::move(entry));

@@ -31,9 +31,15 @@ struct CachedPlan {
   bool has_metrics = false;
   runtime::RunMetrics metrics;
 
-  /// Approximate heap footprint, used against the cache's byte budget.
+  /// Approximate heap footprint; the cache charges it plus the bytes of the
+  /// plan's encoded hit reply against its budget.
   size_t ApproxBytes() const;
 };
+
+/// The response a cache hit (or a tier fill) answers with: the plan's
+/// fields, with the envelope fields left for the caller to stamp.
+PlanResponse PlanResponseFromCache(const CachedPlan& plan,
+                                   uint64_t fingerprint);
 
 /// Canonical JSON envelope of a cached plan — the payload the cluster tier
 /// moves between daemons (peer-fill replies) and persists in the disk store.
@@ -79,12 +85,15 @@ class PlanCache {
   /// Returns the cached plan or nullptr; counts a hit/miss either way. The
   /// entry's stored canonical_request must equal `canonical_request` for a
   /// hit — a fingerprint match with different bytes is a collision and
-  /// counts as a miss.
-  std::shared_ptr<const CachedPlan> Lookup(uint64_t fingerprint,
-                                           std::string_view canonical_request);
+  /// counts as a miss. On a hit, `reply` (when given) receives the plan's
+  /// reply frame encoded at Insert.
+  std::shared_ptr<const CachedPlan> Lookup(
+      uint64_t fingerprint, std::string_view canonical_request,
+      std::shared_ptr<const HitReply>* reply = nullptr);
 
   /// `plan->canonical_request` must be the bytes `fingerprint` was hashed
-  /// from; Lookup verifies against it.
+  /// from; Lookup verifies against it. Encodes the plan's hit reply
+  /// (EncodeHitReply) once, here, so no hit renders JSON.
   void Insert(uint64_t fingerprint, std::shared_ptr<const CachedPlan> plan);
 
   /// Side-effect-free Lookup for the cluster tier's peer cache_get path:
@@ -103,6 +112,7 @@ class PlanCache {
  private:
   struct Entry {
     std::shared_ptr<const CachedPlan> plan;
+    std::shared_ptr<const HitReply> reply;
     size_t bytes = 0;
     std::list<uint64_t>::iterator lru_pos;  // into Shard::lru
   };

@@ -81,17 +81,12 @@ void PlanService::SubmitAsync(const PlanRequest& request, PlanCallback done) {
 
   // Fast path: content-addressed hit, no service lock taken.
   if (options_.cache_bytes > 0 && !request.bypass_cache) {
+    std::shared_ptr<const HitReply> reply;
     if (std::shared_ptr<const CachedPlan> plan =
-            cache_.Lookup(fingerprint, canonical)) {
-      PlanResponse response;
+            cache_.Lookup(fingerprint, canonical, &reply)) {
+      PlanResponse response = PlanResponseFromCache(*plan, fingerprint);
       response.cache_hit = true;
-      response.config = plan->config;
-      response.estimate = plan->estimate;
-      response.configs_explored = plan->configs_explored;
-      response.configs_feasible = plan->configs_feasible;
-      response.search_seconds = plan->search_seconds;
-      response.has_metrics = plan->has_metrics;
-      if (plan->has_metrics) response.metrics = plan->metrics;
+      response.hit_reply = std::move(reply);
       int id;
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -182,15 +177,15 @@ PlanService::ResolveModel(const ModelSpec& spec, const hw::GpuSpec& gpu) {
   // Key the memo by the canonical spec bytes: the profile is a pure function
   // of (model builder inputs, GPU), so two requests that hash alike share one
   // profiling run — and two that differ (even by usable_fraction) never mix.
-  json::Value key = json::Value::Object();
-  key.Set("model", ModelSpecToJson(spec));
-  json::Value g = json::Value::Object();
-  g.Set("name", gpu.name);
-  g.Set("memory_capacity", gpu.memory_capacity);
-  g.Set("peak_flops", gpu.peak_flops);
-  g.Set("usable_fraction", gpu.usable_fraction);
-  key.Set("gpu", std::move(g));
-  const uint64_t fp = json::Fnv1a(key.Dump());
+  std::string key;
+  json::Writer w(&key);
+  w.BeginObject();
+  w.Key("model");
+  WriteModelSpec(spec, &w);
+  w.Key("gpu");
+  WriteGpuSpec(gpu, &w);
+  w.EndObject();
+  const uint64_t fp = json::Fnv1a(key);
 
   {
     std::lock_guard<std::mutex> lock(profile_mu_);
@@ -289,15 +284,8 @@ void PlanService::RunRequest(PlanRequest request, uint64_t fingerprint,
                                       request, &fill_source);
     }
     if (filled != nullptr) {
-      response.fingerprint = fingerprint;
+      response = PlanResponseFromCache(*filled, fingerprint);
       response.filled_from = fill_source;
-      response.config = filled->config;
-      response.estimate = filled->estimate;
-      response.configs_explored = filled->configs_explored;
-      response.configs_feasible = filled->configs_feasible;
-      response.search_seconds = filled->search_seconds;
-      response.has_metrics = filled->has_metrics;
-      if (filled->has_metrics) response.metrics = filled->metrics;
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.filled;
     } else {

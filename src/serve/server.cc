@@ -385,14 +385,11 @@ void PlanServer::DispatchFrame(Loop* loop, Conn* conn, std::string payload) {
         request.value(),
         [this, loop, conn_fd, conn_gen, seq,
          request_bytes = std::move(payload)](PlanResponse response) mutable {
-          json::Value reply = json::Value::Object();
-          reply.Set("type", "plan");
-          reply.Set("response", PlanResponseToJson(response));
           Completion c;
           c.fd = conn_fd;
           c.gen = conn_gen;
           c.seq = seq;
-          c.payload = reply.Dump();
+          c.payload = PlanReplyFrame(response);
           // Only plan-cache hits are memoized: the cached bytes must carry
           // cache_hit=true, exactly what a real service round-trip would say.
           if (response.status.ok() && response.cache_hit) {

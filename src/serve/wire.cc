@@ -1,7 +1,11 @@
 #include "serve/wire.h"
 
 #include <cstdlib>
+#include <limits>
+#include <string_view>
 #include <utility>
+
+#include "common/logging.h"
 
 namespace harmony::serve {
 
@@ -43,6 +47,19 @@ json::Value PackListToJson(const core::PackList& packs) {
   return arr;
 }
 
+/// The Value form of bytes a Write* routine produced: the `*ToJson`
+/// functions of the request types are this, so their field lists live in
+/// the writers alone.
+template <typename WriteFn>
+json::Value Reparse(WriteFn write) {
+  std::string bytes;
+  json::Writer w(&bytes);
+  write(&w);
+  auto parsed = json::Parse(bytes);
+  HARMONY_CHECK(parsed.ok()) << parsed.status();
+  return std::move(parsed).value();
+}
+
 Result<core::PackList> PackListFromJson(const json::Value& v,
                                         std::string_view what) {
   if (!v.is_array()) {
@@ -51,13 +68,17 @@ Result<core::PackList> PackListFromJson(const json::Value& v,
   core::PackList packs;
   packs.reserve(v.size());
   for (const json::Value& item : v.items()) {
+    constexpr int64_t kMin = std::numeric_limits<int>::min();
+    constexpr int64_t kMax = std::numeric_limits<int>::max();
     if (!item.is_array() || item.size() != 2 || !item.at(0).is_number() ||
-        !item.at(1).is_number()) {
+        !item.at(1).is_number() ||
+        !json::IsIntegerIn(item.at(0).AsDouble(), kMin, kMax) ||
+        !json::IsIntegerIn(item.at(1).AsDouble(), kMin, kMax)) {
       return Status::InvalidArgument(std::string(what) +
-                                     ": pack must be [lo,hi]");
+                                     ": pack must be [lo,hi] integers");
     }
-    packs.push_back(core::Pack{static_cast<int>(item.at(0).AsInt()),
-                               static_cast<int>(item.at(1).AsInt())});
+    packs.push_back(core::Pack{static_cast<int>(item.at(0).AsDouble()),
+                               static_cast<int>(item.at(1).AsDouble())});
   }
   return packs;
 }
@@ -155,30 +176,34 @@ model::Optimizer DefaultOptimizer(const ModelSpec& spec) {
   return model::Optimizer::kAdam;
 }
 
-json::Value ModelSpecToJson(const ModelSpec& spec) {
-  json::Value v = json::Value::Object();
+void WriteModelSpec(const ModelSpec& spec, json::Writer* w) {
+  w->BeginObject();
   switch (spec.kind) {
     case ModelSpec::Kind::kBuiltin:
-      v.Set("kind", "builtin");
-      v.Set("name", spec.name);
+      w->Field("kind", "builtin");
+      w->Field("name", spec.name);
       break;
     case ModelSpec::Kind::kGpt2Custom:
-      v.Set("kind", "gpt2-custom");
-      v.Set("name", spec.name);
-      v.Set("billions", spec.billions);
+      w->Field("kind", "gpt2-custom");
+      w->Field("name", spec.name);
+      w->Field("billions", spec.billions);
       break;
     case ModelSpec::Kind::kTransformer:
-      v.Set("kind", "transformer");
-      v.Set("name", spec.transformer.name);
-      v.Set("blocks", spec.transformer.num_blocks);
-      v.Set("hidden", spec.transformer.hidden);
-      v.Set("seq_len", spec.transformer.seq_len);
-      v.Set("heads", spec.transformer.heads);
-      v.Set("vocab", spec.transformer.vocab);
-      v.Set("is_bert", spec.transformer.is_bert);
+      w->Field("kind", "transformer");
+      w->Field("name", spec.transformer.name);
+      w->Field("blocks", spec.transformer.num_blocks);
+      w->Field("hidden", spec.transformer.hidden);
+      w->Field("seq_len", spec.transformer.seq_len);
+      w->Field("heads", spec.transformer.heads);
+      w->Field("vocab", spec.transformer.vocab);
+      w->Field("is_bert", spec.transformer.is_bert);
       break;
   }
-  return v;
+  w->EndObject();
+}
+
+json::Value ModelSpecToJson(const ModelSpec& spec) {
+  return Reparse([&spec](json::Writer* w) { WriteModelSpec(spec, w); });
 }
 
 Result<ModelSpec> ModelSpecFromJson(const json::Value& v) {
@@ -213,46 +238,55 @@ Result<ModelSpec> ModelSpecFromJson(const json::Value& v) {
 // MachineSpec
 // ---------------------------------------------------------------------------
 
-json::Value MachineSpecToJson(const hw::MachineSpec& machine) {
-  json::Value v = json::Value::Object();
-  v.Set("name", machine.name);
-  json::Value gpu = json::Value::Object();
-  gpu.Set("name", machine.gpu.name);
-  gpu.Set("memory_capacity", machine.gpu.memory_capacity);
-  gpu.Set("peak_flops", machine.gpu.peak_flops);
-  gpu.Set("usable_fraction", machine.gpu.usable_fraction);
-  v.Set("gpu", std::move(gpu));
-  v.Set("num_gpus", machine.num_gpus);
-  v.Set("num_switches", machine.num_switches);
-  json::Value topo = json::Value::Array();
-  for (int s : machine.gpu_to_switch) topo.Append(json::Value::Int(s));
-  v.Set("gpu_to_switch", std::move(topo));
-  v.Set("pcie_bw", machine.pcie_bw);
-  v.Set("uplink_bw", machine.uplink_bw);
-  v.Set("host_mem_bw", machine.host_mem_bw);
-  v.Set("nvlink_bw", machine.nvlink_bw);
-  v.Set("host_memory", machine.host_memory);
-  v.Set("cpu_update_bw", machine.cpu_update_bw);
+void WriteGpuSpec(const hw::GpuSpec& gpu, json::Writer* w) {
+  w->BeginObject();
+  w->Field("name", gpu.name);
+  w->Field("memory_capacity", gpu.memory_capacity);
+  w->Field("peak_flops", gpu.peak_flops);
+  w->Field("usable_fraction", gpu.usable_fraction);
+  w->EndObject();
+}
+
+namespace {
+
+void WriteMachineSpec(const hw::MachineSpec& machine, json::Writer* w) {
+  w->BeginObject();
+  w->Field("name", machine.name);
+  w->Key("gpu");
+  WriteGpuSpec(machine.gpu, w);
+  w->Field("num_gpus", machine.num_gpus);
+  w->Field("num_switches", machine.num_switches);
+  w->Key("gpu_to_switch");
+  w->BeginArray();
+  for (int s : machine.gpu_to_switch) w->Int(s);
+  w->EndArray();
+  w->Field("pcie_bw", machine.pcie_bw);
+  w->Field("uplink_bw", machine.uplink_bw);
+  w->Field("host_mem_bw", machine.host_mem_bw);
+  w->Field("nvlink_bw", machine.nvlink_bw);
+  w->Field("host_memory", machine.host_memory);
+  w->Field("cpu_update_bw", machine.cpu_update_bw);
   // Heterogeneous-fleet fields: emitted only when present, so homogeneous
   // machines keep their historical canonical bytes (and cache fingerprints).
   if (!machine.per_gpu.empty()) {
-    json::Value per = json::Value::Array();
-    for (const hw::GpuSpec& g : machine.per_gpu) {
-      json::Value pg = json::Value::Object();
-      pg.Set("name", g.name);
-      pg.Set("memory_capacity", g.memory_capacity);
-      pg.Set("peak_flops", g.peak_flops);
-      pg.Set("usable_fraction", g.usable_fraction);
-      per.Append(std::move(pg));
-    }
-    v.Set("per_gpu", std::move(per));
+    w->Key("per_gpu");
+    w->BeginArray();
+    for (const hw::GpuSpec& g : machine.per_gpu) WriteGpuSpec(g, w);
+    w->EndArray();
   }
   if (!machine.link_bw_scale.empty()) {
-    json::Value scales = json::Value::Array();
-    for (double s : machine.link_bw_scale) scales.Append(json::Value::Number(s));
-    v.Set("link_bw_scale", std::move(scales));
+    w->Key("link_bw_scale");
+    w->BeginArray();
+    for (double s : machine.link_bw_scale) w->Number(s);
+    w->EndArray();
   }
-  return v;
+  w->EndObject();
+}
+
+}  // namespace
+
+json::Value MachineSpecToJson(const hw::MachineSpec& machine) {
+  return Reparse([&machine](json::Writer* w) { WriteMachineSpec(machine, w); });
 }
 
 Result<hw::MachineSpec> MachineSpecFromJson(const json::Value& v) {
@@ -271,7 +305,14 @@ Result<hw::MachineSpec> MachineSpecFromJson(const json::Value& v) {
   HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "num_switches", &m.num_switches));
   std::vector<double> topo;
   HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, "gpu_to_switch", &topo));
-  m.gpu_to_switch.assign(topo.begin(), topo.end());
+  for (double s : topo) {
+    if (!json::IsIntegerIn(s, std::numeric_limits<int>::min(),
+                           std::numeric_limits<int>::max())) {
+      return Status::InvalidArgument(
+          "machine: gpu_to_switch holds a non-integer");
+    }
+    m.gpu_to_switch.push_back(static_cast<int>(s));
+  }
   if (static_cast<int>(m.gpu_to_switch.size()) != m.num_gpus) {
     return Status::InvalidArgument("machine: gpu_to_switch size != num_gpus");
   }
@@ -314,16 +355,32 @@ Result<hw::MachineSpec> MachineSpecFromJson(const json::Value& v) {
 // SearchOptions / OptimizationFlags
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// `canonical` keeps only the five knobs that change the chosen plan: the
+/// thread count and keep_explored shape how the search runs, never its
+/// result, so the fingerprint leaves them out.
+void WriteSearchOptions(const core::SearchOptions& options, bool canonical,
+                        json::Writer* w) {
+  w->BeginObject();
+  w->Field("u_fwd_max", options.u_fwd_max);
+  w->Field("u_bwd_max", options.u_bwd_max);
+  w->Field("capacity_fraction", options.capacity_fraction);
+  w->Field("equi_fb", options.equi_fb);
+  if (!canonical) {
+    w->Field("num_threads", options.num_threads);
+    w->Field("keep_explored", options.keep_explored);
+  }
+  w->Field("policy_mode", core::PolicyModeName(options.policy_mode));
+  w->EndObject();
+}
+
+}  // namespace
+
 json::Value SearchOptionsToJson(const core::SearchOptions& options) {
-  json::Value v = json::Value::Object();
-  v.Set("u_fwd_max", options.u_fwd_max);
-  v.Set("u_bwd_max", options.u_bwd_max);
-  v.Set("capacity_fraction", options.capacity_fraction);
-  v.Set("equi_fb", options.equi_fb);
-  v.Set("num_threads", options.num_threads);
-  v.Set("keep_explored", options.keep_explored);
-  v.Set("policy_mode", std::string(core::PolicyModeName(options.policy_mode)));
-  return v;
+  return Reparse([&options](json::Writer* w) {
+    WriteSearchOptions(options, /*canonical=*/false, w);
+  });
 }
 
 Result<core::SearchOptions> SearchOptionsFromJson(const json::Value& v) {
@@ -352,19 +409,29 @@ Result<core::SearchOptions> SearchOptionsFromJson(const json::Value& v) {
   return o;
 }
 
-json::Value OptimizationFlagsToJson(const core::OptimizationFlags& flags) {
-  json::Value v = json::Value::Object();
-  v.Set("input_batch_grouping", flags.input_batch_grouping);
-  v.Set("jit_update", flags.jit_update);
-  v.Set("jit_compute", flags.jit_compute);
-  v.Set("p2p_transfers", flags.p2p_transfers);
-  v.Set("prefetch", flags.prefetch);
-  v.Set("cpu_optimizer", flags.cpu_optimizer);
-  v.Set("smart_eviction", flags.smart_eviction);
+namespace {
+
+void WriteOptimizationFlags(const core::OptimizationFlags& flags,
+                            json::Writer* w) {
+  w->BeginObject();
+  w->Field("input_batch_grouping", flags.input_batch_grouping);
+  w->Field("jit_update", flags.jit_update);
+  w->Field("jit_compute", flags.jit_compute);
+  w->Field("p2p_transfers", flags.p2p_transfers);
+  w->Field("prefetch", flags.prefetch);
+  w->Field("cpu_optimizer", flags.cpu_optimizer);
+  w->Field("smart_eviction", flags.smart_eviction);
   // The stash policy lives in Configuration::policy and SearchOptions; the
   // key stays a constant so canonical bytes and fingerprints do not move.
-  v.Set("use_recompute", true);
-  return v;
+  w->Field("use_recompute", true);
+  w->EndObject();
+}
+
+}  // namespace
+
+json::Value OptimizationFlagsToJson(const core::OptimizationFlags& flags) {
+  return Reparse(
+      [&flags](json::Writer* w) { WriteOptimizationFlags(flags, w); });
 }
 
 Result<core::OptimizationFlags> OptimizationFlagsFromJson(const json::Value& v) {
@@ -465,19 +532,25 @@ Result<runtime::RunMetrics> RunMetricsFromJson(const json::Value& v) {
   runtime::RunMetrics m;
   HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "iteration_time", &m.iteration_time));
   std::vector<double> tmp;
-  auto as_bytes = [&tmp](std::vector<Bytes>* out) {
-    out->assign(tmp.begin(), tmp.end());
+  auto read_bytes = [&v, &tmp](const char* key, std::vector<Bytes>* out) {
+    HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, key, &tmp));
+    for (double b : tmp) {
+      if (!json::IsIntegerIn(b, std::numeric_limits<Bytes>::min(),
+                             std::numeric_limits<Bytes>::max())) {
+        return Status::InvalidArgument("metrics: field '" + std::string(key) +
+                                       "' holds a non-integer");
+      }
+      out->push_back(static_cast<Bytes>(b));
+    }
+    return Status::Ok();
   };
-  HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, "swap_in_bytes", &tmp));
-  as_bytes(&m.swap_in_bytes);
-  HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, "swap_out_bytes", &tmp));
-  as_bytes(&m.swap_out_bytes);
-  HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, "p2p_bytes", &tmp));
-  as_bytes(&m.p2p_bytes);
+  HARMONY_RETURN_IF_ERROR(read_bytes("swap_in_bytes", &m.swap_in_bytes));
+  HARMONY_RETURN_IF_ERROR(read_bytes("swap_out_bytes", &m.swap_out_bytes));
+  HARMONY_RETURN_IF_ERROR(read_bytes("p2p_bytes", &m.p2p_bytes));
   HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, "compute_busy", &tmp));
   m.compute_busy.assign(tmp.begin(), tmp.end());
-  HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, "peak_device_bytes", &tmp));
-  as_bytes(&m.peak_device_bytes);
+  HARMONY_RETURN_IF_ERROR(
+      read_bytes("peak_device_bytes", &m.peak_device_bytes));
   HARMONY_RETURN_IF_ERROR(json::ReadInt64(v, "peak_host_bytes", &m.peak_host_bytes));
   HARMONY_RETURN_IF_ERROR(json::ReadInt64(v, "evictions", &m.evictions));
   HARMONY_RETURN_IF_ERROR(json::ReadInt64(v, "clean_drops", &m.clean_drops));
@@ -495,38 +568,32 @@ Result<runtime::RunMetrics> RunMetricsFromJson(const json::Value& v) {
 namespace {
 
 /// Shared by the wire writer and the canonical fingerprint string: the
-/// semantic prefix every encoding of a request starts with.
+/// semantic members every encoding of a request starts with.
 void AppendSemanticFields(const PlanRequest& request, bool canonical,
-                          json::Value* v) {
-  v->Set("model", ModelSpecToJson(request.model));
-  v->Set("machine", MachineSpecToJson(request.machine));
-  v->Set("mode", ModeWireName(request.mode));
-  v->Set("minibatch", request.minibatch);
-  v->Set("flags", OptimizationFlagsToJson(request.flags));
-  if (canonical) {
-    // Only the five knobs that change the chosen plan.
-    json::Value o = json::Value::Object();
-    o.Set("u_fwd_max", request.options.u_fwd_max);
-    o.Set("u_bwd_max", request.options.u_bwd_max);
-    o.Set("capacity_fraction", request.options.capacity_fraction);
-    o.Set("equi_fb", request.options.equi_fb);
-    o.Set("policy_mode",
-          std::string(core::PolicyModeName(request.options.policy_mode)));
-    v->Set("options", std::move(o));
-  } else {
-    v->Set("options", SearchOptionsToJson(request.options));
-  }
-  v->Set("run_iteration", request.run_iteration);
+                          json::Writer* w) {
+  w->Key("model");
+  WriteModelSpec(request.model, w);
+  w->Key("machine");
+  WriteMachineSpec(request.machine, w);
+  w->Field("mode", ModeWireName(request.mode));
+  w->Field("minibatch", request.minibatch);
+  w->Key("flags");
+  WriteOptimizationFlags(request.flags, w);
+  w->Key("options");
+  WriteSearchOptions(request.options, canonical, w);
+  w->Field("run_iteration", request.run_iteration);
 }
 
 }  // namespace
 
 json::Value PlanRequestToJson(const PlanRequest& request) {
-  json::Value v = json::Value::Object();
-  AppendSemanticFields(request, /*canonical=*/false, &v);
-  v.Set("deadline_ms", request.deadline_ms);
-  v.Set("bypass_cache", request.bypass_cache);
-  return v;
+  return Reparse([&request](json::Writer* w) {
+    w->BeginObject();
+    AppendSemanticFields(request, /*canonical=*/false, w);
+    w->Field("deadline_ms", request.deadline_ms);
+    w->Field("bypass_cache", request.bypass_cache);
+    w->EndObject();
+  });
 }
 
 Result<PlanRequest> PlanRequestFromJson(const json::Value& v) {
@@ -597,7 +664,9 @@ Result<PlanResponse> PlanResponseFromJson(const json::Value& v) {
   HARMONY_RETURN_IF_ERROR(code.status());
   r.status = Status(code.value(), std::move(message));
   HARMONY_RETURN_IF_ERROR(json::ReadString(v, "fingerprint", &fp_hex));
-  r.fingerprint = std::strtoull(fp_hex.c_str(), nullptr, 16);
+  auto fp = json::ParseFingerprintHex(fp_hex);
+  HARMONY_RETURN_IF_ERROR(fp.status());
+  r.fingerprint = fp.value();
   HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "cache_hit", &r.cache_hit));
   // Tier provenance: absent from pre-cluster peers, so default to "".
   (void)json::ReadString(v, "filled_from", &r.filled_from);
@@ -626,6 +695,43 @@ Result<PlanResponse> PlanResponseFromJson(const json::Value& v) {
   return r;
 }
 
+namespace {
+
+/// The reference encoder of a plan reply frame.
+std::string PlanReplyDom(const PlanResponse& response) {
+  json::Value reply = json::Value::Object();
+  reply.Set("type", "plan");
+  reply.Set("response", PlanResponseToJson(response));
+  return reply.Dump();
+}
+
+}  // namespace
+
+HitReply EncodeHitReply(const PlanResponse& hit) {
+  PlanResponse at_zero = hit;
+  at_zero.latency_seconds = 0;
+  const std::string frame = PlanReplyDom(at_zero);
+  // Only status, an empty message, the fingerprint, cache_hit, an empty
+  // filled_from and retry_after_ms precede the key, and inside a string a
+  // quote is always escaped, so the first match is the member itself.
+  constexpr std::string_view kKey = "\"latency_seconds\":0";
+  const size_t at = frame.find(kKey);
+  HARMONY_CHECK(at != std::string::npos) << frame;
+  const size_t value = at + kKey.size() - 1;
+  return HitReply{frame.substr(0, value), frame.substr(value + 1)};
+}
+
+std::string PlanReplyFrame(const PlanResponse& response) {
+  if (response.hit_reply == nullptr) return PlanReplyDom(response);
+  const HitReply& reply = *response.hit_reply;
+  std::string frame;
+  frame.reserve(reply.head.size() + 32 + reply.tail.size());
+  frame += reply.head;
+  json::AppendNumber(response.latency_seconds, &frame);
+  frame += reply.tail;
+  return frame;
+}
+
 json::Value CacheGetRequestToJson(const CacheGetRequest& request) {
   json::Value v = json::Value::Object();
   v.Set("type", "cache_get");
@@ -644,16 +750,28 @@ Result<CacheGetRequest> CacheGetRequestFromJson(const json::Value& v) {
   CacheGetRequest r;
   std::string fp_hex;
   HARMONY_RETURN_IF_ERROR(json::ReadString(v, "fingerprint", &fp_hex));
-  r.fingerprint = std::strtoull(fp_hex.c_str(), nullptr, 16);
+  auto fp = json::ParseFingerprintHex(fp_hex);
+  HARMONY_RETURN_IF_ERROR(fp.status());
+  r.fingerprint = fp.value();
   HARMONY_RETURN_IF_ERROR(
       json::ReadString(v, "canonical", &r.canonical_request));
+  // The fingerprint is a function of the bytes it travels with; a peer
+  // that disagrees is confused or forging, not asking for a plan.
+  if (r.fingerprint != json::Fnv1a(r.canonical_request)) {
+    return Status::InvalidArgument(
+        "cache_get: fingerprint is not the hash of the canonical request");
+  }
   return r;
 }
 
 std::string CanonicalRequestJson(const PlanRequest& request) {
-  json::Value v = json::Value::Object();
-  AppendSemanticFields(request, /*canonical=*/true, &v);
-  return v.Dump();
+  std::string out;
+  out.reserve(1024);
+  json::Writer w(&out);
+  w.BeginObject();
+  AppendSemanticFields(request, /*canonical=*/true, &w);
+  w.EndObject();
+  return out;
 }
 
 uint64_t RequestFingerprint(const PlanRequest& request) {

@@ -2,6 +2,7 @@
 #define HARMONY_SERVE_WIRE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/json.h"
@@ -23,8 +24,14 @@ namespace harmony::serve {
 /// order with json::Value's canonical number/string rendering, so
 /// serialize -> parse -> serialize is byte-identical and the fingerprint of
 /// a request is stable across processes and releases. wire_test pins
-/// fingerprints for BERT96/GPT-2 requests; changing any writer breaks those
-/// goldens loudly instead of silently splitting the cache.
+/// fingerprints for BERT96/GPT-2 requests and a seeded corpus; changing any
+/// writer breaks those goldens loudly instead of silently splitting the
+/// cache.
+///
+/// The request types (ModelSpec, GpuSpec, MachineSpec, flags, options,
+/// PlanRequest) each have one field list, a `Write*` routine on a
+/// json::Writer: the fingerprint is written straight from the struct, and
+/// their `*ToJson` Values are parsed from the same bytes.
 
 /// What model to plan for. Models are described by *specs* (builder
 /// parameters), not serialized layer graphs: a spec is a few bytes, fully
@@ -72,6 +79,14 @@ struct PlanRequest {
   bool bypass_cache = false; // force a fresh search (cold-path debugging)
 };
 
+/// The {"type":"plan","response":...} reply frame of a plan-cache hit, split
+/// around its latency_seconds value — the only bytes that differ between
+/// two hits on one cached plan.
+struct HitReply {
+  std::string head;  // through "latency_seconds":
+  std::string tail;  // everything after the latency value
+};
+
 /// A planning response. `status` uses the serving codes for load-shedding
 /// (ResourceExhausted + retry_after_ms), deadlines (DeadlineExceeded) and
 /// drain (Unavailable) in addition to search failures.
@@ -94,9 +109,25 @@ struct PlanResponse {
 
   bool has_metrics = false;
   runtime::RunMetrics metrics;   // when the request asked to run_iteration
+
+  /// Set on plan-cache hits only: this response's reply frame, encoded when
+  /// the plan entered the cache. Never on the wire.
+  std::shared_ptr<const HitReply> hit_reply;
 };
 
+/// Encodes `hit` (status OK, cache_hit set, no fill source) with the
+/// reference encoder below and splits it around the latency.
+HitReply EncodeHitReply(const PlanResponse& hit);
+
+/// The {"type":"plan","response":PlanResponseToJson(response)} frame the
+/// daemon answers a plan envelope with. A hit splices its latency into
+/// `hit_reply`; every other response is rendered through the Value.
+std::string PlanReplyFrame(const PlanResponse& response);
+
 // --- per-type JSON writers/readers (fixed member order; see contract) -----
+void WriteModelSpec(const ModelSpec& spec, json::Writer* w);
+void WriteGpuSpec(const hw::GpuSpec& gpu, json::Writer* w);
+
 json::Value ModelSpecToJson(const ModelSpec& spec);
 Result<ModelSpec> ModelSpecFromJson(const json::Value& v);
 

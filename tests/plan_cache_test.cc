@@ -69,8 +69,12 @@ TEST(PlanCache, FingerprintCollisionDegradesToMiss) {
 }
 
 TEST(PlanCache, LruEvictionUnderTinyBudget) {
-  // Single shard so recency order is fully observable. Budget fits ~2 plans.
-  const size_t plan_bytes = MakePlan(1)->ApproxBytes();
+  // Single shard so recency order is fully observable. Budget fits ~2 plans,
+  // each charged as the cache charges it: the plan plus its encoded reply.
+  PlanCache probe(1 << 20, /*num_shards=*/1);
+  probe.Insert(1, MakePlan(1));
+  const size_t plan_bytes = probe.stats().bytes;
+  ASSERT_GT(plan_bytes, MakePlan(1)->ApproxBytes());
   PlanCache cache(2 * plan_bytes, /*num_shards=*/1);
   cache.Insert(1, MakePlan(1));
   cache.Insert(2, MakePlan(2));

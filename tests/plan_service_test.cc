@@ -226,6 +226,48 @@ TEST(PlanService, CacheOnAndOffProduceIdenticalPlans) {
   EXPECT_EQ(without_cache.stats().searches, 2u);
 }
 
+// A warm hit carries the reply frame encoded when its plan entered the
+// cache; spliced with the hit's latency it is the reference encoding, and
+// the in-process fields stay filled for callers that read them.
+TEST(PlanService, HitReplyFrameMatchesReferenceEncoding) {
+  PlanService service(ServeOptions{});
+  for (bool run_iteration : {false, true}) {
+    PlanRequest request = TinyRequest();
+    request.run_iteration = run_iteration;
+    const PlanResponse cold = service.Plan(request);
+    ASSERT_TRUE(cold.status.ok()) << cold.status;
+    EXPECT_EQ(cold.hit_reply, nullptr);
+    const PlanResponse warm = service.Plan(request);
+    ASSERT_TRUE(warm.cache_hit);
+    ASSERT_NE(warm.hit_reply, nullptr);
+    EXPECT_EQ(warm.has_metrics, run_iteration);
+    EXPECT_EQ(ConfigBytes(warm), ConfigBytes(cold));
+
+    json::Value reference = json::Value::Object();
+    reference.Set("type", "plan");
+    reference.Set("response", serve::PlanResponseToJson(warm));
+    EXPECT_EQ(serve::PlanReplyFrame(warm), reference.Dump());
+  }
+}
+
+// A GPU whose usable memory rounds to zero bytes decodes fine (capacity 1 is
+// positive) but leaves the packer nothing to pack into. The request must
+// fail with a Status, and the service must go on answering.
+TEST(PlanService, SubByteGpuCapacityIsRejectedNotFatal) {
+  PlanService service(ServeOptions{});
+  PlanRequest tiny_gpu = TinyRequest();
+  tiny_gpu.machine.gpu.memory_capacity = 1;
+  const auto decoded =
+      serve::PlanRequestFromJson(serve::PlanRequestToJson(tiny_gpu));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const PlanResponse rejected = service.Plan(decoded.value());
+  EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument)
+      << rejected.status;
+
+  const PlanResponse ok = service.Plan(TinyRequest());
+  EXPECT_TRUE(ok.status.ok()) << ok.status;
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end over a Unix-domain socket
 // ---------------------------------------------------------------------------

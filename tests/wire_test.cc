@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "serve/wire.h"
 
 namespace harmony {
@@ -286,10 +290,74 @@ TEST(Wire, PlanResponseRoundTrips) {
                   serve::PlanResponseFromJson);
 }
 
+// A cache hit's reply frame is encoded once and later spliced with the
+// hit's latency; it must be byte-for-byte the frame the reference encoder
+// renders for the same response.
+std::string ReferenceReplyFrame(const PlanResponse& response) {
+  json::Value reply = json::Value::Object();
+  reply.Set("type", "plan");
+  reply.Set("response", serve::PlanResponseToJson(response));
+  return reply.Dump();
+}
+
+TEST(Wire, SplicedHitReplyMatchesReferenceEncoding) {
+  PlanResponse hit;
+  hit.fingerprint = 0x5161815ad1542bc2ull;
+  hit.cache_hit = true;
+  hit.config.u_fwd = 4;
+  hit.config.u_bwd = 2;
+  hit.config.fwd_packs = {{0, 9}, {10, 18}};
+  hit.config.bwd_packs = {{0, 18}};
+  hit.config.policy = model::PolicyTable::Uniform(19, model::StashPolicy::kSwap);
+  hit.estimate.iteration_time = 4.3;
+  hit.estimate.swap_bytes = GiB(12);
+  hit.configs_explored = 512;
+  hit.configs_feasible = 77;
+  hit.search_seconds = 0.0123;
+  PlanResponse with_metrics = hit;
+  with_metrics.has_metrics = true;
+  with_metrics.metrics.iteration_time = 3.9;
+  with_metrics.metrics.swap_in_bytes = {GiB(1), GiB(2)};
+  with_metrics.metrics.swap_out_bytes = {GiB(1), 0};
+  with_metrics.metrics.p2p_bytes = {0, 12345};
+  with_metrics.metrics.compute_busy = {1.5, 2.25};
+  with_metrics.metrics.peak_device_bytes = {GiB(10), GiB(9)};
+  with_metrics.metrics.evictions = 3;
+
+  for (PlanResponse response : {hit, with_metrics}) {
+    response.hit_reply =
+        std::make_shared<const serve::HitReply>(serve::EncodeHitReply(response));
+    for (double latency : {0.0, 1e-7, 0.5}) {
+      response.latency_seconds = latency;
+      EXPECT_EQ(serve::PlanReplyFrame(response), ReferenceReplyFrame(response))
+          << "latency " << latency;
+    }
+  }
+
+  // Without a pre-encoded reply the frame is the reference encoding.
+  PlanResponse miss = hit;
+  miss.cache_hit = false;
+  miss.latency_seconds = 0.25;
+  EXPECT_EQ(serve::PlanReplyFrame(miss), ReferenceReplyFrame(miss));
+
+  hit.hit_reply =
+      std::make_shared<const serve::HitReply>(serve::EncodeHitReply(hit));
+  hit.latency_seconds = 1e-7;
+  EXPECT_EQ(serve::PlanReplyFrame(hit),
+            "{\"type\":\"plan\",\"response\":{\"status\":\"OK\",\"message\":\"\","
+            "\"fingerprint\":\"5161815ad1542bc2\",\"cache_hit\":true,"
+            "\"filled_from\":\"\",\"retry_after_ms\":0,\"latency_seconds\":1e-07,"
+            "\"config\":{\"u_fwd\":4,\"u_bwd\":2,\"fwd_packs\":[[0,9],[10,18]],"
+            "\"bwd_packs\":[[0,18]],\"policy\":\"s0-18\"},\"estimate\":{"
+            "\"iteration_time\":4.3,\"swap_bytes\":12884901888,\"p2p_bytes\":0},"
+            "\"configs_explored\":512,\"configs_feasible\":77,"
+            "\"search_seconds\":0.0123}}");
+}
+
 TEST(Wire, CacheGetRequestRoundTrips) {
   serve::CacheGetRequest get;
-  get.fingerprint = 0x5161815ad1542bc2ull;
   get.canonical_request = "{\"model\":\"GPT2\"}";
+  get.fingerprint = json::Fnv1a(get.canonical_request);
   auto parsed = serve::CacheGetRequestFromJson(serve::CacheGetRequestToJson(get));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed.value().fingerprint, get.fingerprint);
@@ -300,6 +368,81 @@ TEST(Wire, CacheGetRequestRoundTrips) {
   wrong.Set("fingerprint", "5161815ad1542bc2");
   wrong.Set("canonical", "x");
   EXPECT_FALSE(serve::CacheGetRequestFromJson(wrong).ok());
+}
+
+// Integer fields travel as JSON numbers (doubles). A value that is not an
+// integer, or does not fit the field, must be refused by name: a wrapped
+// `blocks` would otherwise fingerprint as a different, valid request.
+TEST(Wire, IntegerFieldsRejectNonIntegralAndOutOfRange) {
+  PlanRequest request;
+  request.model.kind = ModelSpec::Kind::kTransformer;
+  request.model.transformer.name = "tiny";
+  request.model.name = "tiny";
+  request.model.transformer.num_blocks = 7;
+  ExpectRoundTrip(request, serve::PlanRequestToJson,
+                  serve::PlanRequestFromJson);
+
+  const std::string valid = serve::PlanRequestToJson(request).Dump();
+  auto with = [&valid](const std::string& field, const std::string& number) {
+    const std::string key = "\"" + field + "\":";
+    const size_t at = valid.find(key);
+    EXPECT_NE(at, std::string::npos) << field;
+    const size_t end = valid.find_first_of(",}", at + key.size());
+    return valid.substr(0, at + key.size()) + number + valid.substr(end);
+  };
+  for (const char* field : {"blocks", "memory_capacity", "minibatch"}) {
+    for (const char* number : {"4294967297", "4.7", "-1e19", "1e999"}) {
+      if (std::string(field) == "memory_capacity" &&
+          std::string(number) == "4294967297") {
+        continue;  // a valid int64
+      }
+      const auto parsed = json::Parse(with(field, number));
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      const auto decoded = serve::PlanRequestFromJson(parsed.value());
+      ASSERT_FALSE(decoded.ok()) << field << "=" << number;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(decoded.status().message().find(field), std::string::npos)
+          << decoded.status();
+    }
+  }
+}
+
+// Fingerprints a peer sends are 16 lower- or upper-case hex digits, and a
+// cache_get's must be the hash of the canonical bytes it carries.
+TEST(Wire, PeerFingerprintsAreValidated) {
+  serve::CacheGetRequest get;
+  get.canonical_request = "{\"model\":\"GPT2\"}";
+  get.fingerprint = json::Fnv1a(get.canonical_request);
+  ASSERT_TRUE(
+      serve::CacheGetRequestFromJson(serve::CacheGetRequestToJson(get)).ok());
+  for (const std::string fp :
+       {"zz-not-hex", "", "5161815ad1542bc", "5161815ad1542bc2ff",
+        " 161815ad1542bc2", "-161815ad1542bc2", "0x61815ad1542bc2",
+        "5161815ad1542bc2"}) {
+    json::Value v = serve::CacheGetRequestToJson(get);
+    json::Value forged = json::Value::Object();
+    for (const auto& [key, value] : v.members()) {
+      forged.Set(key, key == "fingerprint" ? json::Value::Str(fp) : value);
+    }
+    const auto decoded = serve::CacheGetRequestFromJson(forged);
+    EXPECT_FALSE(decoded.ok()) << "fingerprint '" << fp << "'";
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+
+  PlanResponse response;
+  response.fingerprint = 0x5161815ad1542bc2ull;
+  json::Value v = serve::PlanResponseToJson(response);
+  ASSERT_TRUE(serve::PlanResponseFromJson(v).ok());
+  json::Value forged = json::Value::Object();
+  for (const auto& [key, value] : v.members()) {
+    forged.Set(key, key == "fingerprint" ? json::Value::Str("zz-not-hex")
+                                         : value);
+  }
+  const auto decoded = serve::PlanResponseFromJson(forged);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The peer-fill frame is part of the deployed wire surface the moment two
@@ -478,6 +621,173 @@ TEST(Fingerprint, MatchesCanonicalJsonHash) {
   const auto parsed = json::Parse(canonical);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().Dump(), canonical);
+}
+
+
+// ---------------------------------------------------------------------------
+// Number edge cases: each input parses to the pinned bits and dumps to the
+// pinned bytes (recorded before the parser moved to std::from_chars).
+// ---------------------------------------------------------------------------
+
+struct NumberCase {
+  const char* text;
+  uint64_t bits;
+  const char* dump;
+};
+
+TEST(Json, NumberEdgeCasesParseAndDumpBitIdentically) {
+  const NumberCase cases[] = {
+      {"5e-324", 0x0000000000000001ull, "5e-324"},
+      {"1.7976931348623157e308", 0x7fefffffffffffffull,
+       "1.7976931348623157e+308"},
+      {"9007199254740992", 0x4340000000000000ull, "9007199254740992"},
+      {"9007199254740994", 0x4340000000000001ull, "9007199254740994"},
+      {"-0", 0x8000000000000000ull, "0"},
+      {"0.1", 0x3fb999999999999aull, "0.1"},
+      {"1e-400", 0x0000000000000000ull, "0"},
+      {"+5", 0x4014000000000000ull, "5"},
+      {"1.", 0x3ff0000000000000ull, "1"},
+      {"1e999", 0x7ff0000000000000ull, "null"},
+      {"-12345678901234567890", 0xc3e56a95319d63e1ull,
+       "-12345678901234567168"},
+      {"2.5E+3", 0x40a3880000000000ull, "2500"},
+  };
+  for (const NumberCase& c : cases) {
+    const auto parsed = json::Parse(c.text);
+    ASSERT_TRUE(parsed.ok()) << c.text << ": " << parsed.status();
+    ASSERT_TRUE(parsed.value().is_number()) << c.text;
+    const double d = parsed.value().AsDouble();
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    EXPECT_EQ(bits, c.bits) << c.text;
+    EXPECT_EQ(parsed.value().Dump(), c.dump) << c.text;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded corpus: one combined hash over the canonical and wire bytes of 64
+// generated requests, pinned before the DOM-free writers replaced the
+// Value-built encodings. Covers every ModelSpec kind, heterogeneous
+// machines, both modes, every PolicyMode, fractional doubles, integers past
+// 2^53 and names that need escaping.
+// ---------------------------------------------------------------------------
+
+std::string CorpusName(Rng* rng, const std::string& stem) {
+  static const char* kOddities[] = {"\"", "\\", "\n", "\x01", "\xc3\xa9",
+                                    "\xe2\x82\xac", "\t", "/"};
+  std::string name = stem;
+  const int extras = static_cast<int>(rng->NextBounded(3));
+  for (int i = 0; i < extras; ++i) {
+    name += kOddities[rng->NextBounded(std::size(kOddities))];
+    name += std::to_string(rng->NextBounded(100));
+  }
+  return name;
+}
+
+hw::GpuSpec CorpusGpu(Rng* rng) {
+  hw::GpuSpec g;
+  g.name = CorpusName(rng, "gpu");
+  g.memory_capacity = rng->NextBounded(4) == 0
+                          ? static_cast<Bytes>(rng->NextInt(int64_t{1} << 53,
+                                                            int64_t{1} << 60))
+                          : static_cast<Bytes>(rng->NextInt(1, int64_t{1} << 40));
+  g.peak_flops = 1e12 + rng->NextDouble() * 1e14;
+  g.usable_fraction = 0.5 + rng->NextDouble() / 2;
+  return g;
+}
+
+PlanRequest CorpusRequest(Rng* rng, int i) {
+  PlanRequest r;
+  switch (i % 3) {
+    case 0: {
+      static const char* kBuiltins[] = {"BERT-Large", "BERT96", "GPT2",
+                                        "GPT2-Medium", "VGG416", "ResNet1K"};
+      r.model.kind = ModelSpec::Kind::kBuiltin;
+      r.model.name = rng->NextBounded(4) == 0
+                         ? CorpusName(rng, "custom")
+                         : kBuiltins[rng->NextBounded(std::size(kBuiltins))];
+      break;
+    }
+    case 1:
+      r.model.kind = ModelSpec::Kind::kGpt2Custom;
+      r.model.billions = 0.1 + rng->NextDouble() * 40;
+      r.model.name = "GPT2-" + std::to_string(r.model.billions) + "B";
+      break;
+    default:
+      r.model.kind = ModelSpec::Kind::kTransformer;
+      r.model.transformer.name = CorpusName(rng, "tx");
+      r.model.name = r.model.transformer.name;
+      r.model.transformer.num_blocks = static_cast<int>(rng->NextInt(1, 96));
+      r.model.transformer.hidden = static_cast<int>(rng->NextInt(64, 8192));
+      r.model.transformer.seq_len = static_cast<int>(rng->NextInt(16, 2048));
+      r.model.transformer.heads = static_cast<int>(rng->NextInt(1, 64));
+      r.model.transformer.vocab = static_cast<int>(rng->NextInt(100, 60000));
+      r.model.transformer.is_bert = rng->NextBounded(2) == 0;
+      break;
+  }
+  r.machine = rng->NextBounded(2) == 0 ? hw::MachineSpec::Commodity4Gpu()
+                                       : hw::MachineSpec::Commodity8Gpu();
+  r.machine.name = CorpusName(rng, r.machine.name);
+  r.machine.gpu = CorpusGpu(rng);
+  r.machine.pcie_bw *= 0.5 + rng->NextDouble();
+  r.machine.host_memory = static_cast<Bytes>(rng->NextInt(1, int64_t{1} << 42));
+  r.machine.cpu_update_bw = rng->NextDouble() * 1e11;
+  if (i % 4 == 1 || i % 4 == 3) {
+    r.machine.per_gpu.clear();
+    for (int g = 0; g < r.machine.num_gpus; ++g) {
+      r.machine.per_gpu.push_back(CorpusGpu(rng));
+    }
+  }
+  if (i % 4 >= 2) {
+    r.machine.link_bw_scale.clear();
+    for (int l = 0; l < r.machine.NumLinks(); ++l) {
+      r.machine.link_bw_scale.push_back(0.05 + rng->NextDouble());
+    }
+  }
+  r.mode = i % 2 == 0 ? core::HarmonyMode::kPipelineParallel
+                      : core::HarmonyMode::kDataParallel;
+  r.minibatch = static_cast<int>(rng->NextInt(1, 512));
+  r.flags.input_batch_grouping = rng->NextBounded(2) == 0;
+  r.flags.jit_update = rng->NextBounded(2) == 0;
+  r.flags.jit_compute = rng->NextBounded(2) == 0;
+  r.flags.p2p_transfers = rng->NextBounded(2) == 0;
+  r.flags.prefetch = rng->NextBounded(2) == 0;
+  r.flags.cpu_optimizer = rng->NextBounded(2) == 0;
+  r.flags.smart_eviction = rng->NextBounded(2) == 0;
+  r.options.u_fwd_max = static_cast<int>(rng->NextInt(1, 64));
+  r.options.u_bwd_max = static_cast<int>(rng->NextInt(1, 64));
+  r.options.capacity_fraction = 0.05 + rng->NextDouble() * 0.95;
+  r.options.equi_fb = rng->NextBounded(2) == 0;
+  r.options.num_threads = static_cast<int>(rng->NextInt(1, 8));
+  r.options.keep_explored = rng->NextBounded(2) == 0;
+  r.options.policy_mode = static_cast<core::PolicyMode>(i % 6);
+  r.run_iteration = rng->NextBounded(2) == 0;
+  r.deadline_ms = static_cast<int>(rng->NextInt(0, 100000));
+  r.bypass_cache = rng->NextBounded(2) == 0;
+  return r;
+}
+
+TEST(Fingerprint, SeededCorpusIsPinned) {
+  Rng rng(0x5eedc0de);
+  std::string canonical, wire;
+  for (int i = 0; i < 64; ++i) {
+    const PlanRequest request = CorpusRequest(&rng, i);
+    const std::string c = serve::CanonicalRequestJson(request);
+    EXPECT_EQ(serve::RequestFingerprint(request), json::Fnv1a(c));
+    canonical += c;
+    canonical.push_back('\n');
+    const std::string w = serve::PlanRequestToJson(request).Dump();
+    // Every generated request survives the daemon's decode path unchanged.
+    const auto parsed = json::Parse(w);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const auto back = serve::PlanRequestFromJson(parsed.value());
+    ASSERT_TRUE(back.ok()) << i << ": " << back.status() << "\n" << w;
+    EXPECT_EQ(serve::PlanRequestToJson(back.value()).Dump(), w);
+    wire += w;
+    wire.push_back('\n');
+  }
+  EXPECT_EQ(json::FingerprintHex(json::Fnv1a(canonical)), "27c43ec1aabce8c6");
+  EXPECT_EQ(json::FingerprintHex(json::Fnv1a(wire)), "8d014d12d94c6afc");
 }
 
 }  // namespace
