@@ -8,18 +8,6 @@
 #include "common/logging.h"
 
 namespace harmony::core {
-namespace {
-
-/// Clears the first-level entries while keeping every inner vector's
-/// capacity. Entries past `n` are cleared too (a smaller graph after a
-/// larger one must not see stale data); callers only index [0, n).
-template <typename T>
-void ResetNested(std::vector<std::vector<T>>& v, size_t n) {
-  for (auto& inner : v) inner.clear();
-  if (v.size() < n) v.resize(n);
-}
-
-}  // namespace
 
 /// Schedule units are stored structure-of-arrays, indexed by flat unit id
 /// (uid = lane_base[lane] + position within lane, lanes concatenated in
@@ -32,8 +20,12 @@ struct EstimatorScratch::Impl {
   std::vector<int32_t> unit_lane;
   std::vector<double> unit_start;   // -1 = not yet scheduled
   std::vector<double> unit_end;
-  std::vector<std::vector<int>> locate;  // task -> uid per piece
+  // A task's units are consecutive in its lane: piece k of task id is
+  // uid task_uid0[id] + k, for k < task_units[id] (0 = in no order list).
+  std::vector<int> task_uid0;
+  std::vector<int> task_units;
   std::vector<int> lane_base;
+  DepIndex deps;  // the DepResolver's CSR index, rebuilt in place
   // Producer lists in CSR form: unit uid's producers are
   // data[off[uid] .. off[uid + 1]). Built in uid order, so offsets are
   // recorded as the data arrays grow — one pass, no per-unit vectors.
@@ -56,6 +48,11 @@ struct EstimatorScratch::Impl {
   // estimate, then each task's summary is two subtractions.
   std::vector<Bytes> prefix_swap;
   std::vector<int32_t> prefix_remat;
+  // Per-task piece-duration cache: a task's pieces share one size except
+  // the remainder piece, so each (task, size) duration is computed once per
+  // estimate instead of once per piece (-1 = nothing cached).
+  std::vector<int32_t> task_dur_usize;
+  std::vector<double> task_dur;
 };
 
 EstimatorScratch::EstimatorScratch() : impl_(std::make_unique<Impl>()) {}
@@ -78,7 +75,7 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   }
   EstimatorScratch::Impl& sc = *scratch->impl_;
 
-  const DepResolver deps(graph);
+  const DepResolver deps(graph, &sc.deps);
   const int N = graph.num_devices;
   // Effective per-GPU swap bandwidth: the host link is shared by all GPUs
   // (the estimator's static approximation of contention).
@@ -114,7 +111,7 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   }
   const int total_units = lane_base[2 * N];
 
-  // Pass 2 — fill the flat unit arrays lane by lane; `locate` maps
+  // Pass 2 — fill the flat unit arrays lane by lane; task_uid0 maps
   // (task, piece) straight to a uid.
   sc.unit_task.assign(total_units, -1);
   sc.unit_piece.assign(total_units, -1);
@@ -126,24 +123,19 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   int32_t* const unit_lane = sc.unit_lane.data();
   double* const unit_start = sc.unit_start.data();
   double* const unit_end = sc.unit_end.data();
-  auto& locate = sc.locate;
-  ResetNested(locate, graph.num_tasks());
+  sc.task_uid0.assign(graph.num_tasks(), -1);
+  sc.task_units.assign(graph.num_tasks(), 0);
   for (int d = 0; d < N; ++d) {
     int uid = lane_base[d];
     for (int id : graph.device_order[d]) {
       const Task& t = graph.task(id);
-      if (t.type == TaskType::kUpdate) {
-        locate[id].assign(1, uid);
+      const int units =
+          t.type == TaskType::kUpdate ? 1 : static_cast<int>(t.group.size());
+      sc.task_uid0[id] = uid;
+      sc.task_units[id] = units;
+      for (int k = 0; k < units; ++k) {
         unit_task[uid] = id;
-        unit_lane[uid] = d;
-        ++uid;
-        continue;
-      }
-      locate[id].resize(t.group.size());
-      for (int k = 0; k < static_cast<int>(t.group.size()); ++k) {
-        locate[id][k] = uid;
-        unit_task[uid] = id;
-        unit_piece[uid] = k;
+        unit_piece[uid] = t.type == TaskType::kUpdate ? -1 : k;
         unit_lane[uid] = d;
         ++uid;
       }
@@ -151,7 +143,8 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
     if (static_cast<size_t>(d) < graph.cpu_order.size()) {
       uid = lane_base[N + d];
       for (int id : graph.cpu_order[d]) {
-        locate[id].assign(1, uid);
+        sc.task_uid0[id] = uid;
+        sc.task_units[id] = 1;
         unit_task[uid] = id;
         unit_lane[uid] = N + d;
         ++uid;
@@ -160,10 +153,9 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   }
 
   auto uid_of = [&](int task, int piece) -> int {
-    const auto& locs = locate[task];
-    HARMONY_CHECK(!locs.empty());
-    const int idx = piece >= 0 && piece < static_cast<int>(locs.size()) ? piece : 0;
-    return locs[idx];
+    HARMONY_CHECK_GT(sc.task_units[task], 0);
+    const int uid0 = sc.task_uid0[task];
+    return piece >= 0 && piece < sc.task_units[task] ? uid0 + piece : uid0;
   };
 
   // Pass 2b — per-task policy summary (see Impl). Integer stash bytes
@@ -208,11 +200,11 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   for (int uid = 0; uid < total_units; ++uid) {
     const Task& t = graph.task(unit_task[uid]);
     if (t.type == TaskType::kUpdate) {
-      for (int pid : deps.BackwardTasksForPack(t.pack, t.replica)) {
+      deps.ForEachBackwardTaskForPack(t.pack, t.replica, [&](int pid) {
         const Task& p = graph.task(pid);
         sc.grad_data.push_back(
             uid_of(pid, static_cast<int>(p.group.size()) - 1));
-      }
+      });
       if (!graph.flags.jit_update) {
         // Rigid scheduling: updates wait for the entire backward pass.
         for (int r = 0; r < graph.num_replicas; ++r) {
@@ -228,12 +220,11 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
       const MbPiece piece = t.group[unit_piece[uid]];
       const bool wants_act = t.type == TaskType::kForward || t.fused_forward;
       const int in_boundary = wants_act ? t.pack.lo : t.pack.hi + 1;
-      const auto producers =
-          wants_act ? deps.ActivationProducers(in_boundary, piece, t.replica)
-                    : deps.GradientProducers(in_boundary, piece, t.replica);
-      for (const auto& [pid, pk] : producers) {
-        sc.stream_data.emplace_back(uid_of(pid, pk), pid);
-      }
+      deps.ForEachProducer(
+          wants_act ? Flow::kActivation : Flow::kGradient, in_boundary, piece,
+          t.replica, [&](int pid, int pk) {
+            sc.stream_data.emplace_back(uid_of(pid, pk), pid);
+          });
     }
     sc.grad_off[uid + 1] = static_cast<int>(sc.grad_data.size());
     sc.rigid_off[uid + 1] = static_cast<int>(sc.rigid_data.size());
@@ -293,6 +284,56 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   const int* const dep_off = sc.dep_off.data();
   const int* const dep_data = sc.dep_data.data();
 
+  // Duration of one piece of F/B task `task_id` at microbatch `usize`: pack
+  // time, then fused forward or rematerialization, then per-layer swap
+  // read-back, then the checkpoint read — the FP summation order every
+  // golden pins.
+  auto piece_duration = [&](int task_id, int usize) -> TimeSec {
+    const Task& t = graph.task(task_id);
+    if (t.type == TaskType::kForward) {
+      return profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
+    }
+    TimeSec duration = profiles_.PackBwdTime(t.pack.lo, t.pack.hi, usize);
+    if (t.fused_forward) {
+      duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
+    } else {
+      const int remat_layers = task_remat_layers[task_id];
+      if (remat_layers == t.pack.num_layers()) {
+        // Whole-pack rematerialization: one PackFwdTime call, not a
+        // per-layer sum — preserves the FP summation order of the
+        // pre-policy estimator so legacy goldens stay bit-identical.
+        duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
+      } else if (remat_layers > 0) {
+        for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
+          if (graph.policy_at(l) == StashPolicy::kRecompute) {
+            duration += profiles_.FwdTime(l, usize);
+          }
+        }
+      }
+      // Swapped stash read-back: charged like the checkpoint read
+      // (host -> device on the critical path; kKeep stays free). The stall
+      // stays a per-layer FP sum — only the guard is hoisted.
+      if (task_swap_per_sample[task_id] > 0) {
+        for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
+          if (graph.policy_at(l) != StashPolicy::kSwap) continue;
+          const Bytes st = static_cast<Bytes>(usize) *
+                           profiles_.layer(l).stash_bytes_per_sample;
+          if (st == 0) continue;
+          duration += static_cast<double>(st) / swap_bw;
+        }
+      }
+    }
+    if (t.type == TaskType::kBackward && t.reads_checkpoint) {
+      const Bytes ck = static_cast<Bytes>(usize) * boundary_in_bytes(t.pack.lo);
+      duration += static_cast<double>(ck) / swap_bw;
+    }
+    return duration;
+  };
+  sc.task_dur_usize.assign(graph.num_tasks(), -1);
+  sc.task_dur.resize(graph.num_tasks());
+  int32_t* const task_dur_usize = sc.task_dur_usize.data();
+  double* const task_dur = sc.task_dur.data();
+
   auto& ready = sc.ready;
   ready.clear();
   ready.reserve(total_units);
@@ -345,46 +386,20 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
       }
       ready_time = std::max(ready_time, grads_ready);
     } else {
-      const MbPiece piece = t.group[unit_piece[uid]];
-      const int usize = piece.size;
-      if (t.type == TaskType::kForward) {
-        duration = profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
-        // Swapped-out stash (kSwap layers): the write overlaps compute on
-        // the swap-out stream, so only the volume counts.
-        swap_bytes +=
-            static_cast<Bytes>(usize) * task_swap_per_sample[unit_task[uid]];
-      } else {
-        duration = profiles_.PackBwdTime(t.pack.lo, t.pack.hi, usize);
-        if (t.fused_forward) {
-          duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
-        } else {
-          const int remat_layers = task_remat_layers[unit_task[uid]];
-          if (remat_layers == t.pack.num_layers()) {
-            // Whole-pack rematerialization: one PackFwdTime call, not a
-            // per-layer sum — preserves the FP summation order of the
-            // pre-policy estimator so legacy goldens stay bit-identical.
-            duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
-          } else if (remat_layers > 0) {
-            for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-              if (graph.policy_at(l) == StashPolicy::kRecompute) {
-                duration += profiles_.FwdTime(l, usize);
-              }
-            }
-          }
-          // Swapped stash read-back: charged like the checkpoint read
-          // (host -> device on the critical path; kKeep stays free). The
-          // stall stays a per-layer FP sum — only the guard is hoisted.
-          if (task_swap_per_sample[unit_task[uid]] > 0) {
-            for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-              if (graph.policy_at(l) != StashPolicy::kSwap) continue;
-              const Bytes st = static_cast<Bytes>(usize) *
-                               profiles_.layer(l).stash_bytes_per_sample;
-              if (st == 0) continue;
-              duration += static_cast<double>(st) / swap_bw;
-              swap_bytes += st;
-            }
-          }
-        }
+      const int task_id = unit_task[uid];
+      const int usize = t.group[unit_piece[uid]].size;
+      if (task_dur_usize[task_id] != usize) {
+        task_dur[task_id] = piece_duration(task_id, usize);
+        task_dur_usize[task_id] = usize;
+      }
+      duration = task_dur[task_id];
+      // Swapped-out stash (kSwap layers): a forward's write overlaps compute
+      // on the swap-out stream, so only the volume counts; a recomputing
+      // backward reads the same volume back (piece_duration charges the
+      // stall). Integer bytes, so usize x the per-task sum equals the
+      // per-layer sum exactly.
+      if (t.type == TaskType::kForward || !t.fused_forward) {
+        swap_bytes += static_cast<Bytes>(usize) * task_swap_per_sample[task_id];
       }
 
       // Streaming input: activations (forward / fused) or boundary
@@ -411,12 +426,10 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
         ready_time = std::max(ready_time, done + xfer);
       }
 
-      // Checkpoint read for backward tasks (message passing via host).
+      // Checkpoint read for backward tasks (message passing via host; the
+      // stall is inside piece_duration).
       if (t.type == TaskType::kBackward && t.reads_checkpoint) {
-        const Bytes ck =
-            static_cast<Bytes>(usize) * boundary_in_bytes(t.pack.lo);
-        duration += static_cast<double>(ck) / swap_bw;
-        swap_bytes += ck;
+        swap_bytes += static_cast<Bytes>(usize) * boundary_in_bytes(t.pack.lo);
       }
       // Checkpoint writes (forward): overlapped on the swap-out stream;
       // count volume only.

@@ -10,11 +10,13 @@
 
 namespace harmony::core {
 
-/// Reusable working memory for RuntimeEstimator::EstimateIteration. One
-/// estimate allocates ~10 vectors (lanes, dependency lists, ready queue);
-/// the configuration search runs thousands of estimates per second across
-/// worker threads, so each worker holds one of these and the vectors are
-/// cleared — capacity retained — instead of reallocated per call.
+/// Reusable working memory for RuntimeEstimator::EstimateIteration: the
+/// flat unit arrays, the dependency index (DepIndex), the producer and
+/// dependent lists, the ready queue and the per-task duration cache. The
+/// configuration search runs thousands of estimates per second across
+/// worker threads, so each worker holds one of these; its vectors are
+/// re-filled with capacity retained, and once it has seen the largest graph
+/// an estimate allocates nothing.
 ///
 /// Not thread-safe: one scratch per concurrent caller. The contents carry no
 /// state between calls; passing a fresh or a reused scratch yields identical

@@ -32,74 +32,87 @@ std::vector<MbPiece> SplitMicrobatches(int total, int u) {
 // DepResolver
 // ---------------------------------------------------------------------------
 
-DepResolver::DepResolver(const TaskGraph& graph) : graph_(graph) {
-  const int R = graph.num_layers;
-  act_producers_.assign(graph.num_replicas,
-                        std::vector<std::vector<int>>(R + 1));
-  grad_producers_.assign(graph.num_replicas,
-                         std::vector<std::vector<int>>(R + 1));
-  backward_tasks_.assign(graph.num_replicas, {});
-  for (const Task& t : graph.tasks) {
-    if (t.type == TaskType::kForward || t.fused_forward) {
-      // Streaming output at the pack's end boundary (the fused task consumes
-      // its own forward output internally, so only pure forwards stream).
+DepResolver::DepResolver(const TaskGraph& graph)
+    : DepResolver(graph, nullptr) {}
+
+DepResolver::DepResolver(const TaskGraph& graph, DepIndex* storage)
+    : graph_(graph), ix_(storage != nullptr ? storage : &owned_) {
+  DepIndex& ix = *ix_;
+  const int lists = graph.num_replicas * (graph.num_layers + 1);
+  auto list_of = [&](int replica, int boundary) {
+    return replica * (graph.num_layers + 1) + boundary;
+  };
+  // Every index entry, in task-id order. Run twice over the same CSR
+  // arrays: first counting into off[list + 1], then filling.
+  auto for_each_entry = [&](auto&& add) {
+    for (const Task& t : graph.tasks) {
       if (t.type == TaskType::kForward) {
-        act_producers_[t.replica][t.pack.hi + 1].push_back(t.id);
+        // Streaming output at the pack's end boundary (the fused task
+        // consumes its own forward output internally, so only pure forwards
+        // stream).
+        add(ix.act_off, ix.act_tasks, list_of(t.replica, t.pack.hi + 1), t.id);
       }
-      for (int b : t.checkpoint_boundaries) {
-        if (t.type == TaskType::kForward && b == t.pack.hi + 1) continue;  // already listed
-        act_producers_[t.replica][b].push_back(t.id);
+      if (t.type == TaskType::kForward || t.fused_forward) {
+        for (int b : t.checkpoint_boundaries) {
+          // A forward's pack-end boundary is already listed above.
+          if (t.type == TaskType::kForward && b == t.pack.hi + 1) continue;
+          add(ix.act_off, ix.act_tasks, list_of(t.replica, b), t.id);
+        }
+      }
+      if (t.type == TaskType::kBackward) {
+        add(ix.grad_off, ix.grad_tasks, list_of(t.replica, t.pack.lo), t.id);
+        add(ix.bwd_off, ix.bwd_tasks, t.replica, t.id);
       }
     }
-    if (t.type == TaskType::kBackward) {
-      grad_producers_[t.replica][t.pack.lo].push_back(t.id);
-      backward_tasks_[t.replica].push_back(t.id);
+  };
+  ix.act_off.assign(lists + 1, 0);
+  ix.grad_off.assign(lists + 1, 0);
+  ix.bwd_off.assign(graph.num_replicas + 1, 0);
+  for_each_entry([](std::vector<int>& off, std::vector<int>&, int list, int) {
+    ++off[list + 1];
+  });
+  // Prefix sums make off[list] the list's start; filling advances it to the
+  // list's end, and the shift afterwards restores the starts.
+  auto open_lists = [](std::vector<int>& off, std::vector<int>& tasks) {
+    for (size_t i = 1; i < off.size(); ++i) off[i] += off[i - 1];
+    tasks.resize(off.back());
+  };
+  open_lists(ix.act_off, ix.act_tasks);
+  open_lists(ix.grad_off, ix.grad_tasks);
+  open_lists(ix.bwd_off, ix.bwd_tasks);
+  for_each_entry([](std::vector<int>& off, std::vector<int>& tasks, int list,
+                    int id) { tasks[off[list]++] = id; });
+  for (std::vector<int>* off : {&ix.act_off, &ix.grad_off, &ix.bwd_off}) {
+    for (size_t i = off->size() - 1; i > 0; --i) (*off)[i] = (*off)[i - 1];
+    (*off)[0] = 0;
+  }
+
+  // ForEachProducer's binary search relies on sorted, disjoint groups.
+  for (const Task& t : graph.tasks) {
+    for (size_t k = 0; k < t.group.size(); ++k) {
+      HARMONY_CHECK(t.group[k].size >= 0 &&
+                    (k + 1 == t.group.size() ||
+                     t.group[k].end() <= t.group[k + 1].begin))
+          << "task " << t.id << ": group is not sorted and disjoint at piece "
+          << k;
     }
   }
-}
-
-namespace {
-std::vector<std::pair<int, int>> MatchPieces(const TaskGraph& graph,
-                                             const std::vector<int>& producers,
-                                             const MbPiece& piece) {
-  std::vector<std::pair<int, int>> out;
-  for (int tid : producers) {
-    const Task& p = graph.task(tid);
-    for (int k = 0; k < static_cast<int>(p.group.size()); ++k) {
-      if (p.group[k].Overlaps(piece)) out.emplace_back(tid, k);
-    }
-  }
-  return out;
-}
-}  // namespace
-
-std::vector<std::pair<int, int>> DepResolver::ActivationProducers(
-    int boundary, const MbPiece& piece, int replica) const {
-  if (boundary == 0) return {};  // data loader
-  return MatchPieces(graph_, act_producers_.at(replica).at(boundary), piece);
-}
-
-std::vector<std::pair<int, int>> DepResolver::GradientProducers(
-    int boundary, const MbPiece& piece, int replica) const {
-  if (boundary > graph_.num_layers - 1) return {};  // loss end: no producer
-  return MatchPieces(graph_, grad_producers_.at(replica).at(boundary), piece);
 }
 
 std::vector<int> DepResolver::BackwardTasksForPack(const Pack& pack,
                                                    int replica) const {
   std::vector<int> out;
-  for (int r = 0; r < graph_.num_replicas; ++r) {
-    if (replica >= 0 && r != replica) continue;
-    for (int tid : backward_tasks_[r]) {
-      const Task& t = graph_.task(tid);
-      if (t.pack.lo == pack.lo && t.pack.hi == pack.hi) out.push_back(tid);
-    }
-  }
+  ForEachBackwardTaskForPack(pack, replica,
+                             [&](int tid) { out.push_back(tid); });
   return out;
 }
 
-const std::vector<int>& DepResolver::AllBackwardTasks(int replica) const {
-  return backward_tasks_.at(replica);
+std::span<const int> DepResolver::AllBackwardTasks(int replica) const {
+  HARMONY_CHECK(replica >= 0 && replica < graph_.num_replicas)
+      << "no replica " << replica;
+  return std::span<const int>(ix_->bwd_tasks)
+      .subspan(ix_->bwd_off[replica],
+               ix_->bwd_off[replica + 1] - ix_->bwd_off[replica]);
 }
 
 // ---------------------------------------------------------------------------
@@ -335,21 +348,18 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
     for (const Task& t : split.tasks) {
       if (t.type == TaskType::kUpdate) continue;
       const bool wants_act = t.type == TaskType::kForward || t.fused_forward;
-      std::vector<std::pair<int, int>> producers;
-      for (const MbPiece& piece : t.group) {
-        const int b = wants_act ? t.pack.lo : t.pack.hi + 1;
-        auto ps = wants_act
-                      ? split_deps.ActivationProducers(b, piece, t.replica)
-                      : split_deps.GradientProducers(b, piece, t.replica);
-        producers.insert(producers.end(), ps.begin(), ps.end());
-        if (!wants_act && t.reads_checkpoint) {
-          auto cs = split_deps.ActivationProducers(t.pack.lo, piece, t.replica);
-          producers.insert(producers.end(), cs.begin(), cs.end());
-        }
-      }
-      for (const auto& [pid, piece_idx] : producers) {
+      auto add_edge = [&](int pid, int) {
         dependents[pid].push_back(t.id);
         ++indegree[t.id];
+      };
+      for (const MbPiece& piece : t.group) {
+        split_deps.ForEachProducer(
+            wants_act ? Flow::kActivation : Flow::kGradient,
+            wants_act ? t.pack.lo : t.pack.hi + 1, piece, t.replica, add_edge);
+        if (!wants_act && t.reads_checkpoint) {
+          split_deps.ForEachProducer(Flow::kActivation, t.pack.lo, piece,
+                                     t.replica, add_edge);
+        }
       }
     }
     struct Key {

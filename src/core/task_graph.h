@@ -1,10 +1,14 @@
 #ifndef HARMONY_CORE_TASK_GRAPH_H_
 #define HARMONY_CORE_TASK_GRAPH_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/config.h"
 #include "profile/profiler.h"
 
@@ -106,40 +110,96 @@ struct TaskGraph {
   StashPolicy policy_at(int l) const { return stash_policy.at(l); }
 };
 
+/// Which tensor a consumer piece streams in at a layer boundary.
+enum class Flow : uint8_t { kActivation, kGradient };
+
+/// Flat (CSR) storage behind a DepResolver. The estimator keeps one per
+/// scratch and rebuilds it in place for every graph: the vectors are
+/// re-filled, never reallocated once they have grown to the largest graph.
+struct DepIndex {
+  // List (replica * (num_layers + 1) + boundary) spans
+  // tasks[off[list] .. off[list + 1]), task ids ascending.
+  std::vector<int> act_off, act_tasks;    // activation producers
+  std::vector<int> grad_off, grad_tasks;  // gradient producers (= backward
+                                          // tasks keyed by pack.lo)
+  std::vector<int> bwd_off, bwd_tasks;    // backward tasks per replica
+};
+
 /// Resolves structural dependencies between tasks.
 /// Boundary b denotes the tensor between layers b-1 and b: "activation at b"
 /// is layer b-1's output (b=0: the data loader), "gradient at b" is the
-/// gradient flowing from layer b to b-1.
+/// gradient flowing from layer b to b-1. Every task's group must be sorted
+/// and disjoint (`group[k].end() <= group[k + 1].begin`, sizes >= 0), as
+/// every generator emits it; construction CHECK-fails otherwise.
 class DepResolver {
  public:
   explicit DepResolver(const TaskGraph& graph);
+  /// Builds the index into caller-owned `storage` (which must outlive the
+  /// resolver), reusing its capacity instead of allocating.
+  DepResolver(const TaskGraph& graph, DepIndex* storage);
+  DepResolver(const DepResolver&) = delete;
+  DepResolver& operator=(const DepResolver&) = delete;
 
-  /// (task id, piece index) pairs producing the activation at `boundary`
-  /// whose sample ranges overlap `piece`, in `replica`. Empty for b == 0.
-  std::vector<std::pair<int, int>> ActivationProducers(int boundary,
-                                                       const MbPiece& piece,
-                                                       int replica) const;
+  /// Calls fn(task id, piece index) for every producer piece of the `flow`
+  /// tensor at `boundary` in `replica` whose sample range overlaps `piece`:
+  /// producer tasks in id order, pieces ascending. Activations at b == 0 come
+  /// from the data loader and gradients at b == num_layers from the loss, so
+  /// neither has producers. This is the one producer-matching routine.
+  template <typename Fn>
+  void ForEachProducer(Flow flow, int boundary, const MbPiece& piece,
+                       int replica, Fn&& fn) const {
+    const bool act = flow == Flow::kActivation;
+    if (act ? boundary == 0 : boundary > graph_.num_layers - 1) return;
+    HARMONY_CHECK(replica >= 0 && replica < graph_.num_replicas &&
+                  boundary >= 0 && boundary <= graph_.num_layers)
+        << "no producer list for replica " << replica << " boundary "
+        << boundary;
+    const std::vector<int>& off = act ? ix_->act_off : ix_->grad_off;
+    const std::vector<int>& tasks = act ? ix_->act_tasks : ix_->grad_tasks;
+    const int list = replica * (graph_.num_layers + 1) + boundary;
+    for (int e = off[list]; e < off[list + 1]; ++e) {
+      const int tid = tasks[e];
+      const std::vector<MbPiece>& group = graph_.tasks[tid].group;
+      // Groups are sorted and disjoint (checked at construction): ends
+      // ascend, so the first overlap candidate is the first piece ending past
+      // piece.begin, and begins ascend, so the matches end at the first piece
+      // starting at or after piece.end().
+      auto it = std::partition_point(
+          group.begin(), group.end(),
+          [&](const MbPiece& p) { return p.end() <= piece.begin; });
+      for (; it != group.end() && it->begin < piece.end(); ++it) {
+        if (it->Overlaps(piece)) {
+          fn(tid, static_cast<int>(it - group.begin()));
+        }
+      }
+    }
+  }
 
-  /// Same for the gradient flowing into `boundary` (produced by the backward
-  /// task whose pack starts at `boundary`).
-  std::vector<std::pair<int, int>> GradientProducers(int boundary,
-                                                     const MbPiece& piece,
-                                                     int replica) const;
-
-  /// All backward tasks computing gradients for layers of `pack` in
-  /// `replica` (update-task inputs); `replica` == -1 matches all replicas.
+  /// Calls fn(task id) for every backward task computing gradients for the
+  /// layers of `pack` in `replica` (update-task inputs), replicas ascending,
+  /// task ids ascending; `replica` == -1 matches all replicas.
+  template <typename Fn>
+  void ForEachBackwardTaskForPack(const Pack& pack, int replica,
+                                  Fn&& fn) const {
+    for (int r = 0; r < graph_.num_replicas; ++r) {
+      if (replica >= 0 && r != replica) continue;
+      const int list = r * (graph_.num_layers + 1) + pack.lo;
+      for (int e = ix_->grad_off[list]; e < ix_->grad_off[list + 1]; ++e) {
+        const int tid = ix_->grad_tasks[e];
+        if (graph_.tasks[tid].pack.hi == pack.hi) fn(tid);
+      }
+    }
+  }
   std::vector<int> BackwardTasksForPack(const Pack& pack, int replica) const;
 
   /// All backward tasks of a replica (used by the no-jit-update ablation:
   /// updates wait for the full backward pass).
-  const std::vector<int>& AllBackwardTasks(int replica) const;
+  std::span<const int> AllBackwardTasks(int replica) const;
 
  private:
   const TaskGraph& graph_;
-  // [replica][boundary] -> tasks producing that activation / gradient.
-  std::vector<std::vector<std::vector<int>>> act_producers_;
-  std::vector<std::vector<std::vector<int>>> grad_producers_;
-  std::vector<std::vector<int>> backward_tasks_;  // per replica
+  DepIndex owned_;  // storage when the caller supplies none
+  DepIndex* const ix_;
 };
 
 /// Generates the Harmony task graph for a configuration (Algorithm 3):

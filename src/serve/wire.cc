@@ -400,6 +400,14 @@ Result<core::SearchOptions> SearchOptionsFromJson(const json::Value& v) {
   if (o.u_fwd_max < 1 || o.u_bwd_max < 1) {
     return Status::InvalidArgument("options: u_fwd_max and u_bwd_max must be >= 1");
   }
+  for (const auto& [name, value] :
+       {std::pair{"u_fwd_max", o.u_fwd_max}, std::pair{"u_bwd_max", o.u_bwd_max}}) {
+    if (value > kMaxRequestMicrobatch) {
+      return Status::InvalidArgument(
+          "options: " + std::string(name) + " " + std::to_string(value) +
+          " exceeds " + std::to_string(kMaxRequestMicrobatch));
+    }
+  }
   // Residency-policy knob: absent from pre-policy peers, so default to legacy.
   std::string policy_mode = "legacy";
   (void)json::ReadString(v, "policy_mode", &policy_mode);
@@ -616,6 +624,11 @@ Result<PlanRequest> PlanRequestFromJson(const json::Value& v) {
   r.mode = md.value();
   HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "minibatch", &r.minibatch));
   if (r.minibatch < 1) return Status::InvalidArgument("request: minibatch < 1");
+  if (r.minibatch > kMaxRequestMinibatch) {
+    return Status::InvalidArgument(
+        "request: minibatch " + std::to_string(r.minibatch) + " exceeds " +
+        std::to_string(kMaxRequestMinibatch));
+  }
   const json::Value* flags = v.Find("flags");
   if (flags == nullptr) return Status::InvalidArgument("request: missing 'flags'");
   auto f = OptimizationFlagsFromJson(*flags);

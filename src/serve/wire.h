@@ -61,6 +61,13 @@ Result<model::LayerGraph> BuildModel(const ModelSpec& spec);
 /// with momentum for the CNNs, Adam for the transformers.
 model::Optimizer DefaultOptimizer(const ModelSpec& spec);
 
+/// Decode-time upper bounds. A task holds minibatch / u microbatch pieces,
+/// so an unbounded minibatch makes one search run for minutes past its
+/// deadline; requests above these caps are InvalidArgument at decode.
+inline constexpr int kMaxRequestMinibatch = 65536;
+/// Cap on SearchOptions::u_fwd_max and u_bwd_max.
+inline constexpr int kMaxRequestMicrobatch = 1024;
+
 /// A planning request: everything Algorithm 1 needs, plus execution hints.
 struct PlanRequest {
   ModelSpec model;

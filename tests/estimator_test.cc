@@ -1,10 +1,39 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
 #include "core/estimator.h"
 #include "core/packing.h"
 #include "core/scheduler.h"
 #include "model/models.h"
 #include "profile/profiler.h"
+#include "graph_corpus.h"
+
+// Counts global operator new calls while armed, so a test can assert that a
+// code path allocates nothing.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<int64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Every delete funnels through one out-of-line release, so the compiler never
+// pairs an inlined free() with a new-expression at a call site.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace harmony::core {
 namespace {
@@ -135,7 +164,8 @@ TEST(Estimator, MoreMicrobatchesMoreTime) {
 // EstimateIteration outputs for a handful of task graphs, captured from the
 // original O(passes x lanes) fixpoint-sweep implementation. The rewrite must
 // keep these bit-for-bit (iteration times are a pure function of dependency
-// end times, so scheduling order cannot move them; byte counters are sums).
+// end times, so scheduling order cannot move them; byte counters are sums),
+// so times compare by their bit patterns, not within a ULP tolerance.
 TEST(Estimator, GoldenSchedulesPinnedAcrossRewrite) {
   const Fixture f;
   const Configuration c22 = f.Config(2, 2);
@@ -178,7 +208,9 @@ TEST(Estimator, GoldenSchedulesPinnedAcrossRewrite) {
     const TaskGraph graph =
         GenerateHarmonyTaskGraph(c22, g.mode, 4, g.minibatch, g.flags, f.db);
     const Estimate e = est.EstimateIteration(graph);
-    EXPECT_DOUBLE_EQ(e.iteration_time, g.time) << g.name;
+    EXPECT_EQ(std::bit_cast<uint64_t>(e.iteration_time),
+              std::bit_cast<uint64_t>(g.time))
+        << g.name;
     EXPECT_EQ(e.swap_bytes, g.swap) << g.name;
     EXPECT_EQ(e.p2p_bytes, g.p2p) << g.name;
   }
@@ -198,9 +230,87 @@ TEST(Estimator, GoldenSchedulesPinnedAcrossRewrite) {
   const TaskGraph graph = GenerateHarmonyTaskGraph(
       c41, HarmonyMode::kPipelineParallel, 4, 12, all_on, f.db);
   const Estimate e = est.EstimateIteration(graph);
-  EXPECT_DOUBLE_EQ(e.iteration_time, 0.14325066413564352);
+  EXPECT_EQ(std::bit_cast<uint64_t>(e.iteration_time),
+            std::bit_cast<uint64_t>(0.14325066413564352));
   EXPECT_EQ(e.swap_bytes, 511320064);
   EXPECT_EQ(e.p2p_bytes, 9437184);
+}
+
+uint64_t FnvMix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Folds every predicted unit span (task, lane, device, bits(time)) of an
+// estimate replayed onto a trace bus into one FNV-1a hash.
+class ScheduleHashSink : public trace::TraceSink {
+ public:
+  void OnEvent(const trace::Event& e) override {
+    hash = FnvMix(hash, static_cast<uint64_t>(e.kind));
+    hash = FnvMix(hash, static_cast<uint64_t>(e.lane));
+    hash = FnvMix(hash, static_cast<uint64_t>(e.device));
+    hash = FnvMix(hash, static_cast<uint64_t>(e.task));
+    hash = FnvMix(hash, std::bit_cast<uint64_t>(e.time));
+  }
+  uint64_t hash = 0xcbf29ce484222325ULL;
+};
+
+// Bit-exact golden over the seeded corpus (tests/graph_corpus.h): one FNV-1a
+// hash of every graph's (bits(iteration_time), swap_bytes, p2p_bytes). Any
+// estimator rewrite must keep the same FP expressions, summation order and
+// integer byte counters; a changed hash means some estimate moved by at
+// least one ULP. A sub-ULP change in one unit's duration is often absorbed
+// when it is added to a later, larger end time, so a second hash pins every
+// unit's start and end time from the replayed schedule. Every graph is
+// estimated on one reused scratch and on a fresh one, which must agree bit
+// for bit.
+TEST(Estimator, SeededCorpusIsBitExact) {
+  const Fixture f;
+  const auto graphs = corpus::SeededGraphCorpus(f.db, f.machine);
+  ASSERT_GE(graphs.size(), 200u);
+  const RuntimeEstimator est(f.db, f.machine);
+  EstimatorScratch reused;
+  ScheduleHashSink schedule;
+  trace::TraceBus bus;
+  bus.AddSink(&schedule);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const corpus::CorpusGraph& c : graphs) {
+    est.EstimateIteration(c.graph, &bus, &reused);
+    const Estimate e = est.EstimateIteration(c.graph, nullptr, &reused);
+    const Estimate fresh = est.EstimateIteration(c.graph);
+    ASSERT_EQ(std::bit_cast<uint64_t>(e.iteration_time),
+              std::bit_cast<uint64_t>(fresh.iteration_time))
+        << c.name;
+    ASSERT_EQ(e.swap_bytes, fresh.swap_bytes) << c.name;
+    ASSERT_EQ(e.p2p_bytes, fresh.p2p_bytes) << c.name;
+    h = FnvMix(h, std::bit_cast<uint64_t>(e.iteration_time));
+    h = FnvMix(h, static_cast<uint64_t>(e.swap_bytes));
+    h = FnvMix(h, static_cast<uint64_t>(e.p2p_bytes));
+  }
+  EXPECT_EQ(h, 0x6f4743075202b417ULL) << std::hex << "0x" << h;
+  EXPECT_EQ(schedule.hash, 0x5802cfbf56019c85ULL) << std::hex << "0x" << schedule.hash;
+}
+
+// A reused scratch holds every per-estimate buffer, the dependency index
+// included: once it has seen the largest graph, estimating allocates nothing.
+TEST(Estimator, WarmScratchEstimateAllocatesNothing) {
+  const Fixture f;
+  const auto graphs = corpus::SeededGraphCorpus(f.db, f.machine);
+  const RuntimeEstimator est(f.db, f.machine);
+  EstimatorScratch scratch;
+  for (const corpus::CorpusGraph& c : graphs) {
+    est.EstimateIteration(c.graph, nullptr, &scratch);
+  }
+  g_allocs = 0;
+  g_count_allocs = true;
+  for (const corpus::CorpusGraph& c : graphs) {
+    est.EstimateIteration(c.graph, nullptr, &scratch);
+  }
+  g_count_allocs = false;
+  EXPECT_EQ(g_allocs.load(), 0);
 }
 
 TEST(Search, FindsFeasibleBestAndExploresSpace) {

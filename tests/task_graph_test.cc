@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 
 #include "core/packing.h"
 #include "core/task_graph.h"
 #include "model/models.h"
 #include "profile/profiler.h"
+#include "graph_corpus.h"
 
 namespace harmony::core {
 namespace {
@@ -28,6 +31,16 @@ Configuration MakeConfig(const profile::ProfileDb& db, int u_fwd, int u_bwd,
   opts.min_packs = 4;  // several forward packs so pipelines are non-trivial
   c.fwd_packs = ForwardPacks(u_fwd, c.bwd_packs, db, opts).value();
   return c;
+}
+
+// ForEachProducer's output collected into (task id, piece index) pairs.
+std::vector<std::pair<int, int>> Producers(const DepResolver& deps, Flow flow,
+                                           int boundary, const MbPiece& piece,
+                                           int replica) {
+  std::vector<std::pair<int, int>> out;
+  deps.ForEachProducer(flow, boundary, piece, replica,
+                       [&](int task, int k) { out.emplace_back(task, k); });
+  return out;
 }
 
 TEST(SplitMicrobatches, EvenAndRagged) {
@@ -310,8 +323,8 @@ TEST_F(TaskGraphTest, DepResolverActivationChain) {
     }
   }
   ASSERT_NE(second, nullptr);
-  const auto producers =
-      deps.ActivationProducers(second->pack.lo, second->group.front(), 0);
+  const auto producers = Producers(deps, Flow::kActivation, second->pack.lo,
+                                   second->group.front(), 0);
   ASSERT_EQ(producers.size(), 1u);
   EXPECT_EQ(g.task(producers[0].first).pack.hi + 1, second->pack.lo);
 }
@@ -328,7 +341,8 @@ TEST_F(TaskGraphTest, DepResolverCrossGranularityOverlap) {
   ASSERT_NE(fused, nullptr);
   // Each U_B=2 piece overlaps exactly one U_F=4 producer piece.
   for (const MbPiece& piece : fused->group) {
-    const auto producers = deps.ActivationProducers(fused->pack.lo, piece, 0);
+    const auto producers =
+        Producers(deps, Flow::kActivation, fused->pack.lo, piece, 0);
     ASSERT_EQ(producers.size(), 1u);
     const Task& p = g.task(producers[0].first);
     EXPECT_TRUE(p.group[producers[0].second].Overlaps(piece));
@@ -342,8 +356,8 @@ TEST_F(TaskGraphTest, GradientChainLinksBackwardTasks) {
   const DepResolver deps(g);
   for (const Task& t : g.tasks) {
     if (t.type != TaskType::kBackward || t.pack.hi == g.num_layers - 1) continue;
-    const auto producers =
-        deps.GradientProducers(t.pack.hi + 1, t.group.front(), 0);
+    const auto producers = Producers(deps, Flow::kGradient, t.pack.hi + 1,
+                                     t.group.front(), 0);
     ASSERT_FALSE(producers.empty()) << "backward task " << t.id;
     EXPECT_EQ(g.task(producers[0].first).pack.lo, t.pack.hi + 1);
   }
@@ -356,6 +370,125 @@ TEST_F(TaskGraphTest, BackwardTasksForPackFindsAllReplicas) {
   const DepResolver deps(g);
   const auto tasks = deps.BackwardTasksForPack(c.bwd_packs[0], -1);
   EXPECT_EQ(tasks.size(), 4u);  // one per replica
+}
+
+// Brute-force reference for DepResolver: every task of `replica` (id order)
+// producing the `flow` tensor at `boundary`, every piece overlapping `piece`.
+std::vector<std::pair<int, int>> ScanProducers(const TaskGraph& g, Flow flow,
+                                               int boundary,
+                                               const MbPiece& piece,
+                                               int replica) {
+  std::vector<std::pair<int, int>> out;
+  if (flow == Flow::kActivation ? boundary == 0
+                                : boundary > g.num_layers - 1) {
+    return out;
+  }
+  for (const Task& t : g.tasks) {
+    if (t.replica != replica) continue;
+    const bool ckpt =
+        (t.type == TaskType::kForward || t.fused_forward) &&
+        std::find(t.checkpoint_boundaries.begin(),
+                  t.checkpoint_boundaries.end(),
+                  boundary) != t.checkpoint_boundaries.end();
+    const bool produces =
+        flow == Flow::kActivation
+            ? (t.type == TaskType::kForward && t.pack.hi + 1 == boundary) || ckpt
+            : t.type == TaskType::kBackward && t.pack.lo == boundary;
+    if (!produces) continue;
+    for (int k = 0; k < static_cast<int>(t.group.size()); ++k) {
+      if (t.group[k].Overlaps(piece)) out.emplace_back(t.id, k);
+    }
+  }
+  return out;
+}
+
+// Backward tasks of `replica` (-1: all, replicas ascending) in id order,
+// restricted to `pack` when one is given.
+std::vector<int> ScanBackwardTasks(const TaskGraph& g, int replica,
+                                   std::optional<Pack> pack) {
+  std::vector<int> out;
+  for (int r = 0; r < g.num_replicas; ++r) {
+    if (replica >= 0 && r != replica) continue;
+    for (const Task& t : g.tasks) {
+      if (t.type == TaskType::kBackward && t.replica == r &&
+          (!pack || t.pack == *pack)) {
+        out.push_back(t.id);
+      }
+    }
+  }
+  return out;
+}
+
+// Checks every (task, piece) of `g` against the brute-force scan, at both of
+// the task's pack boundaries and for both tensors, plus BackwardTasksForPack
+// for every backward pack and AllBackwardTasks for every replica.
+void ExpectMatchesScan(const TaskGraph& g, const DepResolver& deps,
+                       const std::string& name) {
+  for (const Task& t : g.tasks) {
+    for (const MbPiece& piece : t.group) {
+      for (int boundary : {t.pack.lo, t.pack.hi + 1}) {
+        for (Flow flow : {Flow::kActivation, Flow::kGradient}) {
+          ASSERT_EQ(Producers(deps, flow, boundary, piece, t.replica),
+                    ScanProducers(g, flow, boundary, piece, t.replica))
+              << name << " task " << t.id << " boundary " << boundary
+              << " piece " << piece.begin;
+        }
+      }
+    }
+    if (t.type == TaskType::kBackward || t.type == TaskType::kUpdate) {
+      for (int replica = -1; replica < g.num_replicas; ++replica) {
+        ASSERT_EQ(deps.BackwardTasksForPack(t.pack, replica),
+                  ScanBackwardTasks(g, replica, t.pack))
+            << name << " pack " << t.pack.lo << "-" << t.pack.hi;
+      }
+    }
+  }
+  for (int r = 0; r < g.num_replicas; ++r) {
+    const auto all = deps.AllBackwardTasks(r);
+    ASSERT_EQ(std::vector<int>(all.begin(), all.end()),
+              ScanBackwardTasks(g, r, std::nullopt))
+        << name;
+  }
+}
+
+// The indexed, binary-searching DepResolver returns exactly what a linear
+// scan of every task and piece returns, in the same order, on every graph of
+// the seeded corpus. One DepIndex is reused across all graphs, as the
+// estimator's scratch reuses it.
+TEST(DepResolverProperty, MatchesBruteForceScanOnCorpus) {
+  const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
+  const profile::ProfileDb db = MakeDb();
+  DepIndex reused;
+  for (const corpus::CorpusGraph& c : corpus::SeededGraphCorpus(db, machine)) {
+    const DepResolver deps(c.graph, &reused);
+    ExpectMatchesScan(c.graph, deps, c.name);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Producers are found by binary search, so a DepResolver refuses a graph
+// whose groups are not sorted and disjoint: an unsorted producer group and an
+// overlapping one each fail the construction check.
+TEST(DepResolverDeathTest, UnsortedOrOverlappingGroupsFailTheCheck) {
+  auto graph_with = [](std::vector<MbPiece> group) {
+    TaskGraph g;
+    g.num_layers = 2;
+    Task t;
+    t.id = 0;
+    t.type = TaskType::kForward;
+    t.pack = Pack{0, 0};
+    t.group = std::move(group);
+    g.tasks.push_back(std::move(t));
+    return g;
+  };
+  const TaskGraph sorted = graph_with({{0, 4}, {4, 4}});
+  const DepResolver deps(sorted);
+  EXPECT_EQ(Producers(deps, Flow::kActivation, 1, MbPiece{3, 2}, 0),
+            (std::vector<std::pair<int, int>>{{0, 0}, {0, 1}}));
+  const TaskGraph unsorted = graph_with({{6, 2}, {0, 3}, {3, 3}});
+  EXPECT_DEATH(DepResolver{unsorted}, "not sorted and disjoint");
+  const TaskGraph overlapping = graph_with({{0, 4}, {2, 4}, {5, 3}});
+  EXPECT_DEATH(DepResolver{overlapping}, "not sorted and disjoint");
 }
 
 // Property sweep: every (U_F, U_B, mode, flags) combination yields a graph

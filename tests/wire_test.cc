@@ -212,6 +212,40 @@ TEST(Wire, OutOfRangeSearchOptionsAreRejected) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(Wire, OversizedMinibatchAndMicrobatchCapsAreRejected) {
+  // Each task holds minibatch / u pieces, so an unbounded minibatch runs a
+  // search far past its deadline; decode refuses it and names the field.
+  PlanRequest request;
+  request.model = ModelSpec::FromName("GPT2").value();
+  request.minibatch = serve::kMaxRequestMinibatch;
+  request.options.u_fwd_max = serve::kMaxRequestMicrobatch;
+  request.options.u_bwd_max = serve::kMaxRequestMicrobatch;
+  // At the caps a request still round-trips byte-identically.
+  ExpectRoundTrip(request, serve::PlanRequestToJson,
+                  serve::PlanRequestFromJson);
+
+  auto expect_rejected = [](const PlanRequest& r, const std::string& field) {
+    const auto decoded =
+        serve::PlanRequestFromJson(serve::PlanRequestToJson(r));
+    ASSERT_FALSE(decoded.ok()) << field;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(decoded.status().message().find(field), std::string::npos)
+        << decoded.status();
+  };
+  PlanRequest big = request;
+  big.minibatch = 2000000000;
+  expect_rejected(big, "minibatch");
+  big = request;
+  big.minibatch = serve::kMaxRequestMinibatch + 1;
+  expect_rejected(big, "minibatch");
+  big = request;
+  big.options.u_fwd_max = serve::kMaxRequestMicrobatch + 1;
+  expect_rejected(big, "u_fwd_max");
+  big = request;
+  big.options.u_bwd_max = 1 << 30;
+  expect_rejected(big, "u_bwd_max");
+}
+
 TEST(Wire, UseRecomputeFalseIsRejected) {
   // The stash policy travels as SearchOptions::policy_mode; the flags key is
   // a constant `true`, kept so canonical bytes and fingerprints hold.
