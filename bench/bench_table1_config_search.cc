@@ -17,7 +17,7 @@ void Run() {
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
 
   Table t({"Model", "U_F", "|P_F|", "U_B", "|P_B|", "configs explored",
-           "Scheduler time (s)"});
+           "configs estimated", "Scheduler time (s)"});
   std::vector<std::pair<std::string, core::Configuration>> details;
   for (const std::string name : {"BERT96", "GPT2", "VGG416", "ResNet1K"}) {
     const PreparedModel pm = Prepare(name, machine);
@@ -31,7 +31,7 @@ void Run() {
         pm.profiles, machine, core::HarmonyMode::kPipelineParallel, 64,
         core::OptimizationFlags{}, opts);
     if (!result.ok()) {
-      t.AddRow({name, "-", "-", "-", "-", "-", result.status().ToString()});
+      t.AddRow({name, "-", "-", "-", "-", "-", "-", result.status().ToString()});
       continue;
     }
     const auto& r = result.value();
@@ -40,6 +40,7 @@ void Run() {
               Table::Cell(r.best.u_bwd),
               Table::Cell(static_cast<int64_t>(r.best.bwd_packs.size())),
               Table::Cell(r.configs_explored),
+              Table::Cell(r.configs_estimated),
               Table::Cell(r.search_wall_seconds)});
     details.emplace_back(name, r.best);
   }

@@ -252,7 +252,8 @@ int main(int argc, char** argv) {
   const auto& r = found.value();
   std::cout << core::HarmonyModeName(mode) << " configuration "
             << r.best.ToString() << "  (searched " << r.configs_explored
-            << " configs in " << Table::Cell(r.search_wall_seconds) << "s)\n"
+            << " configs, estimated " << r.configs_estimated << ", in "
+            << Table::Cell(r.search_wall_seconds) << "s)\n"
             << "  P_F: " << core::PackListToString(r.best.fwd_packs) << "\n"
             << "  P_B: " << core::PackListToString(r.best.bwd_packs) << "\n"
             << "  estimated iteration: "

@@ -287,7 +287,9 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   // Duration of one piece of F/B task `task_id` at microbatch `usize`: pack
   // time, then fused forward or rematerialization, then per-layer swap
   // read-back, then the checkpoint read — the FP summation order every
-  // golden pins.
+  // golden pins. LaneFloor::Bound charges the same terms from prefix
+  // tables, so a term added here must be nonnegative for that floor to stay
+  // admissible.
   auto piece_duration = [&](int task_id, int usize) -> TimeSec {
     const Task& t = graph.task(task_id);
     if (t.type == TaskType::kForward) {
@@ -501,6 +503,286 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   e.swap_bytes = swap_bytes;
   e.p2p_bytes = p2p_bytes;
   return e;
+}
+
+// ---------------------------------------------------------------------------
+// LaneFloor
+// ---------------------------------------------------------------------------
+//
+// Why the floor never exceeds the estimate, including its FP error.
+//
+// Exact arithmetic. Each unit's start is a max over its lane predecessor's
+// end, its producers' ends (plus transfers) and, for a task's first piece,
+// the lane's free time plus the exposed weight fetch; its end is start plus
+// duration. So every chain of units in which each unit waits for the one
+// before ends no earlier than the sum of its durations (plus any fetch or
+// swap-out it must wait for). The floor prices such chains: one lane's
+// units in order; with grouping, the pipeline fill before a lane's first
+// unit (piece 0 of each earlier slot, each the producer of the next) and
+// the CPU update after its last one.
+//
+// FP error. Every term is a sum of nonnegative doubles (Predict clamps at
+// 0; bytes are nonnegative), and recursive summation of k nonnegative terms
+// has relative error at most gamma_k = k*u / (1 - k*u), u = 2^-53.
+// - Estimator side. A piece duration is a nested left-to-right sum of at
+//   most 3R + 2 terms (pack backward time, fused forward or recomputed
+//   layers, one read-back per swapped layer, the checkpoint read), so it is
+//   at least (1 - gamma_{3R+2}) x its exact value. FP addition and max are
+//   monotone, so a chain of n units ends no earlier than the FP sum of its
+//   durations: at least (1 - gamma_{n + 3R + 2}) x the exact sum.
+// - Floor side. A prefix row P is a recursive sum, so |P[k] - S_k| <=
+//   gamma_R S_k. The difference P[hi+1] - P[lo] can cancel, so its error is
+//   bounded against P[hi+1], not against the pack sum: at most
+//   (2 gamma_R + 3u) P[hi+1] with the subtraction's own rounding. Range()
+//   subtracts range_slack_ P[hi+1], range_slack_ = 4(R + 2)u, which exceeds
+//   that, so each range is at most its exact pack sum. What follows (a few
+//   operations per piece, the full-piece product, the fill, the tail, one
+//   add per slot into the lane) is relative error gamma_t, t <= 32 x slots
+//   + 16.
+// So floor <= (1 + gamma_t) / (1 - gamma_{n + 3R + 2}) x the chain's end.
+// lane_margin_ = 2u (n + 3R + 3t), twice the first-order error, covers that
+// and the final product's rounding. A chain visits each slot's pieces at
+// most once, so n <= slots x share with slots <= 2R + 1. At R = 1000 layers
+// and a 65,536-sample share the margin is about 3e-8.
+
+namespace {
+
+/// full x dur(u) + dur(rem) for the pieces SplitMicrobatches(share, u)
+/// yields: a task's pieces share one size except the remainder piece.
+template <typename Dur>
+double PiecesTime(int share, int u, Dur&& dur) {
+  const int full = share / u;
+  const int rem = share % u;
+  double t = full > 0 ? full * dur(u) : 0.0;
+  if (rem > 0) t += dur(rem);
+  return t;
+}
+
+}  // namespace
+
+LaneFloor::LaneFloor(const profile::ProfileDb& profiles,
+                     const hw::MachineSpec& machine, HarmonyMode mode,
+                     int num_devices, int minibatch,
+                     const OptimizationFlags& flags, int u_max)
+    : profiles_(profiles),
+      mode_(mode),
+      num_devices_(num_devices),
+      jit_compute_(flags.jit_compute),
+      num_layers_(profiles.num_layers()),
+      u_max_(u_max),
+      swap_bw_(machine.EffectiveSwapBw(num_devices)),
+      cpu_update_bw_(machine.cpu_update_bw),
+      grouped_(flags.input_batch_grouping),
+      cpu_optimizer_(flags.cpu_optimizer) {
+  HARMONY_CHECK_GE(num_devices, 1);
+  HARMONY_CHECK_GE(minibatch, 1);
+  HARMONY_CHECK_GE(u_max, 1);
+  const int R = num_layers_;
+  // Replica shares as the generator splits them: the first minibatch % N
+  // replicas take one extra sample.
+  if (mode == HarmonyMode::kDataParallel) {
+    const int base = minibatch / num_devices;
+    const int extra = minibatch % num_devices;
+    if (extra > 0) shares_.emplace_back(0, base + 1);
+    if (base > 0) shares_.emplace_back(extra, base);
+  } else {
+    shares_.emplace_back(0, minibatch);
+  }
+
+  const size_t row = static_cast<size_t>(R) + 1;
+  fwd_prefix_.assign(static_cast<size_t>(u_max + 1) * row, 0.0);
+  bwd_prefix_.assign(static_cast<size_t>(u_max + 1) * row, 0.0);
+  for (int u = 1; u <= u_max; ++u) {
+    double* f = &fwd_prefix_[u * row];
+    double* b = &bwd_prefix_[u * row];
+    for (int l = 0; l < R; ++l) {
+      f[l + 1] = f[l] + profiles.FwdTime(l, u);
+      b[l + 1] = b[l] + profiles.BwdTime(l, u);
+    }
+  }
+
+  param_prefix_.assign(row, 0);
+  for (int l = 0; l < R; ++l) {
+    param_prefix_[l + 1] = param_prefix_[l] + profiles.layer(l).param_bytes;
+  }
+
+  const double unit = std::numeric_limits<double>::epsilon() / 2;
+  const double slots = 2.0 * R + 1;
+  const double units = slots * (mode == HarmonyMode::kPipelineParallel
+                                    ? minibatch
+                                    : minibatch / num_devices + 1);
+  range_slack_ = 4.0 * (R + 2) * unit;
+  lane_margin_ = 2.0 * unit * (units + 3.0 * R + 3.0 * (32.0 * slots + 16.0));
+}
+
+const double* LaneFloor::FwdRow(int u) const {
+  HARMONY_DCHECK(u >= 1 && u <= u_max_);
+  return &fwd_prefix_[static_cast<size_t>(u) * (num_layers_ + 1)];
+}
+
+const double* LaneFloor::BwdRow(int u) const {
+  HARMONY_DCHECK(u >= 1 && u <= u_max_);
+  return &bwd_prefix_[static_cast<size_t>(u) * (num_layers_ + 1)];
+}
+
+double LaneFloor::Range(const double* prefix, const Pack& p) const {
+  const double upto = prefix[p.hi + 1];
+  return std::max(0.0, upto - prefix[p.lo] - range_slack_ * upto);
+}
+
+LaneFloor::Policy LaneFloor::ForPolicy(const PolicyTable& table,
+                                       int u_bwd) const {
+  const int R = num_layers_;
+  HARMONY_CHECK(u_bwd >= 1 && u_bwd <= u_max_) << "u_bwd " << u_bwd;
+  Policy p;
+  p.u_bwd_ = u_bwd;
+  p.table_ =
+      table.empty() ? PolicyTable::Uniform(R, StashPolicy::kRecompute) : table;
+  HARMONY_CHECK_EQ(p.table_.num_layers(), R)
+      << "policy table size != model layers";
+
+  const int remat = p.table_.Count(StashPolicy::kRecompute);
+  p.remat_ = remat == R   ? Policy::Remat::kAll
+             : remat == 0 ? Policy::Remat::kNone
+                          : Policy::Remat::kSome;
+  if (p.remat_ == Policy::Remat::kSome) {
+    // Only the piece sizes a backward task of u_bwd takes: u_bwd and each
+    // share's remainder.
+    for (const auto& [replica, share] : shares_) {
+      for (int size : {share >= u_bwd ? u_bwd : 0, share % u_bwd}) {
+        if (size > 0 && std::find(p.sizes_.begin(), p.sizes_.end(), size) ==
+                            p.sizes_.end()) {
+          p.sizes_.push_back(size);
+        }
+      }
+    }
+    const size_t row = static_cast<size_t>(R) + 1;
+    p.remat_prefix_.assign(p.sizes_.size() * row, 0.0);
+    for (size_t k = 0; k < p.sizes_.size(); ++k) {
+      double* r = &p.remat_prefix_[k * row];
+      for (int l = 0; l < R; ++l) {
+        r[l + 1] = r[l] + (p.table_.at(l) == StashPolicy::kRecompute
+                               ? profiles_.FwdTime(l, p.sizes_[k])
+                               : 0.0);
+      }
+    }
+  }
+  if (p.table_.Count(StashPolicy::kSwap) > 0) {
+    p.swap_prefix_.assign(static_cast<size_t>(R) + 1, 0);
+    for (int l = 0; l < R; ++l) {
+      p.swap_prefix_[l + 1] =
+          p.swap_prefix_[l] + (p.table_.at(l) == StashPolicy::kSwap
+                                   ? profiles_.layer(l).stash_bytes_per_sample
+                                   : 0);
+    }
+  }
+  return p;
+}
+
+TimeSec LaneFloor::Bound(const Configuration& config,
+                         const Policy& policy) const {
+  HARMONY_CHECK_EQ(config.u_bwd, policy.u_bwd_);
+  HARMONY_CHECK(!config.bwd_packs.empty());
+  HARMONY_CHECK(config.u_fwd >= 1 && config.u_fwd <= u_max_)
+      << "u_fwd " << config.u_fwd;
+  const int num_fwd = static_cast<int>(config.fwd_packs.size());
+  const int num_bwd = static_cast<int>(config.bwd_packs.size());
+  // Without jit-compute the last backward pack gets a forward task of its
+  // own, appended to P_F (as the generator does).
+  const int fwd_slots = num_fwd + (jit_compute_ ? 0 : 1);
+  const int slots = fwd_slots + num_bwd;
+
+  auto remat_row = [&](int u) -> const double* {
+    if (policy.remat_ == Policy::Remat::kAll) return FwdRow(u);
+    for (size_t k = 0; k < policy.sizes_.size(); ++k) {
+      if (policy.sizes_[k] == u) {
+        return &policy.remat_prefix_[k * (num_layers_ + 1)];
+      }
+    }
+    HARMONY_CHECK(false) << "no recompute prefix at piece size " << u;
+    return nullptr;
+  };
+  // The pack of the F/B task in `slot`: forward packs first, then the
+  // backward packs in reverse order.
+  auto slot_pack = [&](int slot) -> const Pack& {
+    if (slot < fwd_slots) {
+      return slot < num_fwd ? config.fwd_packs[slot] : config.bwd_packs.back();
+    }
+    return config.bwd_packs[num_bwd - 1 - (slot - fwd_slots)];
+  };
+  auto slot_u = [&](int slot) {
+    return slot < fwd_slots ? config.u_fwd : config.u_bwd;
+  };
+  // Duration of one piece of size `u` of the task in `slot`.
+  auto piece_time = [&](int slot, int u) -> double {
+    const Pack& p = slot_pack(slot);
+    if (slot < fwd_slots) return Range(FwdRow(u), p);
+    const bool fused = jit_compute_ && slot == fwd_slots;
+    double t = Range(BwdRow(u), p);
+    if (fused) {
+      t += Range(FwdRow(u), p);
+    } else {
+      if (policy.remat_ != Policy::Remat::kNone) t += Range(remat_row(u), p);
+      if (!policy.swap_prefix_.empty()) {
+        const Bytes swapped =
+            policy.swap_prefix_[p.hi + 1] - policy.swap_prefix_[p.lo];
+        t += static_cast<double>(static_cast<Bytes>(u) * swapped) / swap_bw_;
+      }
+      if (p.lo > 0 && policy.table_.at(p.lo) == StashPolicy::kRecompute) {
+        const Bytes checkpoint = profiles_.layer(p.lo).input_bytes_per_sample;
+        t += static_cast<double>(static_cast<Bytes>(u) * checkpoint) / swap_bw_;
+      }
+    }
+    return t;
+  };
+
+  std::vector<double> lanes(static_cast<size_t>(num_devices_), 0.0);
+  for (const auto& [replica, share] : shares_) {
+    for (int slot = 0; slot < slots; ++slot) {
+      lanes[HarmonyTaskDevice(mode_, num_devices_, replica, slot)] +=
+          PiecesTime(share, slot_u(slot),
+                     [&](int u) { return piece_time(slot, u); });
+    }
+  }
+  if (grouped_) {
+    // With input-batch grouping a lane runs its tasks in slot order: its
+    // first unit is piece 0 of its lowest slot, its last F/B unit the last
+    // piece of its highest slot.
+    auto fetch = [&](int slot) {
+      const Pack& p = slot_pack(slot);
+      return static_cast<double>(param_prefix_[p.hi + 1] -
+                                 param_prefix_[p.lo]) /
+             swap_bw_;
+    };
+    // CPU-update tail: pack 0's update waits for the last piece of every
+    // replica's last slot, swaps the gradient out, then runs on the CPU.
+    const Pack& p0 = config.bwd_packs.front();
+    const double params =
+        static_cast<double>(param_prefix_[p0.hi + 1] - param_prefix_[p0.lo]);
+    const int replicas = mode_ == HarmonyMode::kDataParallel ? num_devices_ : 1;
+    const double tail =
+        params / swap_bw_ + params * (2.0 + replicas) / cpu_update_bw_;
+    for (const auto& [replica, share] : shares_) {
+      auto device = [&](int slot) {
+        return HarmonyTaskDevice(mode_, num_devices_, replica, slot);
+      };
+      // Lane start: each slot before the first device repeat opens a lane
+      // (PP: slots 0..N-1; DP: slot 0). Its first piece waits for its
+      // weights (no earlier task to prefetch behind) and for piece 0 of the
+      // slot before, its producer — except the first backward slot without
+      // jit-compute, whose input is the loss.
+      double prev_end = 0;
+      for (int slot = 0;
+           slot < slots && (slot == 0 || device(slot) != device(0)); ++slot) {
+        const bool chained = slot > 0 && (slot != fwd_slots || jit_compute_);
+        const double start = std::max(chained ? prev_end : 0.0, fetch(slot));
+        lanes[device(slot)] += start;
+        prev_end = start + piece_time(slot, std::min(slot_u(slot), share));
+      }
+      if (cpu_optimizer_) lanes[device(slots - 1)] += tail;
+    }
+  }
+  return *std::max_element(lanes.begin(), lanes.end()) * (1.0 - lane_margin_);
 }
 
 }  // namespace harmony::core

@@ -2,6 +2,8 @@
 #define HARMONY_CORE_ESTIMATOR_H_
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/task_graph.h"
 #include "hw/machine.h"
@@ -73,6 +75,87 @@ class RuntimeEstimator {
  private:
   const profile::ProfileDb& profiles_;
   hw::MachineSpec machine_;
+};
+
+/// An admissible lower bound, the *lane floor*, on
+///   EstimateIteration(GenerateHarmonyTaskGraph(config, mode, num_devices,
+///                     minibatch, flags, profiles)).iteration_time,
+/// computed from the configuration alone, without building a graph. The
+/// configuration search skips every candidate whose floor is above the best
+/// estimate it has found (DESIGN.md §8 "Lane floor").
+///
+/// A GPU lane runs its units one after another, so its last unit ends no
+/// earlier than the sum of its piece durations. The floor places F/B tasks
+/// with the generator's device rule (HarmonyTaskDevice), charges each piece
+/// the terms the estimator's piece duration charges — pack forward time;
+/// pack backward time plus the fused forward or the recomputed layers, the
+/// swap read-back and the checkpoint read — and takes the largest lane.
+/// With input-batch grouping a lane runs its tasks in slot order, so the
+/// floor also charges when the lane can start (its first weight fetch and,
+/// in PP, the pipeline fill) and the CPU-update tail after it. Other
+/// transfers, fetches and updates only add time and are left out. Every
+/// range sum is an O(1) read of a prefix table, so one floor costs O(packs).
+class LaneFloor {
+ public:
+  /// The policy-dependent prefix tables for one (policy table, U_B) pair:
+  /// the FwdTime of the kRecompute layers at every piece size a backward
+  /// task of U_B takes, and the stash bytes of the kSwap layers.
+  class Policy {
+   private:
+    friend class LaneFloor;
+    enum class Remat { kNone, kAll, kSome };
+    int u_bwd_ = 0;
+    PolicyTable table_;  // resolved: an empty table reads as all-kRecompute
+    Remat remat_ = Remat::kNone;
+    // kSome: remat_prefix_[k * (R + 1) + l] sums the kRecompute layers
+    // below l at piece size sizes_[k].
+    std::vector<int> sizes_;
+    std::vector<double> remat_prefix_;
+    std::vector<Bytes> swap_prefix_;  // empty when no layer swaps
+  };
+
+  /// Builds the policy-independent prefix sums of FwdTime and BwdTime over
+  /// layers for every microbatch size up to `u_max`, the largest U_F or U_B
+  /// the caller asks about.
+  LaneFloor(const profile::ProfileDb& profiles, const hw::MachineSpec& machine,
+            HarmonyMode mode, int num_devices, int minibatch,
+            const OptimizationFlags& flags, int u_max);
+
+  /// Prefix tables for `table` at backward microbatch `u_bwd`. An empty
+  /// table is the generator's default, recompute everywhere.
+  Policy ForPolicy(const PolicyTable& table, int u_bwd) const;
+
+  /// The floor for `config`'s packs and microbatch sizes under the table
+  /// `policy` was built for (config.policy is not read; config.u_bwd must
+  /// match). Never above the estimate of the graph the generator builds.
+  TimeSec Bound(const Configuration& config, const Policy& policy) const;
+
+ private:
+  /// Lower bound on the sum over layers [lo, hi] of a prefix row.
+  double Range(const double* prefix, const Pack& p) const;
+  const double* FwdRow(int u) const;
+  const double* BwdRow(int u) const;
+
+  const profile::ProfileDb& profiles_;
+  HarmonyMode mode_;
+  int num_devices_ = 1;
+  bool jit_compute_ = true;
+  int num_layers_ = 0;
+  int u_max_ = 0;
+  double swap_bw_ = 0;
+  double cpu_update_bw_ = 0;
+  bool grouped_ = true;
+  bool cpu_optimizer_ = true;
+  // Distinct per-replica minibatch shares, each with one representative
+  // replica: one share in PP, at most two in DP.
+  std::vector<std::pair<int, int>> shares_;  // (replica, share)
+  // Row u holds prefix sums over layers at microbatch size u (row 0 unused).
+  std::vector<double> fwd_prefix_;
+  std::vector<double> bwd_prefix_;
+  std::vector<Bytes> param_prefix_;
+  // FP margins; derived in estimator.cc.
+  double range_slack_ = 0;
+  double lane_margin_ = 0;
 };
 
 }  // namespace harmony::core

@@ -55,17 +55,21 @@ struct SearchOptions {
   /// thread; <= 0 selects the hardware concurrency. The result is identical
   /// for every value (see DESIGN.md "Threading model"): candidates are
   /// enumerated in a canonical order and merged with a deterministic
-  /// tie-break, so threading only changes wall time.
+  /// tie-break, so threading only changes wall time (and
+  /// SearchResult::configs_estimated). The daemon caps it at decode
+  /// (serve::kMaxRequestThreads).
   int num_threads = 1;
   /// Keep every explored configuration in SearchResult::explored (needed by
-  /// the Fig 14 estimator-accuracy experiment). Off by default: the hot
-  /// search path only needs the best configuration, and retaining the full
-  /// pack lists of every candidate is pure overhead there.
+  /// the Fig 14 estimator-accuracy experiment). This also estimates every
+  /// feasible candidate, in canonical order, instead of skipping those the
+  /// lane floor rules out. Off by default: the hot search path only needs
+  /// the best configuration.
   bool keep_explored = false;
   /// Optional cooperative cancellation (borrowed; may be armed from another
-  /// thread). Polled between candidate evaluations; a tripped token makes
-  /// the search unwind promptly and return Cancelled (or DeadlineExceeded
-  /// when the token tripped on its deadline) instead of a partial result.
+  /// thread). Polled once per grid point while candidates are prepared and
+  /// between candidate evaluations; a tripped token makes the search unwind
+  /// promptly and return Cancelled (or DeadlineExceeded when the token
+  /// tripped on its deadline) instead of a partial result.
   /// Never affects the returned configuration: a search either completes
   /// bit-identically to an uncancelled run or fails. Used by serve's
   /// PlanService for per-request deadlines and shutdown aborts.
@@ -84,6 +88,13 @@ struct SearchResult {
   Estimate best_estimate;
   int configs_explored = 0;
   int configs_feasible = 0;
+  /// Estimator calls the search made: the feasible (candidate, policy table)
+  /// pairs whose lane floor did not rule them out. Deterministic at one
+  /// thread; at more it may vary with timing (a worker can estimate a
+  /// candidate before another worker's better incumbent lands), while
+  /// `best`, `best_estimate`, `configs_explored`, `configs_feasible` and
+  /// `explored` never do. Equals configs_feasible under keep_explored.
+  int configs_estimated = 0;
   /// Real wall-clock seconds the search took (Table 1's "Time (s)").
   double search_wall_seconds = 0;
   /// Populated only when SearchOptions::keep_explored is set.
@@ -94,12 +105,15 @@ struct SearchResult {
 /// balanced-time packs for each, generates the task graph, estimates its
 /// iteration time, and returns the fastest configuration.
 ///
-/// The sweep is embarrassingly parallel: backward-pack groups (U_B, floor)
-/// are enumerated serially (each group's packing runs once), and the
-/// per-group (U_F, floor) grid fans out across SearchOptions::num_threads
-/// workers. Winners merge by lowest estimated time, ties broken by
-/// lexicographic (u_bwd, u_fwd, bwd_floor, fwd_floor), so any thread count
-/// returns a bit-identical best configuration.
+/// A serial prep pass packs every grid point and prices each feasible
+/// (point, policy table) pair with its lane floor (core/estimator.h), an
+/// admissible lower bound on its estimate. SearchOptions::num_threads
+/// workers then estimate points in ascending-floor order against a shared
+/// incumbent and skip every pair whose floor is strictly above it. Winners
+/// merge by lowest estimated time, ties broken by lexicographic (u_bwd,
+/// u_fwd, bwd_floor, fwd_floor, table), so any thread count returns the
+/// same result as the exhaustive sweep, bit for bit (DESIGN.md §3
+/// "Threading model").
 Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
                                          const hw::MachineSpec& machine,
                                          HarmonyMode mode, int minibatch,

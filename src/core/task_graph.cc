@@ -183,6 +183,11 @@ void PlaceUpdates(TaskGraph* graph, bool grouped) {
 
 }  // namespace
 
+int HarmonyTaskDevice(HarmonyMode mode, int num_devices, int replica,
+                      int slot) {
+  return mode == HarmonyMode::kDataParallel ? replica : slot % num_devices;
+}
+
 TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode,
                                    int num_devices, int minibatch,
                                    const OptimizationFlags& flags,
@@ -257,7 +262,7 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
       Task t;
       t.type = TaskType::kForward;
       t.pack = p;
-      t.device = dp ? r : slot % num_devices;
+      t.device = HarmonyTaskDevice(mode, num_devices, r, slot);
       t.group = fwd_pieces;
       t.replica = r;
       for (int b : ckpt_boundaries) {
@@ -270,7 +275,7 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
       Task t;
       t.type = TaskType::kBackward;
       t.pack = config.bwd_packs[j];
-      t.device = dp ? r : slot % num_devices;
+      t.device = HarmonyTaskDevice(mode, num_devices, r, slot);
       t.group = bwd_pieces;
       t.replica = r;
       t.fused_forward =

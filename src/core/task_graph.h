@@ -202,6 +202,13 @@ class DepResolver {
   DepIndex* const ix_;
 };
 
+/// The wrap-around device rule of Algorithm 3 for the `slot`-th F/B task of
+/// `replica`: slots count the effective forward packs first, then the
+/// backward packs in reverse order; PP binds slot i to GPU[i mod N], DP runs
+/// every task of a replica on that replica's GPU. The generator and the
+/// search's lane floor (core/estimator.h) both place tasks with it.
+int HarmonyTaskDevice(HarmonyMode mode, int num_devices, int replica, int slot);
+
 /// Generates the Harmony task graph for a configuration (Algorithm 3):
 /// forward tasks for P_F, the fused jit-compute backward task, remaining
 /// backward tasks in reverse pack order, and a weight-update task per

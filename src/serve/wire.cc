@@ -408,6 +408,11 @@ Result<core::SearchOptions> SearchOptionsFromJson(const json::Value& v) {
           " exceeds " + std::to_string(kMaxRequestMicrobatch));
     }
   }
+  if (o.num_threads > kMaxRequestThreads) {
+    return Status::InvalidArgument(
+        "options: num_threads " + std::to_string(o.num_threads) +
+        " exceeds " + std::to_string(kMaxRequestThreads));
+  }
   // Residency-policy knob: absent from pre-policy peers, so default to legacy.
   std::string policy_mode = "legacy";
   (void)json::ReadString(v, "policy_mode", &policy_mode);

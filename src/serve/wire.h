@@ -67,6 +67,9 @@ model::Optimizer DefaultOptimizer(const ModelSpec& spec);
 inline constexpr int kMaxRequestMinibatch = 65536;
 /// Cap on SearchOptions::u_fwd_max and u_bwd_max.
 inline constexpr int kMaxRequestMicrobatch = 1024;
+/// Cap on SearchOptions::num_threads: a cold request's search spawns up to
+/// that many threads, so the client must not pick an unbounded number.
+inline constexpr int kMaxRequestThreads = 64;
 
 /// A planning request: everything Algorithm 1 needs, plus execution hints.
 struct PlanRequest {

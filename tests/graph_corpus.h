@@ -24,6 +24,14 @@ namespace harmony::core::corpus {
 struct CorpusGraph {
   std::string name;
   TaskGraph graph;
+  /// The GenerateHarmonyTaskGraph inputs behind `graph`; unset (false) for
+  /// the baseline graphs.
+  bool harmony = false;
+  Configuration config{};
+  HarmonyMode mode = HarmonyMode::kPipelineParallel;
+  int devices = 1;
+  int minibatch = 1;
+  OptimizationFlags flags{};
 };
 
 /// The same greedy per-layer dominance table SearchConfiguration builds for
@@ -137,9 +145,11 @@ inline std::vector<CorpusGraph> SeededGraphCorpus(
                              std::to_string(minibatch) + "_uf" +
                              std::to_string(u_fwd) + "_ub" +
                              std::to_string(u_bwd);
-          out.push_back(CorpusGraph{
-              std::move(name),
-              GenerateHarmonyTaskGraph(c, mode, devices, minibatch, flags, db)});
+          TaskGraph graph =
+              GenerateHarmonyTaskGraph(c, mode, devices, minibatch, flags, db);
+          out.push_back(CorpusGraph{std::move(name), std::move(graph), true,
+                                    std::move(c), mode, devices, minibatch,
+                                    flags});
         }
       }
     }

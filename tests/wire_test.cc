@@ -246,6 +246,26 @@ TEST(Wire, OversizedMinibatchAndMicrobatchCapsAreRejected) {
   expect_rejected(big, "u_bwd_max");
 }
 
+TEST(Wire, OversizedNumThreadsIsRejected) {
+  // A cold request's search spawns min(num_threads, candidates) threads, so
+  // decode caps the client's choice. Decode only: no search runs here.
+  PlanRequest request;
+  request.model = ModelSpec::FromName("GPT2").value();
+  request.options.num_threads = serve::kMaxRequestThreads;
+  ExpectRoundTrip(request, serve::PlanRequestToJson,
+                  serve::PlanRequestFromJson);
+  for (int threads : {serve::kMaxRequestThreads + 1, 8191, 1 << 30}) {
+    request.options.num_threads = threads;
+    const auto decoded =
+        serve::PlanRequestFromJson(serve::PlanRequestToJson(request));
+    ASSERT_FALSE(decoded.ok()) << threads;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("num_threads"),
+              std::string::npos)
+        << decoded.status();
+  }
+}
+
 TEST(Wire, UseRecomputeFalseIsRejected) {
   // The stash policy travels as SearchOptions::policy_mode; the flags key is
   // a constant `true`, kept so canonical bytes and fingerprints hold.
