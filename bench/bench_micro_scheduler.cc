@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the Scheduler's hot paths: balanced
 // time packing, task graph generation, runtime estimation, the full
-// configuration search, and one simulated runtime execution. These back
+// configuration search, one simulated runtime execution, and the fork-join
+// fan-out the parallel search runs on (ThreadPool::Run). These back
 // Table 1's claim that end-to-end scheduling stays in seconds even for
 // 1000-layer CNNs.
 //
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/thread_pool.h"
 #include "core/packing.h"
 #include "core/search.h"
 #include "runtime/runtime.h"
@@ -188,6 +190,17 @@ void BM_FlowContention_8Gpu(benchmark::State& state) {
   for (auto _ : state) FlowContentionOnce();
 }
 BENCHMARK(BM_FlowContention_8Gpu)->Unit(benchmark::kMillisecond);
+
+// Per-call overhead of one fork-join over the process pool: 8 trivial runs
+// at a cap of range(0) workers, the shape of one parallel search's fan-out.
+void BM_ThreadPoolRun(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  common::ThreadPool& pool = common::ThreadPool::Shared();
+  for (auto _ : state) {
+    pool.Run(8, threads, [](int run, int) { benchmark::DoNotOptimize(run); });
+  }
+}
+BENCHMARK(BM_ThreadPoolRun)->Arg(1)->Arg(2)->Arg(4);
 
 // --- machine-readable baseline mode (`--json`) -----------------------------
 

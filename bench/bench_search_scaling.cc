@@ -1,7 +1,7 @@
 // Measures how the parallel configuration search (Algorithm 1 fanned out
-// over sim::MultiRunDriver's work-stealing pool) scales with worker count,
-// on the Table 1 workload (Harmony PP, 4 GPUs, minibatch 64). With --json,
-// also emits the machine-readable perf baseline BENCH_search.json:
+// with ThreadPool::Run over the shared process pool) scales with its worker
+// cap, on the Table 1 workload (Harmony PP, 4 GPUs, minibatch 64). With
+// --json, also emits the machine-readable perf baseline BENCH_search.json:
 //   {model, threads, configs_explored, search_wall_seconds,
 //    best_iteration_time}
 // The chosen configuration is thread-count-invariant by construction (each

@@ -10,8 +10,8 @@
 #   chaos_matrix.sh [build-dir] [randomized-rounds] [threads]
 #
 # Defaults: build-dir=build, randomized-rounds=5, threads=4. The matrix
-# fan-out runs on sim::MultiRunDriver with `threads` workers (exported as
-# HARMONY_CHAOS_THREADS); results are bit-identical at any worker count, and
+# fan-out runs ThreadPool::Run on a local pool of `threads` workers (exported
+# as HARMONY_CHAOS_THREADS); results are bit-identical at any worker count, and
 # the suite itself asserts parallel-vs-serial parity, so the thread knob only
 # trades wall time. Registered in CI as the chaos job; also runnable by hand
 # after any runtime/fault change.

@@ -14,10 +14,9 @@
 
 namespace harmony::common {
 
-/// A fixed-size worker pool with a shared FIFO task queue. Built for the
-/// Scheduler's parallel configuration search (many independent, CPU-bound
-/// estimator calls), but generic: any callable can be submitted and its
-/// result retrieved through the returned future.
+/// A fixed-size worker pool with a shared FIFO task queue and the process's
+/// one executor: `PlanService` submits requests through `Submit`, and the
+/// configuration search and the chaos matrix fan out through `Run`.
 ///
 /// Guarantees:
 ///  * `Submit` never blocks on task execution; tasks run in FIFO submission
@@ -27,7 +26,8 @@ namespace harmony::common {
 ///    from `Submit` are always eventually satisfied.
 ///  * Thread-safe: `Submit` may be called concurrently from any thread,
 ///    including from inside a running task (tasks must not block on futures
-///    of tasks queued behind them, the usual pool-deadlock caveat).
+///    of tasks queued behind them, the usual pool-deadlock caveat; `Run`
+///    never does).
 ///  * Task exceptions propagate to the submitter: a callable that throws
 ///    stores the exception in its future (rethrown by `future::get()`), the
 ///    worker thread survives, and subsequent tasks run normally. Nothing a
@@ -67,18 +67,31 @@ class ThreadPool {
         [f = std::forward<F>(fn),
          ... a = std::forward<Args>(args)]() mutable { return f(a...); });
     std::future<R> result = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutting_down_) {
-        std::promise<R> rejected;
-        rejected.set_exception(std::make_exception_ptr(ShutdownError()));
-        return rejected.get_future();
-      }
-      queue_.emplace_back([task]() { (*task)(); });
+    if (!Enqueue([task]() { (*task)(); })) {
+      std::promise<R> rejected;
+      rejected.set_exception(std::make_exception_ptr(ShutdownError()));
+      return rejected.get_future();
     }
-    wake_.notify_one();
     return result;
   }
+
+  /// Fork-join: invokes fn(run, worker) once for every run in [0, n) and
+  /// returns when all of them have finished. The calling thread is worker 0
+  /// and queues up to min(max_workers, n, num_threads() + 1) - 1 helper
+  /// tasks; every participant claims runs from one shared cursor. `worker`
+  /// lies in [0, max_workers) and is unique among the threads running the
+  /// batch at once, so it may index per-worker scratch.
+  ///
+  /// `Run` never waits for a helper that has not started: once the caller's
+  /// own loop finds the cursor exhausted it closes the batch and waits only
+  /// for helpers already inside it, and a helper dequeued after the close
+  /// returns without touching `fn`. So a `Run` issued from inside a task of
+  /// this pool, or on a pool whose workers are all busy, completes on the
+  /// caller alone instead of deadlocking. With `n` <= 1 or `max_workers`
+  /// <= 1 the runs execute inline, in run order, as worker 0. `fn` must not
+  /// throw: an exception escaping it terminates the process.
+  void Run(int n, int max_workers,
+           const std::function<void(int run, int worker)>& fn);
 
   /// Drains the queue and joins all workers. Idempotent and safe to race:
   /// every caller (including the destructor) returns only after the drain
@@ -89,7 +102,15 @@ class ThreadPool {
   /// Best-effort default worker count for CPU-bound work on this host.
   static int DefaultThreadCount();
 
+  /// The process pool searches borrow helpers from: DefaultThreadCount()
+  /// workers, started on first use (a process that never fans out starts
+  /// none) and joined at exit.
+  static ThreadPool& Shared();
+
  private:
+  /// Queues `copies` of `task` unless the pool is shutting down; false
+  /// means rejected.
+  bool Enqueue(std::function<void()> task, int copies = 1);
   void WorkerLoop();
 
   std::mutex mu_;

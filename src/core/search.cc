@@ -15,7 +15,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/packing.h"
-#include "sim/multirun.h"
 
 namespace harmony::core {
 
@@ -429,15 +428,16 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   const int workers =
       static_cast<int>(std::min<size_t>(num_threads, candidates.size()));
   if (workers > 0) {
-    // One fan-out: every worker claims the next point from the cursor, with
-    // one estimator scratch arena per worker (reused across every candidate
+    // One fan-out: the caller and up to workers - 1 helpers borrowed from
+    // the process pool claim the next point from the cursor, with one
+    // estimator scratch arena per worker (reused across every candidate
     // that worker claims). Each outcome lands in its canonical slot. A
     // tripped cancel token stops the workers; the check after the merge
-    // discards the partial result.
-    sim::MultiRunDriver driver(workers);
+    // discards the partial result. A serial search runs inline and never
+    // starts the process pool.
     std::vector<EstimatorScratch> scratches(static_cast<size_t>(workers));
     std::atomic<size_t> cursor{0};
-    driver.Run(workers, [&](int, int worker) {
+    auto sweep = [&](int, int worker) {
       for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
            i < order.size() && !cancelled();
            i = cursor.fetch_add(1, std::memory_order_relaxed)) {
@@ -448,7 +448,12 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
         }
         outcomes[order[i]] = evaluate(c, scratches[worker]);
       }
-    });
+    };
+    if (workers == 1) {
+      sweep(0, 0);
+    } else {
+      common::ThreadPool::Shared().Run(workers, workers, sweep);
+    }
   }
 
   // Phase 3 (serial): deterministic merge. The winner is the feasible

@@ -51,11 +51,13 @@ struct SearchOptions {
   /// the pre-policy implementation; kSweep adds {recompute-all, swap-all,
   /// greedy-hybrid} as a per-candidate Pareto dimension.
   PolicyMode policy_mode = PolicyMode::kLegacy;
-  /// Worker threads for the candidate sweep. 1 runs serially in the calling
-  /// thread; <= 0 selects the hardware concurrency. The result is identical
-  /// for every value (see DESIGN.md "Threading model"): candidates are
-  /// enumerated in a canonical order and merged with a deterministic
-  /// tie-break, so threading only changes wall time (and
+  /// Cap on the threads the candidate sweep uses: the calling thread plus
+  /// helpers borrowed from common::ThreadPool::Shared(); the search creates
+  /// none. 1 runs serially in the calling thread and never starts the
+  /// process pool; <= 0 selects the hardware concurrency. The result is
+  /// identical for every value (see DESIGN.md "Threading model"):
+  /// candidates are enumerated in a canonical order and merged with a
+  /// deterministic tie-break, so threading only changes wall time (and
   /// SearchResult::configs_estimated). The daemon caps it at decode
   /// (serve::kMaxRequestThreads).
   int num_threads = 1;

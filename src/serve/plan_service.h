@@ -49,9 +49,12 @@ class PlanFillSource {
 };
 
 struct ServeOptions {
-  /// Worker threads running searches. Each search itself honours its
-  /// request's SearchOptions::num_threads; for a serving workload the useful
-  /// parallelism is across requests, so requests default to serial searches.
+  /// Worker threads running requests. A request's search may borrow up to
+  /// SearchOptions::num_threads - 1 helpers from the process pool
+  /// (common::ThreadPool::Shared()), so the service runs on at most
+  /// num_workers + the hardware concurrency threads however clients set it.
+  /// For a serving workload the useful parallelism is across requests, so
+  /// requests default to serial searches.
   int num_workers = 2;
   /// Plan cache byte budget; 0 turns the cache off (a pure planner).
   size_t cache_bytes = 64ull << 20;

@@ -28,13 +28,13 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/thread_pool.h"
 #include "core/packing.h"
 #include "core/scheduler.h"
 #include "fault/fault.h"
 #include "model/models.h"
 #include "profile/profiler.h"
 #include "runtime/runtime.h"
-#include "sim/multirun.h"
 #include "trace/trace.h"
 
 namespace harmony::runtime {
@@ -300,7 +300,7 @@ TEST(ChaosParity, AllocFailuresAreRetriedToTheSameResult) {
 // The matrix: all fault kinds at once, across seeds and workloads
 // ---------------------------------------------------------------------------
 
-/// The seed x workload matrix entries, flattened for MultiRunDriver fan-out.
+/// The seed x workload matrix entries, flattened for the pool fan-out.
 struct MatrixEntry {
   const Workload* workload;
   uint64_t seed;
@@ -315,26 +315,34 @@ std::vector<MatrixEntry> ChaosMatrixEntries() {
   return entries;
 }
 
-/// Thread count for matrix fan-out: HARMONY_CHAOS_THREADS, default hardware.
+/// Thread count for matrix fan-out: HARMONY_CHAOS_THREADS; unset or <= 0
+/// selects the hardware concurrency.
 int ChaosThreads() {
-  if (const char* env = std::getenv("HARMONY_CHAOS_THREADS")) {
-    return static_cast<int>(std::strtol(env, nullptr, 0));
-  }
-  return 0;  // MultiRunDriver resolves 0 to hardware_concurrency
+  const char* env = std::getenv("HARMONY_CHAOS_THREADS");
+  const int threads = env ? static_cast<int>(std::strtol(env, nullptr, 0)) : 0;
+  return threads > 0 ? threads : common::ThreadPool::DefaultThreadCount();
+}
+
+/// Runs every matrix entry on a local pool of `threads` workers. Each run
+/// builds its own Runtime/Engine/sink from its entry alone and writes only
+/// its own slot, so the outcomes are bit-identical at any thread count.
+std::vector<RunOutcome> RunMatrix(const std::vector<MatrixEntry>& entries,
+                                  int threads) {
+  std::vector<RunOutcome> outcomes(entries.size());
+  common::ThreadPool pool(threads);
+  pool.Run(static_cast<int>(entries.size()), threads, [&](int run, int) {
+    const MatrixEntry& e = entries[run];
+    outcomes[run] = RunWithPlan(*e.workload, SurvivableChaos(e.seed));
+  });
+  return outcomes;
 }
 
 TEST(ChaosMatrix, SurvivableSchedulesPreserveResults) {
   const std::vector<MatrixEntry> entries = ChaosMatrixEntries();
-  // Each run builds its own Runtime/Engine/sink from the entry alone;
-  // baselines are forced up front so workers only read them.
+  // Baselines are forced up front so workers only read them.
   Baseline(Bert96());
   Baseline(Gpt2());
-  sim::MultiRunDriver driver(ChaosThreads());
-  const std::vector<RunOutcome> outcomes = driver.Map<RunOutcome>(
-      static_cast<int>(entries.size()), [&](int run, int /*worker*/) {
-        const MatrixEntry& e = entries[run];
-        return RunWithPlan(*e.workload, SurvivableChaos(e.seed));
-      });
+  const std::vector<RunOutcome> outcomes = RunMatrix(entries, ChaosThreads());
   for (size_t i = 0; i < entries.size(); ++i) {
     const MatrixEntry& e = entries[i];
     SCOPED_TRACE(
@@ -347,16 +355,8 @@ TEST(ChaosMatrix, SurvivableSchedulesPreserveResults) {
 
 TEST(ChaosMatrix, ParallelMatrixIsBitIdenticalToSerial) {
   const std::vector<MatrixEntry> entries = ChaosMatrixEntries();
-  auto run_all = [&](int threads) {
-    sim::MultiRunDriver driver(threads);
-    return driver.Map<RunOutcome>(
-        static_cast<int>(entries.size()), [&](int run, int /*worker*/) {
-          const MatrixEntry& e = entries[run];
-          return RunWithPlan(*e.workload, SurvivableChaos(e.seed));
-        });
-  };
-  const std::vector<RunOutcome> serial = run_all(1);
-  const std::vector<RunOutcome> threaded = run_all(4);
+  const std::vector<RunOutcome> serial = RunMatrix(entries, 1);
+  const std::vector<RunOutcome> threaded = RunMatrix(entries, 4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("matrix entry " + std::to_string(i));

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -213,6 +214,111 @@ TEST(ThreadPool, ConcurrentShutdownCallersAllBlockUntilDrained) {
     });
   }
   for (std::thread& t : callers) t.join();
+}
+
+TEST(ThreadPool, RunsEverySubmittedTask) {
+  common::ThreadPool pool(4);
+  EXPECT_EQ(pool.num_threads(), 4);
+  std::vector<std::future<int>> futures;
+  futures.reserve(100);
+  for (int i = 0; i < 100; ++i) {
+    futures.push_back(pool.Submit([i]() { return i * i; }));
+  }
+  int sum = 0;
+  for (auto& f : futures) sum += f.get();
+  int expected = 0;
+  for (int i = 0; i < 100; ++i) expected += i * i;
+  EXPECT_EQ(sum, expected);
+}
+
+TEST(ThreadPool, ShutdownDrainsPendingTasks) {
+  std::atomic<int> ran{0};
+  {
+    common::ThreadPool pool(2);
+    for (int i = 0; i < 64; ++i) {
+      pool.Submit([&ran]() { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    // Destructor must satisfy every future before joining.
+  }
+  EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPool, ZeroSelectsHardwareConcurrency) {
+  common::ThreadPool pool(0);
+  EXPECT_GE(pool.num_threads(), 1);
+  EXPECT_EQ(pool.Submit([]() { return 42; }).get(), 42);
+}
+
+TEST(ThreadPool, SerialRunsInOrderWithWorkerZero) {
+  common::ThreadPool pool(4);
+  std::vector<int> order;
+  pool.Run(5, 1, [&](int run, int worker) {
+    EXPECT_EQ(worker, 0);
+    order.push_back(run);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPool, WorkerIndexStaysInRange) {
+  common::ThreadPool pool(8);
+  std::vector<std::atomic<int>> hits(4);
+  pool.Run(64, 4, [&](int, int worker) {
+    ASSERT_GE(worker, 0);
+    ASSERT_LT(worker, 4);
+    hits[worker].fetch_add(1, std::memory_order_relaxed);
+  });
+  int total = 0;
+  for (auto& h : hits) total += h.load();
+  EXPECT_EQ(total, 64);
+}
+
+TEST(ThreadPool, RunFromInsideBusyPoolCompletes) {
+  // Both workers sit inside tasks that each fan out over the same pool, so
+  // every helper those Runs queue waits behind a busy worker. Run must not
+  // wait for them: each caller finishes its runs alone. A Run that waited
+  // for every queued helper hangs here (the ctest TIMEOUT fails it).
+  constexpr int kRuns = 64;
+  common::ThreadPool pool(2);
+  std::atomic<int> entered{0};
+  auto task = [&pool, &entered]() {
+    entered.fetch_add(1);
+    while (entered.load() < 2) std::this_thread::yield();
+    std::vector<std::atomic<int>> hits(kRuns);
+    pool.Run(kRuns, 3, [&hits](int run, int worker) {
+      EXPECT_GE(worker, 0);
+      EXPECT_LT(worker, 3);
+      hits[run].fetch_add(1, std::memory_order_relaxed);
+    });
+    int exactly_once = 0;
+    for (auto& h : hits) exactly_once += h.load() == 1;
+    return exactly_once;
+  };
+  auto a = pool.Submit(task);
+  auto b = pool.Submit(task);
+  EXPECT_EQ(a.get(), kRuns);
+  EXPECT_EQ(b.get(), kRuns);
+}
+
+TEST(ThreadPool, LateHelperNeverTouchesFinishedBatch) {
+  // Even batches finish before most of their helpers are dequeued: a late
+  // helper that reached the finished batch, or fn's captures in this frame,
+  // is a stack-use-after-return under ASan and a race under TSan. In odd
+  // batches helpers hold each run three times as long as the caller, so
+  // the caller often closes the batch while helpers are still inside runs;
+  // a Run that did not wait for them races with the check below.
+  common::ThreadPool pool(2);
+  for (int i = 0; i < 4000; ++i) {
+    int hits[4] = {0, 0, 0, 0};
+    const int hold_us = i % 2 == 1 ? 10 : 0;
+    pool.Run(4, 3, [&hits, hold_us](int run, int worker) {
+      const auto until = std::chrono::steady_clock::now() +
+                         std::chrono::microseconds(hold_us * (worker ? 3 : 1));
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      ++hits[run];
+    });
+    for (int h : hits) ASSERT_EQ(h, 1) << "batch " << i;
+  }
 }
 
 TEST(CancelToken, CancelReportsFirstTripperExactlyOnce) {

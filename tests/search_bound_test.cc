@@ -68,9 +68,11 @@ TEST(LaneFloor, NeverAboveEstimateOnCorpus) {
 
 // One keep_explored search per (model, mode): every explored candidate's
 // floor is at most its estimate, for every policy mode and two flag
-// ablations that reshape the lanes.
+// ablations that reshape the lanes. The model is a std::string, not a
+// const char*: gtest prints a char pointer's address into the listed test
+// name, which would change the name from run to run.
 class LaneFloorSearchTest
-    : public ::testing::TestWithParam<std::tuple<const char*, HarmonyMode>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, HarmonyMode>> {};
 
 TEST_P(LaneFloorSearchTest, NeverAboveEstimateOnExploredCandidates) {
   const auto [name, mode] = GetParam();
@@ -128,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(HarmonyMode::kPipelineParallel,
                                          HarmonyMode::kDataParallel)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) +
+      return std::get<0>(info.param) +
              (std::get<1>(info.param) == HarmonyMode::kDataParallel ? "_DP"
                                                                     : "_PP");
     });
@@ -137,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(
 // 4 threads: same winner, same estimate bits, same explored/feasible counts,
 // for every policy mode and for the Equi-FB slice (Table 4).
 class BoundedSearchParityTest
-    : public ::testing::TestWithParam<std::tuple<const char*, HarmonyMode>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, HarmonyMode>> {};
 
 TEST_P(BoundedSearchParityTest, MatchesExhaustiveSearch) {
   const auto [name, mode] = GetParam();
@@ -196,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(HarmonyMode::kPipelineParallel,
                                          HarmonyMode::kDataParallel)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) +
+      return std::get<0>(info.param) +
              (std::get<1>(info.param) == HarmonyMode::kDataParallel ? "_DP"
                                                                     : "_PP");
     });

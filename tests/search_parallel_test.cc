@@ -5,11 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/search.h"
 #include "model/models.h"
 #include "profile/profiler.h"
@@ -106,39 +103,6 @@ TEST(SearchExplored, DroppedByDefaultKeptOnRequest) {
   EXPECT_EQ(static_cast<int>(kept.value().explored.size()),
             kept.value().configs_feasible);
   EXPECT_EQ(kept.value().configs_feasible, dropped.value().configs_feasible);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  common::ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::vector<std::future<int>> futures;
-  futures.reserve(100);
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([i]() { return i * i; }));
-  }
-  int sum = 0;
-  for (auto& f : futures) sum += f.get();
-  int expected = 0;
-  for (int i = 0; i < 100; ++i) expected += i * i;
-  EXPECT_EQ(sum, expected);
-}
-
-TEST(ThreadPool, ShutdownDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    common::ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&ran]() { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    // Destructor must satisfy every future before joining.
-  }
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, ZeroSelectsHardwareConcurrency) {
-  common::ThreadPool pool(0);
-  EXPECT_GE(pool.num_threads(), 1);
-  EXPECT_EQ(pool.Submit([]() { return 42; }).get(), 42);
 }
 
 }  // namespace

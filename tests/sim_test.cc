@@ -1,16 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <random>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "hw/machine.h"
 #include "sim/engine.h"
-#include "sim/multirun.h"
 #include "sim/network.h"
 #include "sim/stream.h"
 
@@ -431,7 +430,7 @@ TEST(Condition, WhenAllGuardOutlivesImmediateCompletion) {
 }
 
 // ---------------------------------------------------------------------------
-// MultiRunDriver
+// Scenario fan-out on common::ThreadPool::Run
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -462,41 +461,20 @@ uint64_t ScenarioFingerprint(int run) {
 
 }  // namespace
 
-TEST(MultiRunDriver, BitIdenticalAcrossThreadCounts) {
+TEST(ThreadPool, BitIdenticalAcrossThreadCounts) {
   constexpr int kRuns = 24;
-  MultiRunDriver serial(1);
-  const std::vector<uint64_t> base = serial.Map<uint64_t>(
-      kRuns, [](int run, int) { return ScenarioFingerprint(run); });
-  EXPECT_EQ(serial.steals(), 0);
+  auto fingerprints = [](common::ThreadPool& pool, int threads) {
+    std::vector<uint64_t> out(kRuns);
+    pool.Run(kRuns, threads,
+             [&out](int run, int) { out[run] = ScenarioFingerprint(run); });
+    return out;
+  };
+  common::ThreadPool pool(8);
+  const std::vector<uint64_t> base = fingerprints(pool, 1);
   for (int threads : {2, 4, 8}) {
-    MultiRunDriver driver(threads);
-    const std::vector<uint64_t> got = driver.Map<uint64_t>(
-        kRuns, [](int run, int) { return ScenarioFingerprint(run); });
-    EXPECT_EQ(got, base) << "diverged at " << threads << " threads";
+    EXPECT_EQ(fingerprints(pool, threads), base)
+        << "diverged at " << threads << " threads";
   }
-}
-
-TEST(MultiRunDriver, SerialRunsInOrderWithWorkerZero) {
-  MultiRunDriver driver(1);
-  std::vector<int> order;
-  driver.Run(5, [&](int run, int worker) {
-    EXPECT_EQ(worker, 0);
-    order.push_back(run);
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(MultiRunDriver, WorkerIndexStaysInRange) {
-  MultiRunDriver driver(4);
-  std::vector<std::atomic<int>> hits(4);
-  driver.Run(64, [&](int, int worker) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, driver.num_threads());
-    hits[worker].fetch_add(1, std::memory_order_relaxed);
-  });
-  int total = 0;
-  for (auto& h : hits) total += h.load();
-  EXPECT_EQ(total, 64);
 }
 
 // ---------------------------------------------------------------------------

@@ -247,7 +247,7 @@ TEST(Wire, OversizedMinibatchAndMicrobatchCapsAreRejected) {
 }
 
 TEST(Wire, OversizedNumThreadsIsRejected) {
-  // A cold request's search spawns min(num_threads, candidates) threads, so
+  // num_threads caps the pool workers a cold request's search may use, and
   // decode caps the client's choice. Decode only: no search runs here.
   PlanRequest request;
   request.model = ModelSpec::FromName("GPT2").value();
