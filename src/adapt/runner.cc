@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <string>
 #include <utility>
 
 #include "core/estimator.h"
@@ -20,8 +19,8 @@ namespace {
 
 /// Per-device persistent-tensor placement of a program: every weight and
 /// optimizer-state tensor a device's steps need, keyed by the tensor's
-/// catalog key string (stable across programs, unlike the dense ids).
-using PlacementMap = std::map<std::pair<int, std::string>, Bytes>;
+/// structural key (stable across programs, unlike the dense ids).
+using PlacementMap = std::map<std::pair<int, runtime::TensorKey>, Bytes>;
 
 PlacementMap PersistentPlacements(const runtime::StepProgram& program) {
   PlacementMap out;
@@ -33,7 +32,7 @@ PlacementMap PersistentPlacements(const runtime::StepProgram& program) {
             key.kind != runtime::TensorKind::kOptState) {
           continue;
         }
-        out[{static_cast<int>(d), key.ToString()}] = n.bytes;
+        out[{static_cast<int>(d), key}] = n.bytes;
       }
     }
   }
@@ -102,6 +101,10 @@ Result<AdaptResult> AdaptiveRunner::Run() {
   HealthMonitor monitor(machine_, health);
   bool decided = false;      // one replan decision per run
   TimeSec clock = 0;         // cumulative simulated time across iterations
+  // Each graph is compiled once: every iteration runs the same borrowed
+  // program, and a switchover compiles only the new graph.
+  runtime::StepProgram program =
+      runtime::StepCompiler(result.machine, model, graph, optimizer).Compile();
 
   for (int i = 0; i < options_.iterations; ++i) {
     const runtime::Runtime rt(result.machine, model);
@@ -112,7 +115,7 @@ Result<AdaptResult> AdaptiveRunner::Run() {
     // The monitor only rides along when re-planning is armed: with --replan
     // off the loop is exactly a plain sequence of executions.
     if (options_.replan) ro.trace_sinks.push_back(&monitor);
-    auto metrics = rt.Execute(graph, ro);
+    auto metrics = rt.Execute(graph, program, ro);
     HARMONY_RETURN_IF_ERROR(metrics.status());
     clock += metrics.value().iteration_time;
     result.iterations.push_back(std::move(metrics).value());
@@ -200,11 +203,10 @@ Result<AdaptResult> AdaptiveRunner::Run() {
     // is the modeled downtime of the switch.
     core::TaskGraph new_graph = degraded_scheduler.BuildGraph(
         degraded_profiles, candidate.value().config, mode_, minibatch_, flags_);
-    const PlacementMap old_placement = PersistentPlacements(
-        runtime::StepCompiler(result.machine, model, graph, optimizer)
-            .Compile());
-    const PlacementMap new_placement = PersistentPlacements(
-        runtime::StepCompiler(degraded, model, new_graph, optimizer).Compile());
+    runtime::StepProgram new_program =
+        runtime::StepCompiler(degraded, model, new_graph, optimizer).Compile();
+    const PlacementMap old_placement = PersistentPlacements(program);
+    const PlacementMap new_placement = PersistentPlacements(new_program);
     for (const auto& [key, bytes] : old_placement) {
       if (new_placement.find(key) == new_placement.end()) {
         decision.orphan_evict_bytes += bytes;
@@ -227,6 +229,7 @@ Result<AdaptResult> AdaptiveRunner::Run() {
     result.machine = degraded;
     result.config = candidate.value().config;
     graph = std::move(new_graph);
+    program = std::move(new_program);
     current_estimate = decision.new_estimate_seconds;
     // The degradation now lives in the machine descriptor; injecting it
     // again next iteration would double-count the damage.

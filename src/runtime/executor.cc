@@ -10,12 +10,12 @@
 namespace harmony::runtime {
 
 Executor::Executor(const hw::MachineSpec& machine, const core::TaskGraph& graph,
-                   const RuntimeOptions& options, StepProgram program,
+                   const RuntimeOptions& options, const StepProgram& program,
                    trace::TraceBus* bus, trace::MetricsSink* metrics)
     : machine_(machine),
       graph_(graph),
       options_(options),
-      program_(std::move(program)),
+      program_(program),
       bus_(bus),
       metrics_(metrics),
       net_(machine),
@@ -131,32 +131,11 @@ void Executor::TryIssue(int d) {
 }
 
 void Executor::IssueStep(int d, int step_idx) {
-  Step& s = program_.steps[d][step_idx];
-  sim::Condition* ready = &conditions_.emplace_back();
-
-  // Join counters across needs + produces.
-  struct Join {
-    int commits_left;
-    int arrivals_left;
-  };
-  // Shared ownership so a wedged schedule (arrivals that never happen)
-  // releases the join with the waiter closures at teardown instead of
-  // leaking it.
-  auto join = std::make_shared<Join>(Join{0, 0});
-  join->commits_left = static_cast<int>(s.needs.size() + s.produces.size()) + 1;
-  join->arrivals_left = join->commits_left;
-
-  // Materialized as std::function once per step: EnsureResident takes these
-  // by const reference, so the per-need fast path performs no copies.
-  const std::function<void()> committed = [this, d, join]() {
-    if (--join->commits_left == 0) {
-      issue_busy_[d] = false;
-      TryIssue(d);
-    }
-  };
-  const std::function<void()> arrived = [join, ready]() {
-    if (--join->arrivals_left == 0) ready->Fire();
-  };
+  const Step& s = program_.steps[d][step_idx];
+  StepJoin& join = joins_[step_base_[d] + step_idx];
+  join.commits_left = static_cast<int>(s.needs.size() + s.produces.size()) + 1;
+  join.arrivals_left = join.commits_left;
+  join.ready = &conditions_.emplace_back(&engine_);
 
   // Push the compute op first: the sentinel commit below can re-enter
   // TryIssue and push the next step's op, and the compute stream must stay
@@ -166,27 +145,33 @@ void Executor::IssueStep(int d, int step_idx) {
     label = "t" + std::to_string(s.task) + " step" + std::to_string(step_idx);
   }
   compute_[d]
-      ->PushTimed({ready}, std::move(label), s.task,
-                  program_.steps[d][step_idx].compute)
+      ->PushTimed({join.ready}, std::move(label), s.task, s.compute)
       ->OnFire([this, d, step_idx]() { FinishStep(d, step_idx); });
 
-  for (const NeedSpec& n : s.needs) {
-    residency_->EnsureResident(d, n.id, n.bytes, n.from_host, committed,
-                               arrived);
-  }
+  const StepToken token{d, step_idx};
+  for (const NeedSpec& n : s.needs) residency_->EnsureResident(n, token);
   for (const ProduceSpec& p : s.produces) {
-    residency_->AllocForProduce(d, p, [committed, arrived]() {
-      committed();
-      arrived();
-    });
+    residency_->AllocForProduce(p, token);
   }
   // The +1 sentinel resolves immediately (handles empty lists).
-  committed();
-  arrived();
+  OnCommitted(token);
+  OnArrived(token);
+}
+
+void Executor::OnCommitted(StepToken token) {
+  if (--joins_[step_base_[token.device] + token.step].commits_left == 0) {
+    issue_busy_[token.device] = false;
+    TryIssue(token.device);
+  }
+}
+
+void Executor::OnArrived(StepToken token) {
+  StepJoin& join = joins_[step_base_[token.device] + token.step];
+  if (--join.arrivals_left == 0) join.ready->Fire();
 }
 
 void Executor::FinishStep(int d, int step_idx) {
-  Step& s = program_.steps[d][step_idx];
+  const Step& s = program_.steps[d][step_idx];
 
   // 1. Unpin this step's tensors.
   for (const NeedSpec& n : s.needs) residency_->UnpinNeed(d, n.id);
@@ -214,7 +199,7 @@ void Executor::FinishStep(int d, int step_idx) {
 
 void Executor::AdvanceCpu(int d) {
   if (failed_ || cpu_next_[d] >= program_.cpu_steps[d].size()) return;
-  CpuStep& s = program_.cpu_steps[d][cpu_next_[d]];
+  const CpuStep& s = program_.cpu_steps[d][cpu_next_[d]];
   auto retry = [this, d]() { AdvanceCpu(d); };
 
   // Wait for producing (and, without jit, all) backward tasks first; then
@@ -239,10 +224,9 @@ void Executor::AdvanceCpu(int d) {
     label = "t" + std::to_string(s.task) + " cpu-update";
   }
   cpu_[d]
-      ->PushTimed({}, std::move(label), s.task,
-                  program_.cpu_steps[d][cpu_next_[d]].duration)
+      ->PushTimed({}, std::move(label), s.task, s.duration)
       ->OnFire([this, d]() {
-        CpuStep& step = program_.cpu_steps[d][cpu_next_[d]];
+        const CpuStep& step = program_.cpu_steps[d][cpu_next_[d]];
         for (const TensorId k : step.host_frees) {
           residency_->ReleaseHostCopy(k);
         }
@@ -298,6 +282,8 @@ std::string Executor::DescribeStuck() {
 Result<RunMetrics> Executor::Run() {
   const int N = graph_.num_devices;
   HARMONY_CHECK_LE(N, machine_.num_gpus);
+  HARMONY_CHECK_EQ(program_.steps.size(), static_cast<size_t>(N))
+      << "program compiled for another task graph";
 
   // Static host footprint: master weights + optimizer state (+ scheme
   // overheads like ZeRO staging buffers).
@@ -361,22 +347,23 @@ Result<RunMetrics> Executor::Run() {
   env.steps_in_flight = [this](int d) {
     return issue_next_[d] - steps_done_[d] > 1;
   };
+  env.committed = [this](StepToken token) { OnCommitted(token); };
+  env.arrived = [this](StepToken token) { OnArrived(token); };
   env.injector = injector_.get();
   if (injector_ != nullptr && plan.transfer_failure_rate > 0) {
-    env.transfer = [this](const std::vector<int>& path, Bytes bytes,
-                          int device, std::function<void()> done) {
-      chaos_->StartReliableFlow(&flows_, path, bytes, device, std::move(done));
-    };
-  } else {
-    env.transfer = [this](const std::vector<int>& path, Bytes bytes, int,
-                          std::function<void()> done) {
-      flows_.StartFlow(path, bytes, std::move(done));
-    };
+    env.reliable = chaos_.get();
   }
   residency_ = std::make_unique<Residency>(graph_, std::move(capacities),
                                            &program_, std::move(env), bus_);
   residency_->SetStaticHostBytes(static_host);
 
+  size_t num_steps = 0;
+  step_base_.clear();
+  for (const auto& dev : program_.steps) {
+    step_base_.push_back(num_steps);
+    num_steps += dev.size();
+  }
+  joins_.assign(num_steps, {});
   issue_next_.assign(N, 0);
   steps_done_.assign(N, 0);
   issue_busy_.assign(N, false);

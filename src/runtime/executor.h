@@ -23,14 +23,16 @@ namespace harmony::runtime {
 
 /// The driving layer of the execution pipeline: issues a compiled StepProgram
 /// onto the discrete-event simulator. Owns the engine, the five CUDA-like
-/// streams per GPU, the issue windows (double-buffered prefetch), and the
-/// task-completion bookkeeping; delegates every residency decision to the
-/// Residency layer. All byte/time accounting flows through the trace bus into
-/// MetricsSink, from which the final RunMetrics is folded.
+/// streams per GPU, the issue windows (double-buffered prefetch), the per-step
+/// join counters, and the task-completion bookkeeping; delegates every
+/// residency decision to the Residency layer. All byte/time accounting flows
+/// through the trace bus into MetricsSink, from which the final RunMetrics is
+/// folded. The program is borrowed read-only: every piece of run state lives
+/// here, so one compiled program can drive any number of executors.
 class Executor {
  public:
   Executor(const hw::MachineSpec& machine, const core::TaskGraph& graph,
-           const RuntimeOptions& options, StepProgram program,
+           const RuntimeOptions& options, const StepProgram& program,
            trace::TraceBus* bus, trace::MetricsSink* metrics);
 
   /// Runs the program to completion and folds the metrics. Fails with
@@ -42,6 +44,10 @@ class Executor {
   void Fail(Status status);
   void TryIssue(int d);
   void IssueStep(int d, int step_idx);
+  /// Residency continuations for one step: an allocation was granted, a
+  /// tensor arrived.
+  void OnCommitted(StepToken token);
+  void OnArrived(StepToken token);
   void FinishStep(int d, int step_idx);
   void AdvanceCpu(int d);
   void OnTaskStepDone(int task);
@@ -65,7 +71,7 @@ class Executor {
   const hw::MachineSpec& machine_;
   const core::TaskGraph& graph_;
   RuntimeOptions options_;
-  StepProgram program_;
+  const StepProgram& program_;
   trace::TraceBus* bus_;
   trace::MetricsSink* metrics_;
 
@@ -79,6 +85,19 @@ class Executor {
   // Deque for pointer stability; direct storage — one allocation per deque
   // block, not per step.
   std::deque<sim::Condition> conditions_;
+
+  /// Issue-time join of one GPU step, in a flat array over the program
+  /// (index step_base_[d] + step): the step's slot recycles once every
+  /// allocation committed, and `ready` (its compute op's dependency) fires
+  /// once every tensor arrived. Both counts start at needs + produces + 1;
+  /// the +1 is a sentinel the issuer resolves after registering them all.
+  struct StepJoin {
+    int commits_left = 0;
+    int arrivals_left = 0;
+    sim::Condition* ready = nullptr;
+  };
+  std::vector<StepJoin> joins_;
+  std::vector<size_t> step_base_;  // per device: first index into joins_
 
   // Driving state.
   std::vector<size_t> issue_next_, steps_done_;

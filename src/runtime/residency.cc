@@ -25,6 +25,15 @@ Residency::Residency(const core::TaskGraph& graph,
   evictions_in_flight_.assign(capacities.size(), 0);
 }
 
+Residency::~Residency() {
+  for (TensorId id = 0; id < table_.size(); ++id) {
+    TensorState& st = table_.Get(id);
+    st.creation_waiters.DropAll(env_.engine);
+    st.arrival_waiters.DropAll(env_.engine);
+    st.host_waiters.DropAll(env_.engine);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Trace plumbing
 // ---------------------------------------------------------------------------
@@ -138,27 +147,32 @@ void Residency::FreeTensor(TensorId id) {
 }
 
 void Residency::HostArrived(TensorId id) {
-  TensorState& st = table_.Get(id);
-  auto waiters = std::move(st.host_waiters);
-  st.host_waiters.clear();
-  for (auto& w : waiters) w();
+  table_.Get(id).host_waiters.RunAll(env_.engine);
 }
 
 // ---------------------------------------------------------------------------
 // Allocation & eviction
 // ---------------------------------------------------------------------------
 
-void Residency::AllocForProduce(int d, const ProduceSpec& p,
-                                std::function<void()> granted) {
+void Residency::AllocForProduce(const ProduceSpec& p, StepToken token) {
   table_.Get(p.id).bytes = p.bytes;
-  RequestAlloc(d, p.id, p.bytes, std::move(granted));
+  RequestAlloc(token.device, AllocReq{p.id, p.bytes, token});
 }
 
-void Residency::RequestAlloc(int d, TensorId id, Bytes bytes,
-                             std::function<void()> granted) {
-  TraceTensor(id, "alloc-request", d);
-  alloc_queue_[d].push_back(AllocReq{id, bytes, std::move(granted)});
+void Residency::RequestAlloc(int d, const AllocReq& req) {
+  TraceTensor(req.id, "alloc-request", d);
+  alloc_queue_[d].push_back(req);
   PumpAllocator(d);
+}
+
+void Residency::Grant(int d, const AllocReq& req) {
+  if (req.fetch) {
+    StartFetch(req.id, req.src, req.token);
+    return;
+  }
+  HARMONY_DCHECK_EQ(d, req.token.device);
+  env_.committed(req.token);
+  env_.arrived(req.token);
 }
 
 void Residency::PumpAllocator(int d) {
@@ -177,9 +191,9 @@ void Residency::PumpAllocator(int d) {
       // reuse the existing allocation.
       TraceTensor(req.id, "alloc-reuse", d);
       mem_[d].Pin(req.id);
-      auto granted = std::move(req.granted);
+      const AllocReq granted = req;
       alloc_queue_[d].pop_front();
-      granted();
+      Grant(d, granted);
       continue;
     }
     if (req.bytes <= mem_[d].free_bytes()) {
@@ -214,9 +228,9 @@ void Residency::PumpAllocator(int d) {
       mem_[d].Pin(req.id);
       EmitInstant(trace::EventKind::kDeviceBytes, trace::Lane::kAlloc, d,
                   mem_[d].used());
-      auto granted = std::move(req.granted);
+      const AllocReq granted = req;
       alloc_queue_[d].pop_front();
-      granted();
+      Grant(d, granted);
       continue;
     }
     const Bytes deficit = req.bytes - mem_[d].free_bytes();
@@ -313,8 +327,8 @@ void Residency::StartEviction(int d, TensorId id, bool fault_recovery) {
   ++evictions_in_flight_[d];
   const Bytes bytes = st.bytes;
   sim::Condition* flow_done =
-      env_.swapout[d]->Push({}, [this, d, bytes](std::function<void()> done) {
-        env_.transfer(env_.net->SwapOutPath(d), bytes, d, std::move(done));
+      env_.swapout[d]->Push({}, [this, d, bytes](sim::Stream::Done done) {
+        Transfer(env_.net->SwapOutPath(d), bytes, d, done);
       });
   flow_done->OnFire([this, d, id, fault_recovery]() {
     TensorState& st = table_.Get(id);
@@ -380,42 +394,37 @@ Bytes Residency::ReleaseFaultPressure(int d) {
 // Fetching
 // ---------------------------------------------------------------------------
 
-void Residency::EnsureResident(int d, TensorId id, Bytes bytes, bool from_host,
-                               const std::function<void()>& committed,
-                               const std::function<void()>& arrived) {
+void Residency::EnsureResident(const NeedSpec& need, StepToken token) {
   if (env_.failed()) return;
-  TensorState& st = table_.Get(id);
-  // Built lazily: the resident-hit fast path below never copies the
-  // callbacks, and every wait path pays for the capture only when taken.
-  auto retry = [&]() {
-    return [this, d, id, bytes, from_host, committed, arrived]() {
-      EnsureResident(d, id, bytes, from_host, committed, arrived);
-    };
-  };
-  if (!st.exists) {
-    if (!AutoCreate(id, bytes)) {
-      st.creation_waiters.push_back(retry());  // wait for the producer
+  const int d = token.device;
+  const TensorId id = need.id;
+  // Every wait re-runs this with the same (need, token): the need lives in
+  // the borrowed program, so the waiter is three words, held inline.
+  auto retry = [this, need = &need, token]() { EnsureResident(*need, token); };
+  TensorState& state = table_.Get(id);
+  if (!state.exists) {
+    if (!AutoCreate(id, need.bytes)) {
+      state.creation_waiters.Add(env_.engine, retry);  // wait for the producer
       return;
     }
   }
-  TensorState& state = table_.Get(id);
   if (state.UsableOn(d)) {
     TraceTensor(id, "need-hit", d);
     mem_[d].Pin(id);
     mem_[d].Touch(id);
-    committed();
-    arrived();
+    env_.committed(token);
+    env_.arrived(token);
     return;
   }
   if (state.fetch_in_flight) {
     // Another consumer is already pulling a copy; join and re-evaluate when
     // it lands.
-    state.arrival_waiters.push_back(retry());
+    state.arrival_waiters.Add(env_.engine, retry);
     return;
   }
   if (state.ResidentOn(d)) {
     // Our copy is being evicted; wait for the host copy and fetch it back.
-    state.host_waiters.push_back(retry());
+    state.host_waiters.Add(env_.engine, retry);
     return;
   }
   // Pick a source: the host copy when available (and mandatory for
@@ -423,14 +432,14 @@ void Residency::EnsureResident(int d, TensorId id, Bytes bytes, bool from_host,
   // copy for a p2p transfer.
   int src = -1;
   if (!state.on_host) {
-    if (from_host) {
-      state.host_waiters.push_back(retry());  // the producer's copy is coming
+    if (need.from_host) {
+      state.host_waiters.Add(env_.engine, retry);  // the producer's copy is coming
       return;
     }
     src = state.StableGpu();
     if (src < 0) {
       // All copies are mid-eviction: the data will surface on host.
-      state.host_waiters.push_back(retry());
+      state.host_waiters.Add(env_.engine, retry);
       return;
     }
   }
@@ -438,112 +447,120 @@ void Residency::EnsureResident(int d, TensorId id, Bytes bytes, bool from_host,
   state.inflight_dst = d;
   if (src >= 0) mem_[src].Pin(id);  // hold the source copy during transfer
 
-  RequestAlloc(d, id, state.bytes, [this, d, id, src, committed, arrived]() {
-    committed();
-    TensorState& st = table_.Get(id);
-    const Bytes bytes = st.bytes;
-    // Chaos classification: a refetch healing a fault eviction on this
-    // device is recovery traffic (the fault-free run would have hit in
-    // device memory); a fetch forced through a fault-created host copy
-    // instead accounts the transfer the fault-free run would have made from
-    // the evicted device.
-    const bool heal = st.FaultEvictedOn(d);
-    int ghost_src = -1;
+  AllocReq req{id, state.bytes, token};
+  req.fetch = true;
+  req.src = src;
+  RequestAlloc(d, req);
+}
+
+void Residency::StartFetch(TensorId id, int src, StepToken token) {
+  const int d = token.device;
+  env_.committed(token);
+  TensorState& st = table_.Get(id);
+  const Bytes bytes = st.bytes;
+  // Chaos classification: a refetch healing a fault eviction on this
+  // device is recovery traffic (the fault-free run would have hit in
+  // device memory); a fetch forced through a fault-created host copy
+  // instead accounts the transfer the fault-free run would have made from
+  // the evicted device.
+  const bool heal = st.FaultEvictedOn(d);
+  int ghost_src = -1;
+  if (heal) {
+    st.SetFaultEvicted(d, false);
+  } else if (src < 0 && st.fault_host_copy && st.fault_evicted_gpus != 0) {
+    ghost_src = std::countr_zero(st.fault_evicted_gpus);
+  }
+  if (src < 0) {
+    // Host -> device swap-in.
+    HARMONY_CHECK(st.on_host) << KeyOf(id).ToString() << " has no source copy";
     if (heal) {
-      st.SetFaultEvicted(d, false);
-    } else if (src < 0 && st.fault_host_copy && st.fault_evicted_gpus != 0) {
-      ghost_src = std::countr_zero(st.fault_evicted_gpus);
-    }
-    auto finish = [this, d, id, src, arrived]() {
-      TensorState& st = table_.Get(id);
-      TraceTensor(id, "fetch-arrive", d);
-      if (src >= 0) mem_[src].Unpin(id);  // source copy stays (it's a copy)
-      st.SetResident(d, true);
-      st.fetch_in_flight = false;
-      st.inflight_dst = -1;
-      auto waiters = std::move(st.arrival_waiters);
-      st.arrival_waiters.clear();
-      arrived();
-      for (auto& w : waiters) w();
-    };
-    if (src < 0) {
-      // Host -> device swap-in.
-      HARMONY_CHECK(st.on_host) << KeyOf(id).ToString() << " has no source copy";
-      if (heal) {
-        EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
-      } else if (ghost_src >= 0) {
-        // Physical host swap-in standing in for the p2p (or host bounce)
-        // the fault-free run would have made from the evicted device.
-        if (graph_.flags.p2p_transfers) {
-          EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d,
-                      bytes);
-        } else {
-          EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut,
-                      ghost_src, bytes);
-          EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
-                      bytes);
-        }
-        EmitFault(trace::EventKind::kFaultRecovered, d, 0, "mem-pressure");
+      EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
+    } else if (ghost_src >= 0) {
+      // Physical host swap-in standing in for the p2p (or host bounce)
+      // the fault-free run would have made from the evicted device.
+      if (graph_.flags.p2p_transfers) {
+        EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d,
+                    bytes);
       } else {
+        EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut,
+                    ghost_src, bytes);
         EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
                     bytes);
       }
-      env_.swapin[d]->Push({}, [this, d, bytes,
-                                finish](std::function<void()> done) {
-        env_.transfer(env_.net->SwapInPath(d), bytes, d, [done, finish]() {
-          finish();
-          done();
-        });
-      });
-      return;
-    }
-    if (graph_.flags.p2p_transfers) {
-      if (heal) {
-        EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
-      } else {
-        EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d,
-                    bytes);
-      }
-      env_.p2pin[d]->Push({}, [this, d, src, bytes,
-                               finish](std::function<void()> done) {
-        env_.transfer(env_.net->P2pPath(src, d), bytes, d,
-                      [done, finish]() {
-                        finish();
-                        done();
-                      });
-      });
-      return;
-    }
-    // p2p disabled: bounce through host memory as two swaps.
-    if (heal) {
-      EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
+      EmitFault(trace::EventKind::kFaultRecovered, d, 0, "mem-pressure");
     } else {
-      EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, src,
-                  bytes);
       EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
                   bytes);
     }
-    env_.swapout[src]->Push({}, [this, src, d, bytes, id,
-                                 finish](std::function<void()> done) {
-      env_.transfer(env_.net->SwapOutPath(src), bytes, src,
-                            [this, d, bytes, id, finish, done]() {
-        TensorState& st = table_.Get(id);
-        if (!st.on_host) {
-          AddHostBuffer(&st);
-          st.on_host = true;
-        }
-        env_.swapin[d]->Push({}, [this, d, bytes,
-                                  finish](std::function<void()> in_done) {
-          env_.transfer(env_.net->SwapInPath(d), bytes, d,
-                        [finish, in_done]() {
-                          finish();
-                          in_done();
-                        });
-        });
-        done();
-      });
+    env_.swapin[d]->Push({}, [this, id, token, bytes](sim::Stream::Done done) {
+      Transfer(env_.net->SwapInPath(token.device), bytes, token.device,
+               [this, id, token, done]() {
+                 FinishFetch(id, -1, token);
+                 done();
+               });
+    });
+    return;
+  }
+  if (graph_.flags.p2p_transfers) {
+    if (heal) {
+      EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
+    } else {
+      EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d, bytes);
+    }
+    env_.p2pin[d]->Push({}, [this, id, src, token,
+                             bytes](sim::Stream::Done done) {
+      Transfer(env_.net->P2pPath(src, token.device), bytes, token.device,
+               [this, id, src, token, done]() {
+                 FinishFetch(id, src, token);
+                 done();
+               });
+    });
+    return;
+  }
+  // p2p disabled: bounce through host memory as two swaps.
+  if (heal) {
+    EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
+  } else {
+    EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, src,
+                bytes);
+    EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
+                bytes);
+  }
+  env_.swapout[src]->Push({}, [this, id, src, token,
+                               bytes](sim::Stream::Done done) {
+    Transfer(env_.net->SwapOutPath(src), bytes, src, [this, id, src, token,
+                                                      bytes, done]() {
+      TensorState& st = table_.Get(id);
+      if (!st.on_host) {
+        AddHostBuffer(&st);
+        st.on_host = true;
+      }
+      env_.swapin[token.device]->Push(
+          {}, [this, id, src, token, bytes](sim::Stream::Done in_done) {
+            Transfer(env_.net->SwapInPath(token.device), bytes, token.device,
+                     [this, id, src, token, in_done]() {
+                       FinishFetch(id, src, token);
+                       in_done();
+                     });
+          });
+      done();
     });
   });
+}
+
+void Residency::FinishFetch(TensorId id, int src, StepToken token) {
+  const int d = token.device;
+  TensorState& st = table_.Get(id);
+  TraceTensor(id, "fetch-arrive", d);
+  if (src >= 0) mem_[src].Unpin(id);  // source copy stays (it's a copy)
+  st.SetResident(d, true);
+  st.fetch_in_flight = false;
+  st.inflight_dst = -1;
+  // Detached before the step hears of the arrival: waiters that register
+  // while it reacts wait for the next arrival.
+  sim::WaiterList waiters = std::move(st.arrival_waiters);
+  env_.arrived(token);
+  waiters.RunAll(env_.engine);
 }
 
 // ---------------------------------------------------------------------------
@@ -563,9 +580,7 @@ void Residency::FinalizeProduce(int d, const ProduceSpec& p) {
   if (!st.exists) {
     st.exists = true;
     st.refs_remaining = RefCount(p.id);
-    auto waiters = std::move(st.creation_waiters);
-    st.creation_waiters.clear();
-    for (auto& w : waiters) w();
+    st.creation_waiters.RunAll(env_.engine);
   }
   TraceTensor(p.id, "produce-unpin", d);
   mem_[d].Unpin(p.id);
@@ -601,9 +616,8 @@ void Residency::CopyToHost(int d, TensorId id) {
   const Bytes bytes = st.bytes;
   EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, d,
               bytes);
-  env_.swapout[d]->Push({}, [this, d, bytes, id](std::function<void()> done) {
-    env_.transfer(env_.net->SwapOutPath(d), bytes, d, [this, d, id,
-                                                            done]() {
+  env_.swapout[d]->Push({}, [this, d, id, bytes](sim::Stream::Done done) {
+    Transfer(env_.net->SwapOutPath(d), bytes, d, [this, d, id, done]() {
       TensorState& st = table_.Get(id);
       if (st.exists && !st.on_host) {
         AddHostBuffer(&st);
@@ -648,9 +662,8 @@ void Residency::MoveToHost(int d, TensorId id) {
   const Bytes bytes = st.bytes;
   EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, d,
               bytes);
-  env_.swapout[d]->Push({}, [this, d, bytes, id](std::function<void()> done) {
-    env_.transfer(env_.net->SwapOutPath(d), bytes, d, [this, d, id,
-                                                            done]() {
+  env_.swapout[d]->Push({}, [this, d, id, bytes](sim::Stream::Done done) {
+    Transfer(env_.net->SwapOutPath(d), bytes, d, [this, d, id, done]() {
       TensorState& st = table_.Get(id);
       if (st.exists && !st.on_host) {
         AddHostBuffer(&st);

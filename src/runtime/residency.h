@@ -4,10 +4,12 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/task_graph.h"
+#include "fault/chaos.h"
 #include "fault/fault.h"
 #include "runtime/memory_manager.h"
 #include "runtime/step.h"
@@ -50,13 +52,14 @@ class Residency {
     std::function<void(Status)> fail;
     std::function<bool()> failed;
     std::function<bool(int)> steps_in_flight;  // >1 outstanding steps on d?
+    /// Step continuations: a step's allocation was granted (its issue slot
+    /// can recycle), and one of its tensors is resident.
+    std::function<void(StepToken)> committed;
+    std::function<void(StepToken)> arrived;
 
-    /// Transfer launcher: FlowNetwork::StartFlow directly on fault-free
-    /// runs, or the chaos driver's retry-with-backoff wrapper when transfer
-    /// failures are armed. (path, bytes, device-for-attribution, done).
-    std::function<void(const std::vector<int>&, Bytes, int,
-                       std::function<void()>)>
-        transfer;
+    /// Transfers go through this driver's retry-with-backoff wrapper when
+    /// transfer failures are armed; null = FlowNetwork::StartFlow directly.
+    fault::ChaosDriver* reliable = nullptr;
     /// Fault decision oracle; null = chaos disabled (every injection site
     /// pays one branch).
     fault::FaultInjector* injector = nullptr;
@@ -66,29 +69,26 @@ class Residency {
   /// table and its ref_counts seed consumer counts.
   Residency(const core::TaskGraph& graph, std::vector<Bytes> capacities,
             const StepProgram* program, Env env, trace::TraceBus* bus);
+  Residency(const Residency&) = delete;
+  Residency& operator=(const Residency&) = delete;
+  /// Drops the continuations of a run that ended with tensors still awaited
+  /// (a failed or wedged schedule) without running them.
+  ~Residency();
 
   // --- allocation & fetching (issue side) ---------------------------------
 
-  /// Makes `id` usable on device `d`: waits for production if needed, then
-  /// pins an existing copy or allocates + fetches one (host swap-in, p2p, or
-  /// a host bounce when p2p is off). `committed` fires once the allocation is
-  /// granted (the step's issue slot can recycle); `arrived` once the bytes
-  /// are resident. Taken by const reference: the resident-hit fast path
-  /// invokes both synchronously without ever copying them; only the wait and
-  /// fetch paths capture copies into continuations.
-  void EnsureResident(int d, TensorId id, Bytes bytes, bool from_host,
-                      const std::function<void()>& committed,
-                      const std::function<void()>& arrived);
+  /// Makes `need` usable on the device of `token`'s step: waits for
+  /// production if needed, then pins an existing copy or allocates + fetches
+  /// one (host swap-in, p2p, or a host bounce when p2p is off). Env::committed
+  /// fires for `token` once the allocation is granted, Env::arrived once the
+  /// bytes are resident. `need` lives in the borrowed program, so a wait
+  /// holds only (need, token).
+  void EnsureResident(const NeedSpec& need, StepToken token);
 
-  /// Queues an allocation of `bytes` for `id` on `d`; `granted` fires with
-  /// the tensor pinned. FIFO per device; triggers eviction on pressure.
-  void RequestAlloc(int d, TensorId id, Bytes bytes,
-                    std::function<void()> granted);
-
-  /// Allocation for a tensor this step will write: records the size and
-  /// queues the allocation (residency is finalized by FinalizeProduce).
-  void AllocForProduce(int d, const ProduceSpec& p,
-                       std::function<void()> granted);
+  /// Allocation for a tensor `token`'s step will write: records the size and
+  /// queues the allocation (residency is finalized by FinalizeProduce); the
+  /// grant commits and arrives for `token`.
+  void AllocForProduce(const ProduceSpec& p, StepToken token);
 
   /// Drains device `d`'s allocation queue as far as memory allows.
   void PumpAllocator(int d);
@@ -116,7 +116,10 @@ class Residency {
   /// True when a final host copy of `id` exists.
   bool HostReady(TensorId id);
   /// Runs `fn` when a host copy of `id` next becomes available.
-  void AddHostWaiter(TensorId id, std::function<void()> fn);
+  template <typename F>
+  void AddHostWaiter(TensorId id, F&& fn) {
+    table_.Get(id).host_waiters.Add(env_.engine, std::forward<F>(fn));
+  }
   /// Releases a consumed host copy (gradient applied by the CPU optimizer).
   void ReleaseHostCopy(TensorId id);
 
@@ -146,6 +149,39 @@ class Residency {
   const TensorKey& KeyOf(TensorId id) const { return program_->tensors.key(id); }
 
  private:
+  /// One queued allocation: a produce (granted = commit + arrive) or a fetch
+  /// from `src` (-1 = host), both on behalf of `token`'s step.
+  struct AllocReq {
+    TensorId id;
+    Bytes bytes;
+    StepToken token;
+    bool fetch = false;
+    int src = -1;
+    int fault_attempts = 0;    // injected alloc-failures consumed so far
+    bool fault_waiting = false;  // a backoff retry timer owns this slot
+  };
+  /// Queues `req` on `d`. FIFO per device; triggers eviction on pressure.
+  void RequestAlloc(int d, const AllocReq& req);
+  /// The allocation of `req` was granted on `d` with the tensor pinned.
+  void Grant(int d, const AllocReq& req);
+  /// Granted fetch: moves the bytes from `src` (-1 = host) to the device of
+  /// `token`'s step.
+  void StartFetch(TensorId id, int src, StepToken token);
+  /// The fetched copy landed: releases the source and wakes waiters.
+  void FinishFetch(TensorId id, int src, StepToken token);
+  /// Starts a flow, through the chaos retry wrapper when transfer failures
+  /// are armed.
+  template <typename F>
+  void Transfer(const std::vector<int>& path, Bytes bytes, int device,
+                F&& done) {
+    if (env_.reliable != nullptr) {
+      env_.reliable->StartReliableFlow(env_.flows, path, bytes, device,
+                                       std::forward<F>(done));
+    } else {
+      env_.flows->StartFlow(path, bytes, std::forward<F>(done));
+    }
+  }
+
   bool AutoCreate(TensorId id, Bytes bytes);
   /// `fault_recovery` evictions exist only because an injected pressure
   /// spike forced them: they account as kFaultRecovered (not kEvict /
@@ -172,13 +208,6 @@ class Residency {
   std::vector<DeviceMemory> mem_;
   TensorTable table_;
 
-  struct AllocReq {
-    TensorId id;
-    Bytes bytes;
-    std::function<void()> granted;
-    int fault_attempts = 0;    // injected alloc-failures consumed so far
-    bool fault_waiting = false;  // a backoff retry timer owns this slot
-  };
   std::vector<std::deque<AllocReq>> alloc_queue_;
   std::vector<int> evictions_in_flight_;
 

@@ -17,10 +17,6 @@ bool Residency::HostReady(TensorId id) {
   return st.exists && st.on_host;
 }
 
-void Residency::AddHostWaiter(TensorId id, std::function<void()> fn) {
-  table_.Get(id).host_waiters.push_back(std::move(fn));
-}
-
 void Residency::ReleaseHostCopy(TensorId id) {
   TensorState& st = table_.Get(id);
   if (st.on_host) {

@@ -16,9 +16,18 @@ Runtime::Runtime(hw::MachineSpec machine, const model::SequentialModel& model)
 Result<RunMetrics> Runtime::Execute(const core::TaskGraph& graph,
                                     const RuntimeOptions& options) const {
   // The execution pipeline: compile the task graph to a step program, then
-  // drive it on the simulator with every observation routed over the trace
-  // bus. MetricsSink is always attached — RunMetrics is folded from its
-  // events rather than counted ad hoc.
+  // drive it on the simulator.
+  const StepProgram program =
+      StepCompiler(machine_, model_, graph, options.optimizer).Compile();
+  return Execute(graph, program, options);
+}
+
+Result<RunMetrics> Runtime::Execute(const core::TaskGraph& graph,
+                                    const StepProgram& program,
+                                    const RuntimeOptions& options) const {
+  // Every observation is routed over the trace bus. MetricsSink is always
+  // attached — RunMetrics is folded from its events rather than counted ad
+  // hoc.
   trace::TraceBus bus;
   trace::MetricsSink metrics(graph.num_devices);
   bus.AddSink(&metrics);
@@ -31,9 +40,7 @@ Result<RunMetrics> Runtime::Execute(const core::TaskGraph& graph,
     if (sink != nullptr) bus.AddSink(sink);
   }
 
-  StepCompiler compiler(machine_, model_, graph, options.optimizer);
-  Executor executor(machine_, graph, options, compiler.Compile(), &bus,
-                    &metrics);
+  Executor executor(machine_, graph, options, program, &bus, &metrics);
   return executor.Run();
 }
 

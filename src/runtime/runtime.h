@@ -11,6 +11,7 @@
 #include "hw/machine.h"
 #include "model/layer.h"
 #include "model/memory.h"
+#include "runtime/step.h"
 
 namespace harmony::trace {
 class TraceSink;
@@ -105,10 +106,19 @@ class Runtime {
  public:
   Runtime(hw::MachineSpec machine, const model::SequentialModel& model);
 
-  /// Executes one training iteration of `graph` and returns its metrics.
-  /// Fails with OutOfMemory when a working set cannot fit even with all
-  /// evictable tensors swapped out, or when host memory is exhausted.
+  /// Executes one training iteration of `graph` and returns its metrics:
+  /// lowers it with a StepCompiler, then runs that program (below). Fails
+  /// with OutOfMemory when a working set cannot fit even with all evictable
+  /// tensors swapped out, or when host memory is exhausted.
   Result<RunMetrics> Execute(const core::TaskGraph& graph,
+                             const RuntimeOptions& options = {}) const;
+
+  /// Executes `program`, compiled from `graph` by a StepCompiler on this
+  /// runtime's machine and model with `options.optimizer`. The program is
+  /// borrowed read-only and left as it was, so a caller that runs one graph
+  /// many times (the adaptive runner's iterations) compiles it once.
+  Result<RunMetrics> Execute(const core::TaskGraph& graph,
+                             const StepProgram& program,
                              const RuntimeOptions& options = {}) const;
 
  private:

@@ -1,6 +1,7 @@
 #ifndef HARMONY_RUNTIME_STEP_H_
 #define HARMONY_RUNTIME_STEP_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,16 +29,25 @@ struct ProduceSpec {
 /// executor issues a step's fetches/allocations, runs its compute on the
 /// compute stream, then applies the post actions. Tensors are referenced by
 /// the dense TensorId interned at lowering time; the program's catalog maps
-/// ids back to structural TensorKeys for diagnostics.
+/// ids back to structural TensorKeys for diagnostics. The lists are spans
+/// into the owning StepProgram's pools (CSR storage), valid while it lives.
 struct Step {
   int task = -1;
   TimeSec compute = 0;
-  std::vector<NeedSpec> needs;
-  std::vector<ProduceSpec> produces;
-  std::vector<TensorId> derefs;        // consumed inputs (refcount--)
-  std::vector<TensorId> copy_to_host;  // checkpoint / master write-back
-  std::vector<TensorId> move_to_host;  // gradient push, optimizer state
-  std::vector<TensorId> mark_dirty;
+  std::span<const NeedSpec> needs;
+  std::span<const ProduceSpec> produces;
+  std::span<const TensorId> derefs;        // consumed inputs (refcount--)
+  std::span<const TensorId> copy_to_host;  // checkpoint / master write-back
+  std::span<const TensorId> move_to_host;  // gradient push, optimizer state
+  std::span<const TensorId> mark_dirty;
+};
+
+/// Names one GPU step of a program: the continuation token the residency
+/// layer carries back to the executor when a step's allocation is granted
+/// or its tensor arrives.
+struct StepToken {
+  int device = -1;
+  int step = -1;  // index into StepProgram::steps[device]
 };
 
 /// CPU-offloaded work (weight updates).
@@ -54,8 +64,18 @@ struct CpuStep {
 /// the program touches, and the consumer reference counts (indexed by
 /// TensorId) that drive tensor lifetime. Pure data — executable by the
 /// simulator-backed Executor, and inspectable by tests without any
-/// simulation at all.
+/// simulation at all. A run borrows the program read-only, so one compiled
+/// program serves any number of executions.
+///
+/// Move-only: the steps' spans point into the pools below, which a move
+/// carries along but a copy would not.
 struct StepProgram {
+  StepProgram() = default;
+  StepProgram(StepProgram&&) = default;
+  StepProgram& operator=(StepProgram&&) = default;
+  StepProgram(const StepProgram&) = delete;
+  StepProgram& operator=(const StepProgram&) = delete;
+
   std::vector<std::vector<Step>> steps;         // per device, in issue order
   std::vector<std::vector<CpuStep>> cpu_steps;  // per process, in order
   TensorCatalog tensors;
@@ -63,6 +83,10 @@ struct StepProgram {
   std::vector<int> task_step_counts;            // steps per task (GPU + CPU)
   /// Master weights + optimizer state permanently resident on host.
   Bytes static_host_bytes = 0;
+  /// CSR pools behind every Step's lists, in step order (device-major).
+  std::vector<NeedSpec> need_pool;
+  std::vector<ProduceSpec> produce_pool;
+  std::vector<TensorId> id_pool;  // derefs, copy, move, dirty per step
 
   int64_t num_steps() const {
     int64_t n = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -81,32 +83,87 @@ void StepCompiler::Precompute() {
   for (auto& per_replica : stash_layout_) canonicalize(per_replica);
 }
 
-std::vector<NeedSpec> StepCompiler::BoundaryInputKeys(int boundary, int replica,
-                                                      const MbPiece& piece) {
-  std::vector<NeedSpec> out;
-  if (boundary_bytes_[boundary] == 0) return out;
+StepCompiler::Draft& StepCompiler::Begin(int task, TimeSec compute) {
+  draft_.task = task;
+  draft_.compute = compute;
+  draft_.needs.clear();
+  draft_.produces.clear();
+  draft_.derefs.clear();
+  draft_.copy_to_host.clear();
+  draft_.move_to_host.clear();
+  draft_.mark_dirty.clear();
+  return draft_;
+}
+
+void StepCompiler::Emit(int d) {
+  auto append = [](auto* pool, const auto& list) {
+    pool->insert(pool->end(), list.begin(), list.end());
+    return static_cast<uint32_t>(list.size());
+  };
+  Extent x;
+  x.needs = append(&program_.need_pool, draft_.needs);
+  x.produces = append(&program_.produce_pool, draft_.produces);
+  x.derefs = append(&program_.id_pool, draft_.derefs);
+  x.copy = append(&program_.id_pool, draft_.copy_to_host);
+  x.move = append(&program_.id_pool, draft_.move_to_host);
+  x.dirty = append(&program_.id_pool, draft_.mark_dirty);
+  extents_.push_back(x);
+  Step s;
+  s.task = draft_.task;
+  s.compute = draft_.compute;
+  program_.steps[d].push_back(s);
+}
+
+void StepCompiler::BindSpans() {
+  const NeedSpec* needs = program_.need_pool.data();
+  const ProduceSpec* produces = program_.produce_pool.data();
+  const TensorId* ids = program_.id_pool.data();
+  auto take = [](auto*& cursor, uint32_t n) {
+    std::span<std::remove_reference_t<decltype(*cursor)>> out(cursor, n);
+    cursor += n;
+    return out;
+  };
+  size_t e = 0;
+  for (auto& dev : program_.steps) {
+    for (Step& s : dev) {
+      const Extent& x = extents_[e++];
+      s.needs = take(needs, x.needs);
+      s.produces = take(produces, x.produces);
+      s.derefs = take(ids, x.derefs);
+      s.copy_to_host = take(ids, x.copy);
+      s.move_to_host = take(ids, x.move);
+      s.mark_dirty = take(ids, x.dirty);
+    }
+  }
+}
+
+void StepCompiler::ConsumeBoundaryInput(int boundary, int replica,
+                                        const MbPiece& piece, bool from_host) {
+  if (boundary_bytes_[boundary] == 0) return;
+  auto consume = [&](int begin, int size) {
+    const TensorId id =
+        Id(TensorKey{TensorKind::kActivation, boundary, begin, replica});
+    draft_.needs.push_back(NeedSpec{
+        id, static_cast<Bytes>(size) * boundary_bytes_[boundary], from_host});
+    draft_.derefs.push_back(id);
+  };
   if (boundary == 0 || act_layout_[replica][boundary].empty()) {
     // Data loader (or an unproduced boundary, which AutoCreate rejects):
     // keyed at consumer granularity.
-    out.push_back(NeedSpec{
-        Id(TensorKey{TensorKind::kActivation, boundary, piece.begin, replica}),
-        static_cast<Bytes>(piece.size) * boundary_bytes_[boundary]});
-    return out;
+    consume(piece.begin, piece.size);
+    return;
   }
+  bool any = false;
   for (const MbPiece& p : act_layout_[replica][boundary]) {
     if (!p.Overlaps(piece)) continue;
-    out.push_back(NeedSpec{
-        Id(TensorKey{TensorKind::kActivation, boundary, p.begin, replica}),
-        static_cast<Bytes>(p.size) * boundary_bytes_[boundary]});
+    consume(p.begin, p.size);
+    any = true;
   }
-  HARMONY_CHECK(!out.empty()) << "no producer pieces for boundary " << boundary;
-  return out;
+  HARMONY_CHECK(any) << "no producer pieces for boundary " << boundary;
 }
 
-std::vector<NeedSpec> StepCompiler::StashKeys(int layer, int replica,
-                                              const MbPiece& piece) {
-  std::vector<NeedSpec> out;
-  if (stash_bytes_[layer] == 0) return out;
+void StepCompiler::ConsumeStash(int layer, int replica, const MbPiece& piece) {
+  if (stash_bytes_[layer] == 0) return;
   HARMONY_CHECK(!stash_layout_[replica][layer].empty())
       << "backward without recompute needs stash of layer " << layer;
   // Swapped-out stash lives host-side only (the forward's move released the
@@ -114,31 +171,25 @@ std::vector<NeedSpec> StepCompiler::StashKeys(int layer, int replica,
   const bool swapped = graph_.policy_at(layer) == core::StashPolicy::kSwap;
   for (const MbPiece& p : stash_layout_[replica][layer]) {
     if (!p.Overlaps(piece)) continue;
-    NeedSpec n{Id(TensorKey{TensorKind::kStash, layer, p.begin, replica}),
-               static_cast<Bytes>(p.size) * stash_bytes_[layer]};
-    n.from_host = swapped;
-    out.push_back(n);
+    const TensorId id = Id(TensorKey{TensorKind::kStash, layer, p.begin, replica});
+    draft_.needs.push_back(NeedSpec{
+        id, static_cast<Bytes>(p.size) * stash_bytes_[layer], swapped});
+    draft_.derefs.push_back(id);
   }
-  return out;
 }
 
 void StepCompiler::CompileForward(const Task& t) {
   const int d = t.device;
   for (const MbPiece& piece : t.group) {
     for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-      Step s;
-      s.task = t.id;
-      s.compute = cost_.FwdTime(model_.layers[l].spec, piece.size);
+      Draft& s = Begin(t.id, cost_.FwdTime(model_.layers[l].spec, piece.size));
       const Bytes params = model_.layers[l].spec.param_bytes;
       if (params > 0) {
         s.needs.push_back(
             NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
       }
       if (l == t.pack.lo) {
-        for (const NeedSpec& in : BoundaryInputKeys(l, t.replica, piece)) {
-          s.needs.push_back(in);
-          s.derefs.push_back(in.id);
-        }
+        ConsumeBoundaryInput(l, t.replica, piece, /*from_host=*/false);
       } else if (boundary_bytes_[l] > 0) {
         const TensorId in =
             Id(TensorKey{TensorKind::kActivation, l, piece.begin, t.replica});
@@ -169,7 +220,7 @@ void StepCompiler::CompileForward(const Task& t) {
           s.move_to_host.push_back(st);
         }
       }
-      program_.steps[d].push_back(std::move(s));
+      Emit(d);
     }
   }
 }
@@ -186,28 +237,25 @@ void StepCompiler::CompileBackward(const Task& t) {
   const bool push_grads =
       graph_.flags.cpu_optimizer || graph_.grad_reduce_via_host;
 
-  bool first_piece = true;
-  for (const MbPiece& piece : t.group) {
+  for (size_t pi = 0; pi < t.group.size(); ++pi) {
+    const MbPiece& piece = t.group[pi];
+    const bool first_piece = pi == 0;
+    const bool last_piece = pi + 1 == t.group.size();
     // Rematerialization chain (or the fused jit-compute forward): re-run the
     // forward of every remat layer, feeding each from the stash below it —
     // remat-produced (this piece's granularity) or stored (forward-piece
     // granularity) — and the pack input (checkpoint) at the pack start.
     for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
       if (!remat_layer(l)) continue;
-      Step s;
-      s.task = t.id;
-      s.compute = cost_.FwdTime(model_.layers[l].spec, piece.size);
+      Draft& s = Begin(t.id, cost_.FwdTime(model_.layers[l].spec, piece.size));
       const Bytes params = model_.layers[l].spec.param_bytes;
       if (params > 0) {
         s.needs.push_back(
             NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
       }
       if (l == t.pack.lo) {
-        for (NeedSpec in : BoundaryInputKeys(l, t.replica, piece)) {
-          in.from_host = t.reads_checkpoint;  // message-passing channel
-          s.needs.push_back(in);
-          s.derefs.push_back(in.id);
-        }
+        // A checkpoint read takes the message-passing channel.
+        ConsumeBoundaryInput(l, t.replica, piece, t.reads_checkpoint);
       } else if (remat_layer(l - 1)) {
         if (stash_bytes_[l - 1] > 0) {
           const TensorId in =
@@ -218,22 +266,17 @@ void StepCompiler::CompileBackward(const Task& t) {
         }
       } else {
         // Mixed table: the remat chain restarts above a stored layer.
-        for (const NeedSpec& st : StashKeys(l - 1, t.replica, piece)) {
-          s.needs.push_back(st);
-          s.derefs.push_back(st.id);
-        }
+        ConsumeStash(l - 1, t.replica, piece);
       }
       if (stash_bytes_[l] > 0) {
         s.produces.push_back(ProduceSpec{
             Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica}),
             static_cast<Bytes>(piece.size) * stash_bytes_[l]});
       }
-      program_.steps[d].push_back(std::move(s));
+      Emit(d);
     }
     for (int l = t.pack.hi; l >= t.pack.lo; --l) {
-      Step s;
-      s.task = t.id;
-      s.compute = cost_.BwdTime(model_.layers[l].spec, piece.size);
+      Draft& s = Begin(t.id, cost_.BwdTime(model_.layers[l].spec, piece.size));
       const Bytes params = model_.layers[l].spec.param_bytes;
       if (params > 0) {
         s.needs.push_back(
@@ -256,10 +299,7 @@ void StepCompiler::CompileBackward(const Task& t) {
           s.derefs.push_back(st);
         }
       } else {
-        for (const NeedSpec& st : StashKeys(l, t.replica, piece)) {
-          s.needs.push_back(st);
-          s.derefs.push_back(st.id);
-        }
+        ConsumeStash(l, t.replica, piece);
       }
       // Incoming gradient dA(l+1).
       if (l == t.pack.hi) {
@@ -286,19 +326,17 @@ void StepCompiler::CompileBackward(const Task& t) {
             Id(TensorKey{TensorKind::kGradAct, l, piece.begin, t.replica}),
             static_cast<Bytes>(piece.size) * boundary_bytes_[l]});
       }
-      program_.steps[d].push_back(std::move(s));
-    }
-    first_piece = false;
-  }
-  // After the group completes: push accumulated gradients to host when the
-  // update runs on CPU or gradients reduce across replicas.
-  if (push_grads && !program_.steps[d].empty()) {
-    Step& last = program_.steps[d].back();
-    for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-      if (model_.layers[l].spec.param_bytes > 0) {
-        last.move_to_host.push_back(
-            Id(TensorKey{TensorKind::kGrad, l, -1, t.replica}));
+      // The group's last step pushes the accumulated gradients to host when
+      // the update runs on CPU or gradients reduce across replicas.
+      if (push_grads && last_piece && l == t.pack.lo) {
+        for (int gl = t.pack.lo; gl <= t.pack.hi; ++gl) {
+          if (model_.layers[gl].spec.param_bytes > 0) {
+            s.move_to_host.push_back(
+                Id(TensorKey{TensorKind::kGrad, gl, -1, t.replica}));
+          }
+        }
       }
+      Emit(d);
     }
   }
 }
@@ -312,9 +350,7 @@ void StepCompiler::CompileGpuUpdate(const Task& t) {
   for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
     const Bytes params = model_.layers[l].spec.param_bytes;
     if (params == 0) continue;
-    Step s;
-    s.task = t.id;
-    s.compute = cost_.GpuUpdateTime(model_.layers[l].spec);
+    Draft& s = Begin(t.id, cost_.GpuUpdateTime(model_.layers[l].spec));
     const TensorId w = Id(TensorKey{TensorKind::kWeight, l, -1, d});
     const TensorId g = Id(TensorKey{TensorKind::kGrad, l, -1, replica});
     const TensorId o = Id(TensorKey{TensorKind::kOptState, l, -1, d});
@@ -326,20 +362,19 @@ void StepCompiler::CompileGpuUpdate(const Task& t) {
     s.copy_to_host.push_back(w);   // master write-back; cached copy stays
     s.move_to_host.push_back(o);   // persists on host for the next iteration
     s.derefs.push_back(g);
-    program_.steps[d].push_back(std::move(s));
+    Emit(d);
     any = true;
   }
   if (!any) {
     // Pack with no parameters at all: still emit an empty step so the task
     // completes and dependents unblock.
-    Step s;
-    s.task = t.id;
-    program_.steps[d].push_back(std::move(s));
+    Begin(t.id, 0);
+    Emit(d);
   }
 }
 
-void StepCompiler::CompileCpuUpdate(const Task& t) {
-  const core::DepResolver deps(graph_);
+void StepCompiler::CompileCpuUpdate(const Task& t,
+                                    const core::DepResolver& deps) {
   CpuStep s;
   s.task = t.id;
   const auto producers = deps.BackwardTasksForPack(t.pack, t.replica);
@@ -383,6 +418,9 @@ StepProgram StepCompiler::Compile() {
   Precompute();
   program_.steps.assign(graph_.num_devices, {});
   program_.cpu_steps.assign(graph_.num_devices, {});
+  // One dependency index for every CPU update: building it per update made
+  // compile O(tasks x CPU updates).
+  const core::DepResolver deps(graph_);
   for (int d = 0; d < graph_.num_devices; ++d) {
     for (int id : graph_.device_order[d]) {
       const Task& t = graph_.task(id);
@@ -393,9 +431,12 @@ StepProgram StepCompiler::Compile() {
       }
     }
     if (static_cast<size_t>(d) < graph_.cpu_order.size()) {
-      for (int id : graph_.cpu_order[d]) CompileCpuUpdate(graph_.task(id));
+      for (int id : graph_.cpu_order[d]) {
+        CompileCpuUpdate(graph_.task(id), deps);
+      }
     }
   }
+  BindSpans();
   ComputeRefs();
 
   program_.task_step_counts.assign(graph_.num_tasks(), 0);
@@ -415,8 +456,7 @@ StepProgram StepCompiler::Compile() {
 namespace {
 
 void AppendKeys(std::string* out, const char* tag,
-                const std::vector<TensorId>& ids,
-                const TensorCatalog& tensors) {
+                std::span<const TensorId> ids, const TensorCatalog& tensors) {
   if (ids.empty()) return;
   *out += " ";
   *out += tag;

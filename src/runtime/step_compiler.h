@@ -1,6 +1,7 @@
 #ifndef HARMONY_RUNTIME_STEP_COMPILER_H_
 #define HARMONY_RUNTIME_STEP_COMPILER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/task_graph.h"
@@ -30,15 +31,35 @@ class StepCompiler {
   StepProgram Compile();
 
  private:
+  /// The step being lowered. Each list is filled in the order the program
+  /// renders it, then Emit() appends them all to the program's pools, so the
+  /// scratch keeps its capacity and compile allocates nothing per step.
+  struct Draft {
+    int task = -1;
+    TimeSec compute = 0;
+    std::vector<NeedSpec> needs;
+    std::vector<ProduceSpec> produces;
+    std::vector<TensorId> derefs, copy_to_host, move_to_host, mark_dirty;
+  };
+  /// Clears the draft for a new step of `task`.
+  Draft& Begin(int task, TimeSec compute);
+  /// Appends the draft as the next step of device `d`.
+  void Emit(int d);
+  /// Points every step's spans into the finished pools.
+  void BindSpans();
+
   void Precompute();
   void CompileForward(const core::Task& t);
   void CompileBackward(const core::Task& t);
   void CompileGpuUpdate(const core::Task& t);
-  void CompileCpuUpdate(const core::Task& t);
-  std::vector<NeedSpec> BoundaryInputKeys(int boundary, int replica,
-                                          const core::MbPiece& piece);
-  std::vector<NeedSpec> StashKeys(int layer, int replica,
-                                  const core::MbPiece& piece);
+  void CompileCpuUpdate(const core::Task& t, const core::DepResolver& deps);
+  /// Needs (and dereferences) the producer pieces of activation `boundary`
+  /// that overlap `piece`.
+  void ConsumeBoundaryInput(int boundary, int replica,
+                            const core::MbPiece& piece, bool from_host);
+  /// Needs (and dereferences) the stored stash pieces of `layer` that
+  /// overlap `piece`.
+  void ConsumeStash(int layer, int replica, const core::MbPiece& piece);
   void ComputeRefs();
 
   Bytes opt_state_bytes(int layer) const {
@@ -64,6 +85,12 @@ class StepCompiler {
   Bytes opt_mult_ = 2;
 
   StepProgram program_;
+  Draft draft_;
+  /// Per emitted step, in emission order: list lengths for BindSpans.
+  struct Extent {
+    uint32_t needs, produces, derefs, copy, move, dirty;
+  };
+  std::vector<Extent> extents_;
 };
 
 }  // namespace harmony::runtime

@@ -1,15 +1,15 @@
 #ifndef HARMONY_RUNTIME_TENSOR_H_
 #define HARMONY_RUNTIME_TENSOR_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
+#include "sim/engine.h"
 
 namespace harmony::runtime {
 
@@ -58,41 +58,56 @@ inline constexpr TensorId kInvalidTensorId = -1;
 class TensorCatalog {
  public:
   TensorId Intern(const TensorKey& key) {
-    auto [it, inserted] =
-        index_.try_emplace(key, static_cast<TensorId>(keys_.size()));
-    if (inserted) keys_.push_back(key);
-    return it->second;
+    if (2 * (keys_.size() + 1) > slots_.size()) Rehash();
+    TensorId& slot = slots_[Probe(key)];
+    if (slot == kInvalidTensorId) {
+      slot = static_cast<TensorId>(keys_.size());
+      keys_.push_back(key);
+    }
+    return slot;
   }
   /// kInvalidTensorId when `key` was never interned.
   TensorId Find(const TensorKey& key) const {
-    auto it = index_.find(key);
-    return it == index_.end() ? kInvalidTensorId : it->second;
+    return slots_.empty() ? kInvalidTensorId : slots_[Probe(key)];
   }
   const TensorKey& key(TensorId id) const { return keys_[id]; }
   int size() const { return static_cast<int>(keys_.size()); }
 
  private:
-  /// The compiler interns the same key many times (once per consuming step);
-  /// a hashed index makes the hot repeat-lookup O(1) instead of a red-black
-  /// tree walk with field-tuple comparisons at every node.
-  struct KeyHash {
-    size_t operator()(const TensorKey& k) const {
-      uint64_t h = (static_cast<uint64_t>(static_cast<uint8_t>(k.kind)) << 56) ^
-                   (static_cast<uint64_t>(static_cast<uint32_t>(k.owner)) << 40) ^
-                   (static_cast<uint64_t>(static_cast<uint32_t>(k.begin)) << 20) ^
-                   static_cast<uint64_t>(static_cast<uint32_t>(k.layer));
-      // splitmix64 finalizer: spreads the packed fields across all bits.
-      h ^= h >> 30;
-      h *= 0xbf58476d1ce4e5b9ull;
-      h ^= h >> 27;
-      h *= 0x94d049bb133111ebull;
-      h ^= h >> 31;
-      return static_cast<size_t>(h);
+  /// The compiler interns the same key many times (once per consuming step),
+  /// so the index is a flat open-addressing table of ids (linear probing,
+  /// at most half full): an O(1) repeat lookup that allocates only when the
+  /// table doubles, never per key.
+  static size_t Hash(const TensorKey& k) {
+    uint64_t h = (static_cast<uint64_t>(static_cast<uint8_t>(k.kind)) << 56) ^
+                 (static_cast<uint64_t>(static_cast<uint32_t>(k.owner)) << 40) ^
+                 (static_cast<uint64_t>(static_cast<uint32_t>(k.begin)) << 20) ^
+                 static_cast<uint64_t>(static_cast<uint32_t>(k.layer));
+    // splitmix64 finalizer: spreads the packed fields across all bits.
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    h ^= h >> 31;
+    return static_cast<size_t>(h);
+  }
+  /// Index of the slot holding `key`'s id, or of the empty slot where it
+  /// would go.
+  size_t Probe(const TensorKey& key) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == kInvalidTensorId || keys_[slots_[i]] == key) return i;
     }
-  };
+  }
+  void Rehash() {
+    slots_.assign(std::max<size_t>(64, 2 * slots_.size()), kInvalidTensorId);
+    for (size_t id = 0; id < keys_.size(); ++id) {
+      slots_[Probe(keys_[id])] = static_cast<TensorId>(id);
+    }
+  }
 
   std::vector<TensorKey> keys_;
-  std::unordered_map<TensorKey, TensorId, KeyHash> index_;
+  std::vector<TensorId> slots_;  // power-of-two size
 };
 
 /// Where a tensor's bytes live and how they may move. A tensor has at most
@@ -148,10 +163,11 @@ struct TensorState {
   }
 
   /// Continuations: fired (and cleared) on production, on GPU arrival, and on
-  /// host-copy availability, respectively.
-  std::vector<std::function<void()>> creation_waiters;
-  std::vector<std::function<void()>> arrival_waiters;
-  std::vector<std::function<void()>> host_waiters;
+  /// host-copy availability, respectively. Held records of the run's engine;
+  /// the residency layer drops any left over when it is destroyed.
+  sim::WaiterList creation_waiters;
+  sim::WaiterList arrival_waiters;
+  sim::WaiterList host_waiters;
 };
 
 /// Registry of all tensor instances in a run, indexed by TensorId. Every id

@@ -18,55 +18,33 @@ TimeSec Engine::Run() {
   return now_;
 }
 
+void WaiterList::Drain(Engine* engine, bool run) {
+  EventRec* rec = std::exchange(head_, nullptr);
+  tail_ = nullptr;
+  while (rec != nullptr) {
+    EventRec* next = rec->next;  // the trampoline recycles `rec`
+    if (run) {
+      engine->RunHeld(rec);
+    } else {
+      engine->DropHeld(rec);
+    }
+    rec = next;
+  }
+}
+
 void Condition::Fire() {
   HARMONY_CHECK(!fired_) << "Condition fired twice";
   fired_ = true;
-  std::vector<std::function<void()>> waiters = std::move(waiters_);
-  waiters_.clear();
-  for (auto& w : waiters) w();
+  waiters_.RunAll(engine_);
 }
 
-void Condition::OnFire(std::function<void()> fn) {
-  if (fired_) {
-    fn();
+void JoinArrival::Arrive(EventRec* join, bool ran) {
+  if (!ran) join->time = -1.0;
+  if (--join->seq > 0) return;
+  if (join->time < 0.0) {
+    engine_->DropHeld(join);
   } else {
-    waiters_.push_back(std::move(fn));
-  }
-}
-
-void WhenAll(const std::vector<Condition*>& deps, std::function<void()> done) {
-  // Fast paths: most call sites wait on zero or one unfired condition (the
-  // rest already fired, or are null), and neither needs a shared barrier.
-  int unfired = 0;
-  Condition* last_unfired = nullptr;
-  for (Condition* c : deps) {
-    if (c == nullptr || c->fired()) continue;
-    ++unfired;
-    last_unfired = c;
-  }
-  if (unfired == 0) {
-    done();
-    return;
-  }
-  if (unfired == 1) {
-    last_unfired->OnFire(std::move(done));
-    return;
-  }
-
-  struct Barrier {
-    int remaining;
-    std::function<void()> done;
-  };
-  // Shared ownership, not self-deletion: if a dependency never fires (a
-  // wedged schedule drains the engine with waiters still registered), the
-  // barrier is released when the conditions holding its waiters are
-  // destroyed, instead of leaking.
-  auto barrier = std::make_shared<Barrier>(Barrier{unfired, std::move(done)});
-  for (Condition* c : deps) {
-    if (c == nullptr || c->fired()) continue;
-    c->OnFire([barrier]() {
-      if (--barrier->remaining == 0) barrier->done();
-    });
+    engine_->RunHeld(join);
   }
 }
 

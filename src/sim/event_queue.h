@@ -16,6 +16,12 @@ namespace harmony::sim {
 /// exactly one cache line. Callables larger than the inline buffer spill to
 /// the queue's spill arena (see EventQueue::AcquireSpill) — never to
 /// operator new.
+///
+/// A *held* record is the same thing without a time: a callback parked on a
+/// Condition, a flow or a stream op (Engine::Hold) instead of in the heap.
+/// Held records never enter the heap, so `time` and `seq` are free; a
+/// WhenAll join counts its outstanding arrivals in them, and a waiter list
+/// links its records through `next`.
 struct EventRec {
   static constexpr std::size_t kInlineBytes = 32;
 

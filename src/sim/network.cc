@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace harmony::sim {
 
@@ -16,32 +17,22 @@ FlowNetwork::FlowNetwork(Engine* engine, std::vector<BytesPerSec> link_capacitie
   for (BytesPerSec c : capacities_) HARMONY_CHECK_GT(c, 0.0);
 }
 
-int64_t FlowNetwork::StartFlow(const std::vector<int>& path, Bytes bytes,
-                               std::function<void()> done) {
-  HARMONY_CHECK_GE(bytes, 0);
-  const int64_t id = next_flow_id_++;
-  if (bus_ != nullptr && bus_->active()) {
-    trace::Event e;
-    e.kind = trace::EventKind::kFlowBegin;
-    e.lane = trace::Lane::kNet;
-    e.time = engine_->now();
-    e.bytes = bytes;
-    bus_->Emit(e);
-    done = [this, bytes, done = std::move(done)]() {
-      trace::Event end;
-      end.kind = trace::EventKind::kFlowEnd;
-      end.lane = trace::Lane::kNet;
-      end.time = engine_->now();
-      end.bytes = bytes;
-      bus_->Emit(end);
-      done();
-    };
-  }
-  if (bytes == 0 || path.empty()) {
-    // Completes "immediately" but asynchronously, preserving callback order.
-    engine_->After(0.0, std::move(done));
-    return id;
-  }
+FlowNetwork::~FlowNetwork() {
+  for (int slot : active_) engine_->DropHeld(flow_done_[slot]);
+}
+
+void FlowNetwork::EmitFlow(trace::EventKind kind, Bytes bytes) {
+  if (bus_ == nullptr || !bus_->active()) return;
+  trace::Event e;
+  e.kind = kind;
+  e.lane = trace::Lane::kNet;
+  e.time = engine_->now();
+  e.bytes = bytes;
+  bus_->Emit(e);
+}
+
+void FlowNetwork::AddFlow(int64_t id, const std::vector<int>& path,
+                          Bytes bytes, EventRec* done) {
   for (int link : path) {
     HARMONY_CHECK_GE(link, 0);
     HARMONY_CHECK_LT(link, static_cast<int>(capacities_.size()));
@@ -58,21 +49,22 @@ int64_t FlowNetwork::StartFlow(const std::vector<int>& path, Bytes bytes,
     flow_remaining_.push_back(0.0);
     flow_rate_.push_back(0.0);
     flow_path_.emplace_back();
-    flow_done_.emplace_back();
+    flow_bytes_.push_back(0);
+    flow_done_.push_back(nullptr);
     frozen_epoch_.push_back(0);
   }
   flow_id_[slot] = id;
   flow_path_[slot].assign(path.begin(), path.end());
   flow_remaining_[slot] = static_cast<double>(bytes);
   flow_rate_[slot] = 0.0;
-  flow_done_[slot] = std::move(done);
+  flow_bytes_[slot] = bytes;
+  flow_done_[slot] = done;
   // The new flow's id is the largest, so appending keeps every list sorted
   // by flow id.
   active_.push_back(slot);
   for (int link : path) link_flows_[link].push_back(slot);
 
   RecomputeRates();
-  return id;
 }
 
 void FlowNetwork::SetLinkCapacityFactor(int link, double factor) {
@@ -203,9 +195,9 @@ void FlowNetwork::OnWakeup() {
     // flow integrates with ~1e-7 relative error, so an absolute epsilon
     // below one byte would spin the engine on infinitesimal completions.
     if (flow_remaining_[slot] <= 1.0) {
-      done_scratch_.push_back(std::move(flow_done_[slot]));
+      done_scratch_.emplace_back(std::exchange(flow_done_[slot], nullptr),
+                                 flow_bytes_[slot]);
       RemoveFromLinks(slot);
-      flow_done_[slot] = nullptr;
       flow_path_[slot].clear();
       free_slots_.push_back(slot);
     } else {
@@ -214,7 +206,10 @@ void FlowNetwork::OnWakeup() {
   }
   active_.resize(keep);
   RecomputeRates();
-  for (auto& fn : done_scratch_) fn();
+  for (const auto& [done, bytes] : done_scratch_) {
+    EmitFlow(trace::EventKind::kFlowEnd, bytes);
+    engine_->RunHeld(done);
+  }
   done_scratch_.clear();
 }
 
@@ -233,9 +228,9 @@ void FlowNetwork::RemoveFromLinks(int slot) {
 // ---------------------------------------------------------------------------
 
 Interconnect::Interconnect(const hw::MachineSpec& machine)
-    : machine_(machine),
-      capacities_(machine.NumLinks()),
-      names_(machine.NumLinks()) {
+    : capacities_(machine.NumLinks()),
+      names_(machine.NumLinks()),
+      num_gpus_(machine.num_gpus) {
   // Link ids come from hw::MachineSpec's Link* helpers, so a heterogeneous
   // machine's per-link scale applies by id. The scale is an exact 1.0
   // multiply on homogeneous machines.
@@ -259,34 +254,45 @@ Interconnect::Interconnect(const hw::MachineSpec& machine)
   }
   set_link(machine.LinkHostWrite(), machine.host_mem_bw, "hostmem.write");
   set_link(machine.LinkHostRead(), machine.host_mem_bw, "hostmem.read");
+
+  p2p_.resize(static_cast<size_t>(num_gpus_) * num_gpus_);
+  for (int g = 0; g < num_gpus_; ++g) {
+    const int s = machine.gpu_to_switch[g];
+    swap_in_.push_back({machine.LinkHostRead(), machine.LinkSwitchDown(s),
+                        machine.LinkGpuDown(g)});
+    swap_out_.push_back({machine.LinkGpuUp(g), machine.LinkSwitchUp(s),
+                         machine.LinkHostWrite()});
+    for (int dst = 0; dst < num_gpus_; ++dst) {
+      if (dst == g) continue;
+      std::vector<int>& path = p2p_[g * num_gpus_ + dst];
+      const int ds = machine.gpu_to_switch[dst];
+      if (machine.nvlink_bw > 0) {
+        // Dedicated NVLink ports: p2p bypasses the PCIe tree entirely.
+        path = {machine.LinkNvlinkOut(g), machine.LinkNvlinkIn(dst)};
+      } else if (s == ds) {
+        path = {machine.LinkGpuUp(g), machine.LinkGpuDown(dst)};
+      } else {
+        // Cross-switch p2p bounces through the root complex (no DRAM hop).
+        path = {machine.LinkGpuUp(g), machine.LinkSwitchUp(s),
+                machine.LinkSwitchDown(ds), machine.LinkGpuDown(dst)};
+      }
+    }
+  }
 }
 
-std::vector<int> Interconnect::SwapInPath(int gpu) const {
-  const int s = machine_.gpu_to_switch[gpu];
-  return {machine_.LinkHostRead(), machine_.LinkSwitchDown(s),
-          machine_.LinkGpuDown(gpu)};
+const std::vector<int>& Interconnect::SwapInPath(int gpu) const {
+  return swap_in_.at(gpu);
 }
 
-std::vector<int> Interconnect::SwapOutPath(int gpu) const {
-  const int s = machine_.gpu_to_switch[gpu];
-  return {machine_.LinkGpuUp(gpu), machine_.LinkSwitchUp(s),
-          machine_.LinkHostWrite()};
+const std::vector<int>& Interconnect::SwapOutPath(int gpu) const {
+  return swap_out_.at(gpu);
 }
 
-std::vector<int> Interconnect::P2pPath(int src_gpu, int dst_gpu) const {
+const std::vector<int>& Interconnect::P2pPath(int src_gpu, int dst_gpu) const {
   HARMONY_CHECK_NE(src_gpu, dst_gpu);
-  if (machine_.nvlink_bw > 0) {
-    // Dedicated NVLink ports: p2p bypasses the PCIe tree entirely.
-    return {machine_.LinkNvlinkOut(src_gpu), machine_.LinkNvlinkIn(dst_gpu)};
-  }
-  const int ss = machine_.gpu_to_switch[src_gpu];
-  const int ds = machine_.gpu_to_switch[dst_gpu];
-  if (ss == ds) {
-    return {machine_.LinkGpuUp(src_gpu), machine_.LinkGpuDown(dst_gpu)};
-  }
-  // Cross-switch p2p bounces through the root complex (no DRAM hop).
-  return {machine_.LinkGpuUp(src_gpu), machine_.LinkSwitchUp(ss),
-          machine_.LinkSwitchDown(ds), machine_.LinkGpuDown(dst_gpu)};
+  HARMONY_CHECK(src_gpu >= 0 && src_gpu < num_gpus_ && dst_gpu >= 0 &&
+                dst_gpu < num_gpus_);
+  return p2p_[src_gpu * num_gpus_ + dst_gpu];
 }
 
 std::string Interconnect::LinkName(int link) const { return names_.at(link); }

@@ -2,7 +2,6 @@
 #define HARMONY_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,12 +37,33 @@ namespace harmony::sim {
 class FlowNetwork {
  public:
   FlowNetwork(Engine* engine, std::vector<BytesPerSec> link_capacities);
+  FlowNetwork(const FlowNetwork&) = delete;
+  FlowNetwork& operator=(const FlowNetwork&) = delete;
+  /// Drops the completions of flows still in flight (a wedged or failed
+  /// run) without running them. The engine must outlive the network.
+  ~FlowNetwork();
 
   /// Starts a flow of `bytes` over the directed links in `path`; invokes
-  /// `done` when the last byte arrives. Zero-byte flows complete immediately.
-  /// Returns a flow id (diagnostics only).
-  int64_t StartFlow(const std::vector<int>& path, Bytes bytes,
-                    std::function<void()> done);
+  /// `done` when the last byte arrives. Zero-byte flows complete immediately
+  /// (as a zero-delay event). `done` is held as an engine record, so the
+  /// call allocates nothing once the slot arrays are warm. Returns a flow id
+  /// (diagnostics only).
+  template <typename F>
+  int64_t StartFlow(const std::vector<int>& path, Bytes bytes, F&& done) {
+    HARMONY_CHECK_GE(bytes, 0);
+    const int64_t id = next_flow_id_++;
+    EmitFlow(trace::EventKind::kFlowBegin, bytes);
+    if (bytes == 0 || path.empty()) {
+      // Completes "immediately" but asynchronously, preserving callback order.
+      engine_->After(0.0, [this, bytes, done = std::forward<F>(done)]() mutable {
+        EmitFlow(trace::EventKind::kFlowEnd, bytes);
+        done();
+      });
+      return id;
+    }
+    AddFlow(id, path, bytes, engine_->Hold(std::forward<F>(done)));
+    return id;
+  }
 
   /// Emits kFlowBegin/kFlowEnd instants for every flow to `bus`.
   void BindTrace(trace::TraceBus* bus) { bus_ = bus; }
@@ -70,6 +90,11 @@ class FlowNetwork {
   int64_t wakeups_suppressed() const { return wakeups_suppressed_; }
 
  private:
+  /// kFlowBegin / kFlowEnd instant, when a bus is bound and active.
+  void EmitFlow(trace::EventKind kind, Bytes bytes);
+  /// Slots a non-empty flow whose completion is the held record `done`.
+  void AddFlow(int64_t id, const std::vector<int>& path, Bytes bytes,
+               EventRec* done);
   /// Integrates flow progress from `last_update_` to now.
   void AdvanceToNow();
   /// Max-min fair rate assignment + arms (or suppresses) the next wakeup.
@@ -97,7 +122,8 @@ class FlowNetwork {
   std::vector<double> flow_remaining_;        // bytes
   std::vector<double> flow_rate_;             // bytes/sec, by RecomputeRates()
   std::vector<std::vector<int>> flow_path_;   // capacity reused across reuse
-  std::vector<std::function<void()>> flow_done_;
+  std::vector<Bytes> flow_bytes_;             // for the kFlowEnd event
+  std::vector<EventRec*> flow_done_;          // held completion records
   std::vector<int> free_slots_;
   std::vector<int> active_;
   std::vector<std::vector<int>> link_flows_;  // one entry per path traversal
@@ -109,7 +135,8 @@ class FlowNetwork {
   std::vector<int> nflows_;
   std::vector<uint32_t> frozen_epoch_;
   uint32_t fill_epoch_ = 0;
-  std::vector<std::function<void()>> done_scratch_;
+  // Completions (and their kFlowEnd bytes) drained by one wakeup.
+  std::vector<std::pair<EventRec*, Bytes>> done_scratch_;
 
   int64_t next_flow_id_ = 0;
   TimeSec last_update_ = 0.0;
@@ -136,17 +163,21 @@ class Interconnect {
   int num_links() const { return static_cast<int>(capacities_.size()); }
   const std::vector<BytesPerSec>& capacities() const { return capacities_; }
 
-  std::vector<int> SwapInPath(int gpu) const;   // host -> gpu
-  std::vector<int> SwapOutPath(int gpu) const;  // gpu -> host
-  std::vector<int> P2pPath(int src_gpu, int dst_gpu) const;
+  /// Paths are built once at construction; the runtime starts a flow on one
+  /// per transfer without copying it.
+  const std::vector<int>& SwapInPath(int gpu) const;   // host -> gpu
+  const std::vector<int>& SwapOutPath(int gpu) const;  // gpu -> host
+  const std::vector<int>& P2pPath(int src_gpu, int dst_gpu) const;
 
   /// Human-readable link name (tests / diagnostics).
   std::string LinkName(int link) const;
 
  private:
-  hw::MachineSpec machine_;
   std::vector<BytesPerSec> capacities_;
   std::vector<std::string> names_;  // indexed by MachineSpec link id
+  std::vector<std::vector<int>> swap_in_, swap_out_;  // per GPU
+  std::vector<std::vector<int>> p2p_;  // [src * num_gpus + dst]; empty if equal
+  int num_gpus_ = 0;
 };
 
 }  // namespace harmony::sim

@@ -1,10 +1,12 @@
 #ifndef HARMONY_SIM_STREAM_H_
 #define HARMONY_SIM_STREAM_H_
 
-#include <deque>
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -19,37 +21,62 @@ namespace harmony::sim {
 /// Conditions, analogous to CUDA events.
 ///
 /// An op starts when (a) the op ahead of it in the stream has finished, and
-/// (b) all of its dependency conditions have fired. The op's body receives a
-/// completion callback to invoke when its work is done (a compute delay or a
+/// (b) all of its dependency conditions have fired. A timed op then occupies
+/// the stream for its duration; any other op runs its body, which receives a
+/// Done handle to call when its work is done (a compute delay or a
 /// FlowNetwork transfer).
+///
+/// Each op is one record in the stream's chunked op arena: its completion
+/// condition, its count of unfired dependencies (each unfired dependency
+/// holds one waiter that counts it down), its trace label, and its body as a
+/// held engine record. Pushing, starting and completing an op allocate
+/// nothing once the arena is warm.
 class Stream {
+ private:
+  struct Op;
+
  public:
-  using Body = std::function<void(std::function<void()> done)>;
+  /// Completion handle passed to an op's body; call it once when the op's
+  /// work is done. Trivially copyable and pointer-sized, so a std::function
+  /// stores it inline.
+  class Done {
+   public:
+    void operator()() const;
+
+   private:
+    friend class Stream;
+    explicit Done(Op* op) : op_(op) {}
+    Op* op_;
+  };
 
   Stream(Engine* engine, std::string name);
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
 
-  /// Enqueues an op; returns the condition fired on its completion. The
-  /// returned pointer stays valid for the stream's lifetime.
-  Condition* Push(std::vector<Condition*> deps, Body body);
+  /// Enqueues an op whose `body` (callable with a Done) does the work;
+  /// returns the condition fired on its completion. The returned pointer
+  /// stays valid for the stream's lifetime.
+  template <typename F>
+  Condition* Push(std::initializer_list<Condition*> deps, F&& body) {
+    Op* op = NewOp(std::string(), -1, -1.0);
+    op->body = engine_->Hold(
+        [op, body = std::forward<F>(body)]() mutable { body(Done(op)); });
+    return Enqueue(op, deps);
+  }
 
-  /// Same, with a trace label and task id attached to the span events. Build
-  /// the label only when the bound bus reports detailed() — it is dead weight
-  /// otherwise.
-  Condition* Push(std::vector<Condition*> deps, std::string label, int task,
-                  Body body);
-
-  /// An op whose duration is known at push time (a profiled compute delay).
-  /// busy_time accumulates `duration` itself rather than the end-minus-start
-  /// timestamp difference, so the total is invariant under time translation:
-  /// injected faults that merely *delay* ops cannot drift busy_time by even
-  /// an ulp.
-  Condition* PushTimed(std::vector<Condition*> deps, std::string label,
-                       int task, TimeSec duration);
+  /// An op whose duration is known at push time (a profiled compute delay),
+  /// with a trace label and task id attached to the span events. Build the
+  /// label only when the bound bus reports detailed() — it is dead weight
+  /// otherwise. busy_time accumulates `duration` itself rather than the
+  /// end-minus-start timestamp difference, so the total is invariant under
+  /// time translation: injected faults that merely *delay* ops cannot drift
+  /// busy_time by even an ulp.
+  Condition* PushTimed(std::initializer_list<Condition*> deps,
+                       std::string label, int task, TimeSec duration);
 
   /// Convenience: an op that just occupies the stream for `duration`.
-  Condition* PushDelay(std::vector<Condition*> deps, TimeSec duration);
+  Condition* PushDelay(std::initializer_list<Condition*> deps,
+                       TimeSec duration);
 
   /// Routes this stream's op begin/end span events to `bus`, attributed to
   /// `device` on `lane` (one chrome-trace row per device x lane).
@@ -76,10 +103,35 @@ class Stream {
   int64_t ops_completed() const { return ops_completed_; }
 
  private:
-  /// Shared implementation: `exact_duration >= 0` means "charge busy_time
-  /// exactly this much"; negative means "measure end minus start".
-  Condition* PushImpl(std::vector<Condition*> deps, std::string label,
-                      int task, Body body, TimeSec exact_duration);
+  struct Op {
+    explicit Op(Stream* s) : stream(s), done(s->engine_) {}
+    Op(const Op&) = delete;
+    Op& operator=(const Op&) = delete;
+    /// An op that never started (a wedged run) drops its body unrun.
+    ~Op() {
+      if (body != nullptr) stream->engine_->DropHeld(body);
+    }
+
+    Stream* stream;
+    Condition done;
+    EventRec* body = nullptr;  // held work; null for timed ops
+    std::string label;         // empty unless the pusher saw detailed()
+    int task = -1;
+    int waiting = 0;           // unfired deps, the previous op included
+    /// >= 0: a timed op, charged exactly this much busy time; < 0: the body
+    /// decides, and busy time is end minus start.
+    TimeSec duration = -1.0;
+    TimeSec start = 0.0;
+  };
+
+  Op* NewOp(std::string label, int task, TimeSec duration);
+  /// Registers `op` behind its dependencies and the previous op; starts it
+  /// at once if none is pending.
+  Condition* Enqueue(Op* op, std::initializer_list<Condition*> deps);
+  /// Every dependency fired: consult the stall probe, then start.
+  void Ready(Op* op);
+  void Start(Op* op);
+  void Complete(Op* op);
 
   Engine* engine_;
   std::string name_;
@@ -88,10 +140,11 @@ class Stream {
   trace::Lane trace_lane_ = trace::Lane::kCompute;
   Condition* last_done_ = nullptr;
   std::function<TimeSec()> stall_probe_;
-  // Deque for pointer stability: Push hands out Condition* for the stream's
-  // lifetime. Direct storage (no unique_ptr) — one allocation per deque
-  // block, not per op.
-  std::deque<Condition> conditions_;
+  // Op arena: fixed chunks, so a pushed op (and the condition Push hands
+  // out) never moves; ops are destroyed with the stream.
+  static constexpr size_t kOpsPerChunk = 256;
+  std::vector<std::unique_ptr<std::optional<Op>[]>> op_chunks_;
+  size_t chunk_used_ = kOpsPerChunk;  // forces first-chunk alloc
   TimeSec busy_time_ = 0.0;
   TimeSec last_completion_ = 0.0;
   int64_t ops_completed_ = 0;

@@ -35,6 +35,7 @@
 #include "model/models.h"
 #include "profile/profiler.h"
 #include "runtime/runtime.h"
+#include "runtime/step_compiler.h"
 #include "trace/trace.h"
 
 namespace harmony::runtime {
@@ -125,12 +126,16 @@ struct RunOutcome {
   int64_t trace_events = 0;
 };
 
-RunOutcome RunWorkload(const Workload& w, const RuntimeOptions& base_opts) {
+/// One execution of `w`: of `program` when given, else compiled afresh by
+/// Execute(graph).
+RunOutcome RunWorkload(const Workload& w, const RuntimeOptions& base_opts,
+                       const StepProgram* program = nullptr) {
   HashSink sink;
   RuntimeOptions opts = base_opts;
   opts.trace_sinks.push_back(&sink);
   const Runtime rt(w.machine, w.model);
-  auto result = rt.Execute(w.graph, opts);
+  auto result = program != nullptr ? rt.Execute(w.graph, *program, opts)
+                                   : rt.Execute(w.graph, opts);
   RunOutcome out;
   if (result.ok()) {
     out.metrics = std::move(result).value();
@@ -384,6 +389,54 @@ TEST(ChaosMatrix, SameSeedReplaysBitIdentically) {
   EXPECT_EQ(a.metrics.recovery_bytes, b.metrics.recovery_bytes);
   EXPECT_EQ(a.trace_events, b.trace_events);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
+}
+
+// ---------------------------------------------------------------------------
+// Compile once, run many
+// ---------------------------------------------------------------------------
+
+/// Every RunMetrics field, doubles by bit pattern, in one comparable list.
+std::vector<uint64_t> MetricBits(const RunMetrics& m) {
+  std::vector<uint64_t> out = {BitsOf(m.iteration_time),
+                               static_cast<uint64_t>(m.peak_host_bytes),
+                               static_cast<uint64_t>(m.evictions),
+                               static_cast<uint64_t>(m.clean_drops),
+                               static_cast<uint64_t>(m.faults_injected),
+                               static_cast<uint64_t>(m.faults_recovered),
+                               static_cast<uint64_t>(m.recovery_bytes)};
+  for (const auto* bytes : {&m.swap_in_bytes, &m.swap_out_bytes, &m.p2p_bytes,
+                            &m.peak_device_bytes}) {
+    for (Bytes b : *bytes) out.push_back(static_cast<uint64_t>(b));
+  }
+  for (TimeSec t : m.compute_busy) out.push_back(BitsOf(t));
+  return out;
+}
+
+void ExpectIdenticalRuns(const RunOutcome& fresh, const RunOutcome& borrowed) {
+  ASSERT_TRUE(fresh.status.ok()) << fresh.status;
+  ASSERT_TRUE(borrowed.status.ok()) << borrowed.status;
+  EXPECT_EQ(MetricBits(fresh.metrics), MetricBits(borrowed.metrics));
+  EXPECT_EQ(fresh.trace_events, borrowed.trace_events);
+  EXPECT_EQ(fresh.trace_hash, borrowed.trace_hash);
+}
+
+// A run borrows its program read-only: one compiled program, executed
+// fault-free and then under a survivable chaos schedule, matches two fresh
+// Execute(graph) calls bit for bit. A run that wrote into the program would
+// leave the second, chaos run of it diverging from its fresh twin.
+TEST(CompileOnce, BorrowedProgramMatchesFreshExecutes) {
+  for (const Workload* w : {&Bert96(), &Gpt2()}) {
+    SCOPED_TRACE(w == &Bert96() ? "BERT96" : "GPT2");
+    const StepProgram program =
+        StepCompiler(w->machine, w->model, w->graph).Compile();
+    RuntimeOptions chaos;
+    chaos.fault_plan = SurvivableChaos(0xC0FFEE);
+    const RunOutcome clean = RunWorkload(*w, {}, &program);
+    const RunOutcome faulted = RunWorkload(*w, chaos, &program);
+    EXPECT_GT(faulted.metrics.faults_injected, 0);
+    ExpectIdenticalRuns(RunWorkload(*w, {}), clean);
+    ExpectIdenticalRuns(RunWorkload(*w, chaos), faulted);
+  }
 }
 
 /// The log-the-seed run: CI executes this with a fresh seed every time (or a

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
 #include "core/estimator.h"
 #include "core/packing.h"
 #include "core/scheduler.h"
@@ -7,6 +13,29 @@
 #include "profile/profiler.h"
 #include "runtime/memory_manager.h"
 #include "runtime/runtime.h"
+#include "runtime/step_compiler.h"
+
+// Counts global operator new calls while armed, so a test can bound how much
+// a code path allocates.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<int64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Every delete funnels through one out-of-line release, so the compiler never
+// pairs an inlined free() with a new-expression at a call site.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace harmony::runtime {
 namespace {
@@ -307,6 +336,60 @@ TEST_P(RuntimeFlagSweep, CompletesForAllFlagCombos) {
 
 INSTANTIATE_TEST_SUITE_P(AllFlagCombos, RuntimeFlagSweep,
                          ::testing::Range(0, 128, 1));
+
+// ---------------------------------------------------------------------------
+// Allocation budget of one simulated iteration
+// ---------------------------------------------------------------------------
+
+TEST(Runtime, ExecuteAllocationsPerStepAreBounded) {
+  // Global operator new calls over one warm Execute (compile + run) of the
+  // golden workloads, pp, minibatch 16, u4. Before condition waiters, joins,
+  // stream ops and flow completions became engine arena records and steps
+  // became spans into per-program pools, these were 21773 for GPT2 (594
+  // steps, 36.7 per step) and 38065 for BERT96 (1063 steps, 35.8 per step).
+  // The bound keeps at least a 5x cut.
+  struct Case {
+    const char* name;
+    model::LayerGraph layers;
+    int64_t before;
+  };
+  const Case cases[] = {{"GPT2", model::Gpt2(), 21773},
+                        {"BERT96", model::Bert96(), 38065}};
+  const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const model::SequentialModel model = model::Sequentialize(c.layers);
+    const profile::ProfileDb db =
+        profile::Profiler(machine.gpu, {}).Profile(model);
+    core::PackingOptions opts;
+    opts.capacity = static_cast<Bytes>(machine.gpu.usable_memory() * 0.85);
+    Configuration config;
+    config.u_fwd = config.u_bwd = 4;
+    config.bwd_packs = core::BackwardPacks(4, db, opts).value();
+    opts.min_packs = 4;
+    config.fwd_packs = core::ForwardPacks(4, config.bwd_packs, db, opts).value();
+    const TaskGraph g = core::GenerateHarmonyTaskGraph(
+        config, HarmonyMode::kPipelineParallel, 4, 16, OptimizationFlags{}, db);
+    const int64_t steps = StepCompiler(machine, model, g).Compile().num_steps();
+    const Runtime rt(machine, model);
+    ASSERT_TRUE(rt.Execute(g).ok());  // warm-up: one-time statics
+
+    g_allocs = 0;
+    g_count_allocs = true;
+    const auto metrics = rt.Execute(g);
+    g_count_allocs = false;
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    const int64_t allocs = g_allocs.load();
+    std::printf("%s: %lld allocations per Execute over %lld steps: %.2f per "
+                "step (before: %lld, %.2f per step)\n",
+                c.name, static_cast<long long>(allocs),
+                static_cast<long long>(steps),
+                static_cast<double>(allocs) / static_cast<double>(steps),
+                static_cast<long long>(c.before),
+                static_cast<double>(c.before) / static_cast<double>(steps));
+    EXPECT_LE(allocs * 5, c.before);
+  }
+}
 
 }  // namespace
 }  // namespace harmony::runtime

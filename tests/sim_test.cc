@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -43,7 +45,8 @@ TEST(Engine, EventsCanScheduleEvents) {
 }
 
 TEST(Condition, FireReleasesWaiters) {
-  Condition c;
+  Engine e;
+  Condition c(&e);
   int calls = 0;
   c.OnFire([&] { ++calls; });
   c.OnFire([&] { ++calls; });
@@ -55,7 +58,8 @@ TEST(Condition, FireReleasesWaiters) {
 }
 
 TEST(Condition, WhenAllWaitsForEveryDep) {
-  Condition a, b;
+  Engine e;
+  Condition a(&e), b(&e);
   int done = 0;
   WhenAll({&a, nullptr, &b}, [&] { ++done; });
   a.Fire();
@@ -92,7 +96,7 @@ TEST(Stream, ExecutesInOrder) {
 TEST(Stream, WaitsForDependencies) {
   Engine e;
   Stream s(&e, "t");
-  Condition gate;
+  Condition gate(&e);
   double started = -1;
   s.Push({&gate}, [&](std::function<void()> done) {
     started = e.now();
@@ -371,7 +375,8 @@ TEST(Condition, WhenAllNullOnlyDepsRunsImmediately) {
 }
 
 TEST(Condition, WhenAllAllPreFiredRunsImmediately) {
-  Condition a, b;
+  Engine e;
+  Condition a(&e), b(&e);
   a.Fire();
   b.Fire();
   int done = 0;
@@ -380,7 +385,8 @@ TEST(Condition, WhenAllAllPreFiredRunsImmediately) {
 }
 
 TEST(Condition, WhenAllSingleUnfiredDepFastPath) {
-  Condition a, b, c;
+  Engine e;
+  Condition a(&e), b(&e), c(&e);
   a.Fire();
   c.Fire();
   int done = 0;
@@ -394,7 +400,8 @@ TEST(Condition, ReentrantFireFromWaiter) {
   // A waiter of `a` fires `b`; a WhenAll joins both. The join's completion
   // runs inside a.Fire()'s waiter loop and must run exactly once, with both
   // conditions observably fired.
-  Condition a, b;
+  Engine e;
+  Condition a(&e), b(&e);
   int done = 0;
   a.OnFire([&] { b.Fire(); });
   WhenAll({&a, &b}, [&] {
@@ -409,7 +416,8 @@ TEST(Condition, ReentrantFireFromWaiter) {
 TEST(Condition, WaiterRegisteredDuringFireRunsImmediately) {
   // OnFire called from within a waiter (the condition is mid-Fire, fired_
   // already set) must run synchronously, not be lost.
-  Condition a;
+  Engine e;
+  Condition a(&e);
   int inner = 0;
   a.OnFire([&] { a.OnFire([&] { ++inner; }); });
   a.Fire();
@@ -421,12 +429,51 @@ TEST(Condition, WhenAllGuardOutlivesImmediateCompletion) {
   // inside WhenAll's own registration pass, the internal barrier must stay
   // alive until the callback finishes (self-deletion, no use-after-free;
   // fails under ASan if the guard dies early).
-  Condition a;
+  Engine e;
+  Condition a(&e);
   Condition* pa = &a;
   int done = 0;
   a.Fire();
   WhenAll({pa, pa}, [&] { ++done; });  // duplicate, both already fired
   EXPECT_EQ(done, 1);
+}
+
+TEST(Condition, UnfiredWaitersAreDroppedUnrun) {
+  // A wedged schedule tears down with work still waiting: plain waiters, a
+  // half-arrived WhenAll join and an unstarted stream op's body are held
+  // engine records, destroyed without running and releasing what they
+  // captured (leak-checked under ASan).
+  auto captured = std::make_shared<int>(0);
+  int ran = 0;
+  {
+    Engine e;
+    Condition a(&e), b(&e), gate(&e);
+    a.OnFire([captured, &ran] { ++ran; });
+    WhenAll({&a, &b}, [captured, &ran] { ++ran; });
+    b.Fire();  // one arrival lands; a's is dropped with a
+    Stream s(&e, "t");
+    s.Push({&gate}, [captured, &ran](std::function<void()> done) {
+      ++ran;
+      done();
+    });
+    EXPECT_EQ(captured.use_count(), 4);
+  }
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(captured.use_count(), 1);
+}
+
+TEST(FlowNetwork, InFlightCompletionsAreDroppedUnrun) {
+  auto captured = std::make_shared<int>(0);
+  bool ran = false;
+  {
+    Engine e;
+    FlowNetwork net(&e, {GiBps(10)});
+    net.StartFlow({0}, GiB(5), [captured, &ran] { ran = true; });
+    net.StartFlow({0}, 0, [captured, &ran] { ran = true; });
+    EXPECT_EQ(captured.use_count(), 3);
+  }
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(captured.use_count(), 1);
 }
 
 // ---------------------------------------------------------------------------
