@@ -9,50 +9,50 @@
 
 namespace harmony::core {
 
-/// Schedule units are stored structure-of-arrays, indexed by flat unit id
-/// (uid = lane_base[lane] + position within lane, lanes concatenated in
-/// order). The hot scheduling loop then reads producer end times and lane
-/// predecessors as direct unit_end[p] loads — no per-edge binary search,
-/// and the completion scans stride dense double arrays.
+/// Schedule units are indexed by flat unit id (uid = lane_base[lane] +
+/// position within lane, lanes concatenated in order), so producer end times
+/// and lane predecessors are direct unit_end[p] loads.
 struct EstimatorScratch::Impl {
-  std::vector<int32_t> unit_task;
-  std::vector<int32_t> unit_piece;  // -1 for update tasks (no group)
-  std::vector<int32_t> unit_lane;
-  std::vector<double> unit_start;   // -1 = not yet scheduled
-  std::vector<double> unit_end;
-  // A task's units are consecutive in its lane: piece k of task id is
-  // uid task_uid0[id] + k, for k < task_units[id] (0 = in no order list).
-  std::vector<int> task_uid0;
-  std::vector<int> task_units;
+  std::vector<double> unit_start;
+  std::vector<double> unit_end;  // -1 = not yet placed
   std::vector<int> lane_base;
+  // The sweep's head of each lane: order-list position, piece within that
+  // task, its uid, and the producer uid the head waits on (-1 = none).
+  struct LaneHead {
+    int pos = 0;
+    int piece = 0;
+    int uid = 0;
+    int waits_on = -1;
+  };
+  std::vector<LaneHead> heads;
   DepIndex deps;  // the DepResolver's CSR index, rebuilt in place
-  // Producer lists in CSR form: unit uid's producers are
-  // data[off[uid] .. off[uid + 1]). Built in uid order, so offsets are
-  // recorded as the data arrays grow — one pass, no per-unit vectors.
-  std::vector<int> grad_off, grad_data;
-  std::vector<int> rigid_off, rigid_data;
-  std::vector<int> stream_off;
-  std::vector<std::pair<int, int>> stream_data;  // (producer uid, task id)
-  std::vector<int> dep_count;
-  // Dependents in CSR form (count pass + fill pass over the same edge
-  // enumeration).
-  std::vector<int> dep_off, dep_data, dep_cursor;
-  std::vector<int> ready;
-  // Per-task residency-policy summary, hoisted out of the per-unit loop: the
-  // policy is a task-level invariant, so the per-layer scans run once per
-  // task here instead of once per microbatch unit. Legacy and uniform tables
-  // then skip the per-layer work in the hot loop entirely.
-  std::vector<Bytes> task_swap_per_sample;  // Σ stash bytes over kSwap layers
-  std::vector<int32_t> task_remat_layers;   // # kRecompute layers in the pack
-  // Layer prefix sums behind the two arrays above: one O(R) policy scan per
-  // estimate, then each task's summary is two subtractions.
+  // Per-task summary, hoisted out of the per-unit loop: the policy, the
+  // pack and the boundaries a task reads and writes are task-level
+  // invariants, so the per-layer scans run once per task here instead of
+  // once per microbatch unit. Legacy and uniform tables then skip the
+  // per-layer work in the hot loop entirely.
+  struct TaskSummary {
+    // A task's units are consecutive in its lane: piece k is uid uid0 + k,
+    // for k < units (0 = in no order list).
+    int uid0 = -1;
+    int units = 0;
+    Bytes params = 0;             // the pack's weight bytes
+    Bytes swap_per_sample = 0;    // Σ stash bytes over kSwap layers
+    Bytes in_per_sample = 0;      // F/B: the input boundary's bytes
+    Bytes volume_per_sample = 0;  // F/B: swap volume every unit adds
+    int32_t remat_layers = 0;     // # kRecompute layers in the pack
+    // Piece-duration cache: a task's pieces share one size except the
+    // remainder piece, so each (task, size) duration is computed once per
+    // estimate instead of once per piece (-1 = nothing cached).
+    int32_t dur_usize = -1;
+    double dur = 0;
+  };
+  std::vector<TaskSummary> tasks;
+  // Layer prefix sums behind the summary: one O(R) scan per estimate, then
+  // each task's pack sums are subtractions.
+  std::vector<Bytes> prefix_params;
   std::vector<Bytes> prefix_swap;
   std::vector<int32_t> prefix_remat;
-  // Per-task piece-duration cache: a task's pieces share one size except
-  // the remainder piece, so each (task, size) duration is computed once per
-  // estimate instead of once per piece (-1 = nothing cached).
-  std::vector<int32_t> task_dur_usize;
-  std::vector<double> task_dur;
 };
 
 EstimatorScratch::EstimatorScratch() : impl_(std::make_unique<Impl>()) {}
@@ -74,6 +74,8 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
     scratch = transient.get();
   }
   EstimatorScratch::Impl& sc = *scratch->impl_;
+  using TaskSummary = EstimatorScratch::Impl::TaskSummary;
+  using LaneHead = EstimatorScratch::Impl::LaneHead;
 
   const DepResolver deps(graph, &sc.deps);
   const int N = graph.num_devices;
@@ -84,205 +86,94 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
 
   Bytes swap_bytes = 0, p2p_bytes = 0;
 
-  auto pack_params = [&](const Pack& p) {
-    return profiles_.PackParamBytes(p.lo, p.hi);
-  };
   auto boundary_in_bytes = [&](int b) -> Bytes {
     if (b <= 0 || b >= graph.num_layers) return 0;
     return profiles_.layer(b).input_bytes_per_sample;
   };
 
-  // Pass 1 — lane sizes: per GPU compute lane + per process CPU lane.
+  // Lane sizes: per GPU compute lane + per process CPU lane. lane_order(l)
+  // is the task list lane l runs (nullptr: a CPU lane with no order list).
+  auto lane_order = [&](int lane_id) -> const std::vector<int>* {
+    if (lane_id < N) return &graph.device_order[lane_id];
+    const size_t p = static_cast<size_t>(lane_id - N);
+    return p < graph.cpu_order.size() ? &graph.cpu_order[p] : nullptr;
+  };
   auto& lane_base = sc.lane_base;
   lane_base.assign(2 * N + 1, 0);
-  for (int d = 0; d < N; ++d) {
-    int count = 0;
-    for (int id : graph.device_order[d]) {
-      const Task& t = graph.task(id);
-      count += t.type == TaskType::kUpdate ? 1 : static_cast<int>(t.group.size());
-    }
-    lane_base[d + 1] = count;
-    if (static_cast<size_t>(d) < graph.cpu_order.size()) {
-      lane_base[N + d + 1] = static_cast<int>(graph.cpu_order[d].size());
-    }
-  }
+  sc.tasks.assign(graph.num_tasks(), TaskSummary{});
+  TaskSummary* const task_summary = sc.tasks.data();
   for (int lane_id = 0; lane_id < 2 * N; ++lane_id) {
-    lane_base[lane_id + 1] += lane_base[lane_id];
+    int uid = lane_base[lane_id];
+    if (const std::vector<int>* order = lane_order(lane_id)) {
+      for (int id : *order) {
+        const Task& t = graph.task(id);
+        const int units =
+            t.type == TaskType::kUpdate ? 1 : static_cast<int>(t.group.size());
+        task_summary[id].uid0 = uid;
+        task_summary[id].units = units;
+        uid += units;
+      }
+    }
+    lane_base[lane_id + 1] = uid;
   }
   const int total_units = lane_base[2 * N];
-
-  // Pass 2 — fill the flat unit arrays lane by lane; task_uid0 maps
-  // (task, piece) straight to a uid.
-  sc.unit_task.assign(total_units, -1);
-  sc.unit_piece.assign(total_units, -1);
-  sc.unit_lane.assign(total_units, -1);
   sc.unit_start.assign(total_units, -1.0);
   sc.unit_end.assign(total_units, -1.0);
-  int32_t* const unit_task = sc.unit_task.data();
-  int32_t* const unit_piece = sc.unit_piece.data();
-  int32_t* const unit_lane = sc.unit_lane.data();
   double* const unit_start = sc.unit_start.data();
   double* const unit_end = sc.unit_end.data();
-  sc.task_uid0.assign(graph.num_tasks(), -1);
-  sc.task_units.assign(graph.num_tasks(), 0);
-  for (int d = 0; d < N; ++d) {
-    int uid = lane_base[d];
-    for (int id : graph.device_order[d]) {
-      const Task& t = graph.task(id);
-      const int units =
-          t.type == TaskType::kUpdate ? 1 : static_cast<int>(t.group.size());
-      sc.task_uid0[id] = uid;
-      sc.task_units[id] = units;
-      for (int k = 0; k < units; ++k) {
-        unit_task[uid] = id;
-        unit_piece[uid] = t.type == TaskType::kUpdate ? -1 : k;
-        unit_lane[uid] = d;
-        ++uid;
-      }
-    }
-    if (static_cast<size_t>(d) < graph.cpu_order.size()) {
-      uid = lane_base[N + d];
-      for (int id : graph.cpu_order[d]) {
-        sc.task_uid0[id] = uid;
-        sc.task_units[id] = 1;
-        unit_task[uid] = id;
-        unit_lane[uid] = N + d;
-        ++uid;
-      }
-    }
-  }
 
   auto uid_of = [&](int task, int piece) -> int {
-    HARMONY_CHECK_GT(sc.task_units[task], 0);
-    const int uid0 = sc.task_uid0[task];
-    return piece >= 0 && piece < sc.task_units[task] ? uid0 + piece : uid0;
+    const TaskSummary& ts = task_summary[task];
+    HARMONY_CHECK_GT(ts.units, 0);
+    return piece >= 0 && piece < ts.units ? ts.uid0 + piece : ts.uid0;
   };
 
-  // Pass 2b — per-task policy summary (see Impl). Integer stash bytes
-  // distribute exactly over the microbatch size, so charging
-  // usize * Σ per-sample bytes in the hot loop is bit-identical to the
-  // per-layer sum it replaces. One O(R) policy scan builds prefix sums;
-  // each task then reads its pack's range in O(1).
-  sc.prefix_swap.assign(graph.num_layers + 1, 0);
-  sc.prefix_remat.assign(graph.num_layers + 1, 0);
-  for (int l = 0; l < graph.num_layers; ++l) {
+  // Per-task summary (see Impl). Integer bytes distribute exactly over the
+  // microbatch size, so charging usize * Σ per-sample bytes in the hot loop
+  // is bit-identical to the per-layer and per-boundary sums it replaces. One
+  // O(R) scan builds prefix sums; each task then reads its pack's ranges in
+  // O(1).
+  const int R = graph.num_layers;
+  sc.prefix_params.assign(R + 1, 0);
+  sc.prefix_swap.assign(R + 1, 0);
+  sc.prefix_remat.assign(R + 1, 0);
+  for (int l = 0; l < R; ++l) {
     const StashPolicy p = graph.policy_at(l);
+    const profile::LayerProfile& layer = profiles_.layer(l);
+    sc.prefix_params[l + 1] = sc.prefix_params[l] + layer.param_bytes;
     sc.prefix_swap[l + 1] =
         sc.prefix_swap[l] +
-        (p == StashPolicy::kSwap ? profiles_.layer(l).stash_bytes_per_sample
-                                 : 0);
+        (p == StashPolicy::kSwap ? layer.stash_bytes_per_sample : 0);
     sc.prefix_remat[l + 1] =
         sc.prefix_remat[l] + (p == StashPolicy::kRecompute ? 1 : 0);
   }
-  sc.task_swap_per_sample.assign(graph.num_tasks(), 0);
-  sc.task_remat_layers.assign(graph.num_tasks(), 0);
   for (int id = 0; id < graph.num_tasks(); ++id) {
-    const Task& t = graph.task(id);
+    const Task& t = graph.tasks[id];
+    TaskSummary& ts = task_summary[id];
+    ts.params = sc.prefix_params[t.pack.hi + 1] - sc.prefix_params[t.pack.lo];
     if (t.type == TaskType::kUpdate) continue;
-    sc.task_swap_per_sample[id] =
+    ts.swap_per_sample =
         sc.prefix_swap[t.pack.hi + 1] - sc.prefix_swap[t.pack.lo];
-    sc.task_remat_layers[id] =
+    ts.remat_layers =
         sc.prefix_remat[t.pack.hi + 1] - sc.prefix_remat[t.pack.lo];
-  }
-  const Bytes* const task_swap_per_sample = sc.task_swap_per_sample.data();
-  const int32_t* const task_remat_layers = sc.task_remat_layers.data();
-
-  // Precompute each unit's producers (cross-lane dependencies), CSR-packed in
-  // uid order. Updates keep their gradient producers separate from the
-  // rigid-scheduling extras, since only the former enter the traffic model.
-  sc.grad_off.assign(total_units + 1, 0);
-  sc.rigid_off.assign(total_units + 1, 0);
-  sc.stream_off.assign(total_units + 1, 0);
-  sc.grad_data.clear();
-  sc.rigid_data.clear();
-  sc.stream_data.clear();
-
-  for (int uid = 0; uid < total_units; ++uid) {
-    const Task& t = graph.task(unit_task[uid]);
-    if (t.type == TaskType::kUpdate) {
-      deps.ForEachBackwardTaskForPack(t.pack, t.replica, [&](int pid) {
-        const Task& p = graph.task(pid);
-        sc.grad_data.push_back(
-            uid_of(pid, static_cast<int>(p.group.size()) - 1));
-      });
-      if (!graph.flags.jit_update) {
-        // Rigid scheduling: updates wait for the entire backward pass.
-        for (int r = 0; r < graph.num_replicas; ++r) {
-          if (t.replica >= 0 && r != t.replica) continue;
-          for (int pid : deps.AllBackwardTasks(r)) {
-            const Task& p = graph.task(pid);
-            sc.rigid_data.push_back(
-                uid_of(pid, static_cast<int>(p.group.size()) - 1));
-          }
-        }
-      }
-    } else {
-      const MbPiece piece = t.group[unit_piece[uid]];
-      const bool wants_act = t.type == TaskType::kForward || t.fused_forward;
-      const int in_boundary = wants_act ? t.pack.lo : t.pack.hi + 1;
-      deps.ForEachProducer(
-          wants_act ? Flow::kActivation : Flow::kGradient, in_boundary, piece,
-          t.replica, [&](int pid, int pk) {
-            sc.stream_data.emplace_back(uid_of(pid, pk), pid);
-          });
+    const bool wants_act = t.type == TaskType::kForward || t.fused_forward;
+    ts.in_per_sample = boundary_in_bytes(wants_act ? t.pack.lo : t.pack.hi + 1);
+    // Swapped-out stash (kSwap layers): a forward's write overlaps compute
+    // on the swap-out stream, so only the volume counts; a recomputing
+    // backward reads the same volume back (piece_duration charges the
+    // stall). A backward's checkpoint read (message passing via host; the
+    // stall is inside piece_duration) and a forward's checkpoint writes
+    // (overlapped on the swap-out stream) count volume too.
+    if (t.type == TaskType::kForward || !t.fused_forward) {
+      ts.volume_per_sample += ts.swap_per_sample;
     }
-    sc.grad_off[uid + 1] = static_cast<int>(sc.grad_data.size());
-    sc.rigid_off[uid + 1] = static_cast<int>(sc.rigid_data.size());
-    sc.stream_off[uid + 1] = static_cast<int>(sc.stream_data.size());
-  }
-  const int* const grad_off = sc.grad_off.data();
-  const int* const grad_data = sc.grad_data.data();
-  const int* const rigid_off = sc.rigid_off.data();
-  const int* const rigid_data = sc.rigid_data.data();
-  const int* const stream_off = sc.stream_off.data();
-  const std::pair<int, int>* const stream_data = sc.stream_data.data();
-
-  // Dependency-counted ready queue (Kahn): a unit becomes ready when its lane
-  // predecessor and every producer unit have finished. Duplicate edges are
-  // fine — each one both increments the count and appears in the dependents
-  // list. Any pop order yields the same schedule: a unit's times depend only
-  // on its (finished) producers, and the byte counters are order-free sums.
-  //
-  // Dependents are CSR too: a count pass sizes each unit's out-list, a fill
-  // pass walks the identical edge enumeration into the reserved spans.
-  auto& dep_count = sc.dep_count;
-  dep_count.assign(total_units, 0);
-  sc.dep_off.assign(total_units + 1, 0);
-  auto for_each_edge = [&](auto&& edge) {
-    for (int lane_id = 0; lane_id < 2 * N; ++lane_id) {
-      for (int uid = lane_base[lane_id] + 1; uid < lane_base[lane_id + 1];
-           ++uid) {
-        edge(uid - 1, uid);
-      }
+    if (t.type == TaskType::kBackward && t.reads_checkpoint) {
+      ts.volume_per_sample += boundary_in_bytes(t.pack.lo);
     }
-    for (int uid = 0; uid < total_units; ++uid) {
-      for (int e = grad_off[uid]; e < grad_off[uid + 1]; ++e) {
-        edge(grad_data[e], uid);
-      }
-      for (int e = rigid_off[uid]; e < rigid_off[uid + 1]; ++e) {
-        edge(rigid_data[e], uid);
-      }
-      for (int e = stream_off[uid]; e < stream_off[uid + 1]; ++e) {
-        edge(stream_data[e].first, uid);
-      }
+    for (int b : t.checkpoint_boundaries) {
+      ts.volume_per_sample += boundary_in_bytes(b);
     }
-  };
-  for_each_edge([&](int from, int to) {
-    if (from == to) return;  // a task is never its own producer
-    ++dep_count[to];
-    ++sc.dep_off[from + 1];
-  });
-  for (int uid = 0; uid < total_units; ++uid) {
-    sc.dep_off[uid + 1] += sc.dep_off[uid];
   }
-  sc.dep_data.resize(sc.dep_off[total_units]);
-  sc.dep_cursor.assign(sc.dep_off.begin(), sc.dep_off.end() - 1);
-  for_each_edge([&](int from, int to) {
-    if (from == to) return;
-    sc.dep_data[sc.dep_cursor[from]++] = to;
-  });
-  const int* const dep_off = sc.dep_off.data();
-  const int* const dep_data = sc.dep_data.data();
 
   // Duration of one piece of F/B task `task_id` at microbatch `usize`: pack
   // time, then fused forward or rematerialization, then per-layer swap
@@ -299,7 +190,7 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
     if (t.fused_forward) {
       duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
     } else {
-      const int remat_layers = task_remat_layers[task_id];
+      const int remat_layers = task_summary[task_id].remat_layers;
       if (remat_layers == t.pack.num_layers()) {
         // Whole-pack rematerialization: one PackFwdTime call, not a
         // per-layer sum — preserves the FP summation order of the
@@ -315,7 +206,7 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
       // Swapped stash read-back: charged like the checkpoint read
       // (host -> device on the critical path; kKeep stays free). The stall
       // stays a per-layer FP sum — only the guard is hoisted.
-      if (task_swap_per_sample[task_id] > 0) {
+      if (task_summary[task_id].swap_per_sample > 0) {
         for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
           if (graph.policy_at(l) != StashPolicy::kSwap) continue;
           const Bytes st = static_cast<Bytes>(usize) *
@@ -331,55 +222,61 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
     }
     return duration;
   };
-  sc.task_dur_usize.assign(graph.num_tasks(), -1);
-  sc.task_dur.resize(graph.num_tasks());
-  int32_t* const task_dur_usize = sc.task_dur_usize.data();
-  double* const task_dur = sc.task_dur.data();
 
-  auto& ready = sc.ready;
-  ready.clear();
-  ready.reserve(total_units);
-  for (int uid = 0; uid < total_units; ++uid) {
-    if (dep_count[uid] == 0) ready.push_back(uid);
-  }
-
-  int64_t scheduled = 0;
-  while (!ready.empty()) {
-    const int uid = ready.back();
-    ready.pop_back();
-    const int lane_id = unit_lane[uid];
-    const int pos = uid - lane_base[lane_id];
-    const Task& t = graph.task(unit_task[uid]);
+  // Places unit `uid`, piece `piece` of task `task_id` (0 for an update) at
+  // position `pos` of its lane, when every producer it reads has been
+  // placed. Otherwise it returns the uid of a producer still to be placed
+  // and changes nothing: the byte counters are committed only once the unit
+  // is placed.
+  auto place = [&](int uid, int pos, int task_id, int piece) -> int {
+    const Task& t = graph.tasks[task_id];
+    TaskSummary& ts = task_summary[task_id];
     const TimeSec lane_free = pos == 0 ? 0.0 : unit_end[uid - 1];
-
     TimeSec ready_time = lane_free;
     TimeSec duration = 0.0;
+    Bytes unit_swap = 0, unit_p2p = 0;
+    int waits_on = -1;
 
     if (t.type == TaskType::kUpdate) {
-      const Bytes params = pack_params(t.pack);
-      const int nrep = grad_off[uid + 1] - grad_off[uid];
+      const Bytes params = ts.params;
+      int nrep = 0;
       TimeSec grads_ready = 0.0;
-      for (int e = grad_off[uid]; e < grad_off[uid + 1]; ++e) {
-        const TimeSec done = unit_end[grad_data[e]];
-        HARMONY_DCHECK_GE(done, 0.0);
+      // Gradient producers (these enter the traffic model), then, under
+      // rigid scheduling, every backward task of the replicas updated.
+      auto wait_for = [&](int pid) {
+        if (waits_on >= 0) return;
+        const int p =
+            uid_of(pid, static_cast<int>(graph.tasks[pid].group.size()) - 1);
+        const TimeSec done = unit_end[p];
+        if (done < 0) {
+          waits_on = p;
+          return;
+        }
         grads_ready = std::max(grads_ready, done);
+      };
+      deps.ForEachBackwardTaskForPack(t.pack, t.replica, [&](int pid) {
+        ++nrep;
+        wait_for(pid);
+      });
+      if (!graph.flags.jit_update) {
+        // Rigid scheduling: updates wait for the entire backward pass.
+        for (int r = 0; r < graph.num_replicas; ++r) {
+          if (t.replica >= 0 && r != t.replica) continue;
+          for (int pid : deps.AllBackwardTasks(r)) wait_for(pid);
+        }
       }
-      for (int e = rigid_off[uid]; e < rigid_off[uid + 1]; ++e) {
-        const TimeSec done = unit_end[rigid_data[e]];
-        HARMONY_DCHECK_GE(done, 0.0);
-        grads_ready = std::max(grads_ready, done);
-      }
+      if (waits_on >= 0) return waits_on;
       if (t.on_cpu) {
         // Gradient swap-out from each producing GPU, then CPU reduce +
         // Adam update on host-resident master state.
         grads_ready += static_cast<double>(params) / swap_bw;
-        swap_bytes += params * nrep;
+        unit_swap += params * nrep;
         duration = static_cast<double>(params) * (2.0 + nrep) /
                    machine_.cpu_update_bw;
       } else {
         // On-GPU update: W in+out, optimizer state in+out, compute.
         const Bytes traffic = 2 * params + 4 * params;
-        swap_bytes += traffic + (graph.grad_reduce_via_host ? 2 * params : 0);
+        unit_swap += traffic + (graph.grad_reduce_via_host ? 2 * params : 0);
         TimeSec compute = 0;
         for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
           compute += profiles_.layer(l).gpu_update_time;
@@ -388,63 +285,52 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
       }
       ready_time = std::max(ready_time, grads_ready);
     } else {
-      const int task_id = unit_task[uid];
-      const int usize = t.group[unit_piece[uid]].size;
-      if (task_dur_usize[task_id] != usize) {
-        task_dur[task_id] = piece_duration(task_id, usize);
-        task_dur_usize[task_id] = usize;
-      }
-      duration = task_dur[task_id];
-      // Swapped-out stash (kSwap layers): a forward's write overlaps compute
-      // on the swap-out stream, so only the volume counts; a recomputing
-      // backward reads the same volume back (piece_duration charges the
-      // stall). Integer bytes, so usize x the per-task sum equals the
-      // per-layer sum exactly.
-      if (t.type == TaskType::kForward || !t.fused_forward) {
-        swap_bytes += static_cast<Bytes>(usize) * task_swap_per_sample[task_id];
-      }
-
       // Streaming input: activations (forward / fused) or boundary
       // gradient (backward).
+      const MbPiece mb = t.group[piece];
+      const int usize = mb.size;
       const bool wants_act = t.type == TaskType::kForward || t.fused_forward;
       const int in_boundary = wants_act ? t.pack.lo : t.pack.hi + 1;
-      for (int e = stream_off[uid]; e < stream_off[uid + 1]; ++e) {
-        const auto& [p, pid] = stream_data[e];
-        const TimeSec done = unit_end[p];
-        HARMONY_DCHECK_GE(done, 0.0);
-        const Task& prod = graph.task(pid);
-        const Bytes bytes =
-            static_cast<Bytes>(usize) * boundary_in_bytes(in_boundary);
-        TimeSec xfer = 0.0;
-        if (prod.device != t.device && bytes > 0) {
-          if (graph.flags.p2p_transfers) {
-            xfer = static_cast<double>(bytes) / p2p_bw;
-            p2p_bytes += bytes;
-          } else {
-            xfer = 2.0 * static_cast<double>(bytes) / swap_bw;
-            swap_bytes += 2 * bytes;
-          }
-        }
-        ready_time = std::max(ready_time, done + xfer);
-      }
+      const Bytes in_bytes = static_cast<Bytes>(usize) * ts.in_per_sample;
+      deps.ForEachProducer(
+          wants_act ? Flow::kActivation : Flow::kGradient, in_boundary, mb,
+          t.replica, [&](int pid, int pk) {
+            const int p = uid_of(pid, pk);
+            // A forward task that checkpoints its own input boundary lists
+            // itself as a producer of that boundary.
+            if (waits_on >= 0 || p == uid) return;
+            const TimeSec done = unit_end[p];
+            if (done < 0) {
+              waits_on = p;
+              return;
+            }
+            TimeSec xfer = 0.0;
+            if (graph.tasks[pid].device != t.device && in_bytes > 0) {
+              if (graph.flags.p2p_transfers) {
+                xfer = static_cast<double>(in_bytes) / p2p_bw;
+                unit_p2p += in_bytes;
+              } else {
+                xfer = 2.0 * static_cast<double>(in_bytes) / swap_bw;
+                unit_swap += 2 * in_bytes;
+              }
+            }
+            ready_time = std::max(ready_time, done + xfer);
+          });
+      if (waits_on >= 0) return waits_on;
 
-      // Checkpoint read for backward tasks (message passing via host; the
-      // stall is inside piece_duration).
-      if (t.type == TaskType::kBackward && t.reads_checkpoint) {
-        swap_bytes += static_cast<Bytes>(usize) * boundary_in_bytes(t.pack.lo);
+      if (ts.dur_usize != usize) {
+        ts.dur = piece_duration(task_id, usize);
+        ts.dur_usize = usize;
       }
-      // Checkpoint writes (forward): overlapped on the swap-out stream;
-      // count volume only.
-      for (int b : t.checkpoint_boundaries) {
-        swap_bytes += static_cast<Bytes>(usize) * boundary_in_bytes(b);
-      }
+      duration = ts.dur;
+      unit_swap += static_cast<Bytes>(usize) * ts.volume_per_sample;
 
       // Weight fetch at the first piece of a task; prefetch overlaps it
       // with the previous task on the device.
-      if (unit_piece[uid] == 0) {
-        const Bytes params = pack_params(t.pack);
+      if (piece == 0) {
+        const Bytes params = ts.params;
         const TimeSec fetch = static_cast<double>(params) / swap_bw;
-        swap_bytes += params;
+        unit_swap += params;
         if (graph.flags.prefetch && pos > 0) {
           const TimeSec prev_span = unit_end[uid - 1] - unit_start[uid - 1];
           ready_time =
@@ -457,41 +343,80 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
 
     unit_start[uid] = ready_time;
     unit_end[uid] = ready_time + duration;
-    ++scheduled;
-    for (int e = dep_off[uid]; e < dep_off[uid + 1]; ++e) {
-      const int dep = dep_data[e];
-      if (--dep_count[dep] == 0) ready.push_back(dep);
-    }
+    swap_bytes += unit_swap;
+    p2p_bytes += unit_p2p;
+    return -1;
+  };
+
+  // In-order lane sweep: each lane places its head unit while the head's
+  // producers have ends. A head that reads an unplaced producer blocks its
+  // lane, which remembers that producer and is skipped until it is placed.
+  // A pass that places nothing with units left is a cyclic wait. Any
+  // placement order yields the same schedule: a unit's times read only its
+  // placed producers and its lane predecessor, and the byte counters are
+  // integer sums.
+  sc.heads.assign(2 * N, LaneHead{});
+  for (int lane_id = 0; lane_id < 2 * N; ++lane_id) {
+    sc.heads[lane_id].uid = lane_base[lane_id];
   }
-  HARMONY_CHECK_EQ(scheduled, total_units)
-      << "estimator deadlock: schedule has cyclic waits in graph '"
-      << graph.name << "'";
+  int placed = 0;
+  while (placed < total_units) {
+    const int placed_before = placed;
+    for (int lane_id = 0; lane_id < 2 * N; ++lane_id) {
+      LaneHead& head = sc.heads[lane_id];
+      const int lane_end = lane_base[lane_id + 1];
+      if (head.uid == lane_end ||
+          (head.waits_on >= 0 && unit_end[head.waits_on] < 0)) {
+        continue;
+      }
+      const std::vector<int>& order = *lane_order(lane_id);
+      while (head.uid < lane_end) {
+        const int task_id = order[head.pos];
+        head.waits_on =
+            place(head.uid, head.uid - lane_base[lane_id], task_id, head.piece);
+        if (head.waits_on >= 0) break;
+        ++head.uid;
+        ++placed;
+        if (++head.piece == task_summary[task_id].units) {
+          head.piece = 0;
+          ++head.pos;
+        }
+      }
+    }
+    HARMONY_CHECK_GT(placed, placed_before)
+        << "estimator deadlock: schedule has cyclic waits in graph '"
+        << graph.name << "'";
+  }
 
   // Replay the predicted schedule onto the trace bus: one compute lane per
   // GPU, one CPU lane per process, in start-time order (lane order is
   // schedule order, and units within a lane never overlap).
   if (trace != nullptr && trace->active()) {
     for (int lane_id = 0; lane_id < 2 * N; ++lane_id) {
+      const std::vector<int>* order = lane_order(lane_id);
+      if (order == nullptr) continue;
       const bool cpu_lane = lane_id >= N;
-      for (int uid = lane_base[lane_id]; uid < lane_base[lane_id + 1]; ++uid) {
-        trace::Event begin;
-        begin.kind = trace::EventKind::kOpBegin;
-        begin.lane = cpu_lane ? trace::Lane::kCpu : trace::Lane::kCompute;
-        begin.device = cpu_lane ? lane_id - N : lane_id;
-        begin.time = unit_start[uid];
-        begin.task = unit_task[uid];
-        if (trace->detailed()) {
-          begin.name = "t" + std::to_string(unit_task[uid]);
-          if (unit_piece[uid] >= 0) {
-            begin.name += " p" + std::to_string(unit_piece[uid]);
+      for (int id : *order) {
+        const bool update = graph.task(id).type == TaskType::kUpdate;
+        for (int k = 0; k < task_summary[id].units; ++k) {
+          const int uid = task_summary[id].uid0 + k;
+          trace::Event begin;
+          begin.kind = trace::EventKind::kOpBegin;
+          begin.lane = cpu_lane ? trace::Lane::kCpu : trace::Lane::kCompute;
+          begin.device = cpu_lane ? lane_id - N : lane_id;
+          begin.time = unit_start[uid];
+          begin.task = id;
+          if (trace->detailed()) {
+            begin.name = "t" + std::to_string(id);
+            if (!update) begin.name += " p" + std::to_string(k);
           }
+          trace::Event end = begin;
+          end.kind = trace::EventKind::kOpEnd;
+          end.time = unit_end[uid];
+          end.name.clear();
+          trace->Emit(begin);
+          trace->Emit(end);
         }
-        trace::Event end = begin;
-        end.kind = trace::EventKind::kOpEnd;
-        end.time = unit_end[uid];
-        end.name.clear();
-        trace->Emit(begin);
-        trace->Emit(end);
       }
     }
   }

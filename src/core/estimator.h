@@ -13,8 +13,8 @@
 namespace harmony::core {
 
 /// Reusable working memory for RuntimeEstimator::EstimateIteration: the
-/// flat unit arrays, the dependency index (DepIndex), the producer and
-/// dependent lists, the ready queue and the per-task duration cache. The
+/// unit start and end times, the lane heads of its sweep, the dependency
+/// index (DepIndex) and the per-task summary and duration cache. The
 /// configuration search runs thousands of estimates per second across
 /// worker threads, so each worker holds one of these; its vectors are
 /// re-filled with capacity retained, and once it has seen the largest graph

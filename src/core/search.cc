@@ -69,13 +69,32 @@ struct Candidate {
 };
 
 struct EvalOutcome {
-  /// Number of policy tables estimated; `config` and `estimate` describe the
-  /// best of them (lowest time, then lowest table index — a deterministic
-  /// within-candidate tie-break). Zero = the candidate was pruned.
+  /// Number of policy tables estimated; `best_table` and `estimate` describe
+  /// the best of them (lowest time, then lowest table index — a
+  /// deterministic within-candidate tie-break). Zero = the candidate was
+  /// pruned.
   int estimated = 0;
   int best_table = 0;
-  Configuration config;
   Estimate estimate;
+};
+
+/// What a search worker reuses across the candidates it claims: the
+/// configuration and graph it generates into and the estimator's arena, so
+/// a warm worker evaluates a candidate without allocating.
+struct Worker {
+  Configuration config;
+  TaskGraph graph;
+  EstimatorScratch scratch;
+};
+
+/// The first grid point of the current U_B with given U_F and packs: its
+/// packs, its index in the candidate list (-1: no table was feasible) and
+/// its number of feasible tables. Later points with equal packs reuse it.
+struct DistinctPoint {
+  const PackList* bwd = nullptr;
+  const PackList* fwd = nullptr;
+  int candidate = -1;
+  int feasible = 0;
 };
 
 /// Memo for ForwardPacks keyed by (U_F, min_packs, fwd_layers). ForwardPacks
@@ -276,7 +295,17 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   std::deque<PackList> equi_fwd;    // Equi-FB forward packs, one per group
   FwdPackMemo fwd_memo;
   std::vector<Candidate> candidates;
+  // Forward floors often yield the same forward packs (the floor is clamped
+  // to the forward layers, or the natural packing already exceeds it), and
+  // backward floors the same backward packs. A point whose (U_B, U_F,
+  // backward packs, forward packs) equals an earlier point's has the same
+  // tables, floors and estimates, and a larger tie-break key, since for a
+  // fixed (U_B, U_F) the grid visits floors in ascending order. So it can
+  // never win: it counts as explored and feasible like its first copy, and
+  // only keep_explored lists (and estimates) it.
+  std::vector<std::vector<DistinctPoint>> distinct(u_fwd_max + 1);
   for (int u_bwd = 1; u_bwd <= u_bwd_max; ++u_bwd) {
+    for (std::vector<DistinctPoint>& points : distinct) points.clear();
     const std::vector<PolicyTable>& tables = tables_by_ubwd[u_bwd];
     const int num_tables = static_cast<int>(tables.size());
     std::vector<LaneFloor::Policy> floor_tables;
@@ -334,9 +363,25 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
             if (!fwd.ok()) continue;
             c.fwd = &fwd.value();
           }
+          std::vector<DistinctPoint>& seen = distinct[u_fwd];
+          const auto first = std::find_if(
+              seen.begin(), seen.end(), [&](const DistinctPoint& p) {
+                return *p.bwd == bwd_packs && *p.fwd == *c.fwd;
+              });
+          if (first != seen.end()) {
+            result.configs_feasible += first->feasible;
+            if (options.keep_explored && first->candidate >= 0) {
+              Candidate copy = candidates[first->candidate];
+              copy.bwd_floor = bwd_floor;
+              copy.fwd_floor = fwd_floor;
+              candidates.push_back(copy);
+            }
+            continue;
+          }
           config.u_fwd = u_fwd;  // Equi-FB points have u_fwd == u_bwd
           config.fwd_packs = *c.fwd;
           c.min_floor = kInfeasible;
+          DistinctPoint point{&bwd_packs, c.fwd};
           for (int ti = 0; ti < num_tables; ++ti) {
             c.floor[ti] = kInfeasible;
             if (!bwd_ok[ti] ||
@@ -344,12 +389,16 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
                  !fwd_fits(*c.fwd, config.u_fwd, tables[ti], kept[ti]))) {
               continue;
             }
-            ++result.configs_feasible;
+            ++point.feasible;
             c.floor[ti] = lane_floor.Bound(config, floor_tables[ti]);
             c.min_floor = std::min(c.min_floor, c.floor[ti]);
           }
-          if (c.min_floor == kInfeasible) continue;
-          candidates.push_back(c);
+          result.configs_feasible += point.feasible;
+          if (c.min_floor != kInfeasible) {
+            point.candidate = static_cast<int>(candidates.size());
+            candidates.push_back(c);
+          }
+          seen.push_back(point);
         }
       }
     }
@@ -387,10 +436,9 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
            !incumbent.compare_exchange_weak(cur, t, std::memory_order_relaxed)) {
     }
   };
-  auto evaluate = [&](const Candidate& c,
-                      EstimatorScratch& scratch) -> EvalOutcome {
+  auto evaluate = [&](const Candidate& c, Worker& w) -> EvalOutcome {
     EvalOutcome out;
-    Configuration config;
+    Configuration& config = w.config;
     config.u_bwd = c.u_bwd;
     config.u_fwd = c.u_fwd;
     config.bwd_packs = *c.bwd;
@@ -405,9 +453,10 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
         continue;
       }
       config.policy = tables[ti];
-      TaskGraph graph = GenerateHarmonyTaskGraph(config, mode, machine.num_gpus,
-                                                 minibatch, flags, profiles);
-      const Estimate est = estimator.EstimateIteration(graph, nullptr, &scratch);
+      GenerateHarmonyTaskGraph(config, mode, machine.num_gpus, minibatch,
+                               flags, profiles, &w.graph);
+      const Estimate est =
+          estimator.EstimateIteration(w.graph, nullptr, &w.scratch);
       HARMONY_DCHECK_LE(c.floor[ti], est.iteration_time);
       ++out.estimated;
       lower_incumbent(est.iteration_time);
@@ -415,7 +464,6 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
           est.iteration_time < out.estimate.iteration_time) {
         out.estimate = est;
         out.best_table = ti;
-        out.config = config;
       }
     }
     return out;
@@ -429,13 +477,12 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
       static_cast<int>(std::min<size_t>(num_threads, candidates.size()));
   if (workers > 0) {
     // One fan-out: the caller and up to workers - 1 helpers borrowed from
-    // the process pool claim the next point from the cursor, with one
-    // estimator scratch arena per worker (reused across every candidate
-    // that worker claims). Each outcome lands in its canonical slot. A
-    // tripped cancel token stops the workers; the check after the merge
-    // discards the partial result. A serial search runs inline and never
-    // starts the process pool.
-    std::vector<EstimatorScratch> scratches(static_cast<size_t>(workers));
+    // the process pool claim the next point from the cursor, each with its
+    // own Worker state, reused across every candidate that worker claims.
+    // Each outcome lands in its canonical slot. A tripped cancel token stops
+    // the workers; the check after the merge discards the partial result. A
+    // serial search runs inline and never starts the process pool.
+    std::vector<Worker> worker_state(static_cast<size_t>(workers));
     std::atomic<size_t> cursor{0};
     auto sweep = [&](int, int worker) {
       for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -446,7 +493,7 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
             c.min_floor > incumbent.load(std::memory_order_relaxed)) {
           return;
         }
-        outcomes[order[i]] = evaluate(c, scratches[worker]);
+        outcomes[order[i]] = evaluate(c, worker_state[worker]);
       }
     };
     if (workers == 1) {
@@ -460,10 +507,21 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   // candidate with the lowest estimated time, ties broken by lexicographic
   // (u_bwd, u_fwd, bwd_floor, fwd_floor, policy table index) — independent
   // of thread count, of the order workers finished, and of what was pruned.
+  auto config_of = [&](size_t i) {
+    const Candidate& c = candidates[i];
+    Configuration config;
+    config.u_bwd = c.u_bwd;
+    config.u_fwd = c.u_fwd;
+    config.bwd_packs = *c.bwd;
+    config.fwd_packs = *c.fwd;
+    config.policy = tables_by_ubwd[c.u_bwd][outcomes[i].best_table];
+    return config;
+  };
   double best_time = -1.0;
   std::tuple<int, int, int, int, int> best_key;
+  size_t best_index = 0;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    EvalOutcome& out = outcomes[i];
+    const EvalOutcome& out = outcomes[i];
     if (out.estimated == 0) continue;
     result.configs_estimated += out.estimated;
     const auto key = std::tuple_cat(candidates[i].TieBreak(),
@@ -474,14 +532,14 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
     if (better) {
       best_time = out.estimate.iteration_time;
       best_key = key;
-      result.best = out.config;
+      best_index = i;
       result.best_estimate = out.estimate;
     }
     if (options.keep_explored) {
-      result.explored.push_back(
-          ExploredConfig{std::move(out.config), out.estimate});
+      result.explored.push_back(ExploredConfig{config_of(i), out.estimate});
     }
   }
+  if (best_time >= 0) result.best = config_of(best_index);
 
   result.search_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)

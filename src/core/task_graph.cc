@@ -1,8 +1,6 @@
 #include "core/task_graph.h"
 
 #include <algorithm>
-#include <map>
-#include <numeric>
 #include <queue>
 
 #include "common/logging.h"
@@ -18,13 +16,24 @@ const char* TaskTypeName(TaskType type) {
   return "?";
 }
 
-std::vector<MbPiece> SplitMicrobatches(int total, int u) {
+namespace {
+
+/// SplitMicrobatches into `pieces`, reusing its storage.
+void AssignMicrobatches(int total, int u, std::vector<MbPiece>* pieces) {
   HARMONY_CHECK_GE(total, 1);
   HARMONY_CHECK_GE(u, 1);
-  std::vector<MbPiece> pieces;
+  pieces->clear();
+  pieces->reserve(static_cast<size_t>(total / u + (total % u != 0 ? 1 : 0)));
   for (int begin = 0; begin < total; begin += u) {
-    pieces.push_back(MbPiece{begin, std::min(u, total - begin)});
+    pieces->push_back(MbPiece{begin, std::min(u, total - begin)});
   }
+}
+
+}  // namespace
+
+std::vector<MbPiece> SplitMicrobatches(int total, int u) {
+  std::vector<MbPiece> pieces;
+  AssignMicrobatches(total, u, &pieces);
   return pieces;
 }
 
@@ -121,41 +130,10 @@ std::span<const int> DepResolver::AllBackwardTasks(int replica) const {
 
 namespace {
 
-struct PendingTask {
-  Task task;
-  int orig_seq = 0;  // creation order, used as the grouped execution order
-};
-
-/// Shared generation machinery: also reused by the baseline generators via
-/// BuildOrders (exposed through task_graph_internal.h if ever needed).
-void BuildOrders(TaskGraph* graph, bool grouped) {
-  graph->device_order.assign(graph->num_devices, {});
-  graph->cpu_order.assign(graph->num_devices, {});
-  struct Key {
-    int begin;
-    int seq;
-    int id;
-  };
-  std::vector<Key> keys;
-  keys.reserve(graph->tasks.size());
-  for (const Task& t : graph->tasks) {
-    if (t.type == TaskType::kUpdate) continue;
-    const int begin = t.group.empty() ? 0 : t.group.front().begin;
-    keys.push_back(Key{grouped ? 0 : begin, t.id, t.id});
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.begin != b.begin) return a.begin < b.begin;
-    return a.seq < b.seq;
-  });
-  for (const Key& k : keys) {
-    graph->device_order[graph->task(k.id).device].push_back(k.id);
-  }
-}
-
-/// Places update tasks into the device/cpu order lists. With jit updates and
-/// grouped execution, a GPU update slots in right after its pack's backward
+/// Places update tasks into the device/cpu order lists of a grouped graph.
+/// With jit updates a GPU update slots in right after its pack's backward
 /// task; otherwise updates trail the iteration.
-void PlaceUpdates(TaskGraph* graph, bool grouped) {
+void PlaceUpdates(TaskGraph* graph) {
   for (const Task& t : graph->tasks) {
     if (t.type != TaskType::kUpdate) continue;
     if (t.on_cpu) {
@@ -163,7 +141,7 @@ void PlaceUpdates(TaskGraph* graph, bool grouped) {
       continue;
     }
     auto& order = graph->device_order[t.device];
-    if (graph->flags.jit_update && grouped) {
+    if (graph->flags.jit_update) {
       // Insert after the last backward task of this pack on this device.
       int pos = static_cast<int>(order.size());
       for (int i = static_cast<int>(order.size()) - 1; i >= 0; --i) {
@@ -181,6 +159,102 @@ void PlaceUpdates(TaskGraph* graph, bool grouped) {
   }
 }
 
+/// Without grouping, F/B tasks split into one task per microbatch so the
+/// device interleaves packs microbatch-major (the pre-Harmony execution
+/// style that causes repeated swaps). Rewrites `graph` (whose orders are not
+/// read) into the split graph with its orders.
+void SplitUngrouped(TaskGraph* graph) {
+  const TaskGraph& g = *graph;
+  TaskGraph split = g;
+  split.tasks.clear();
+  std::vector<std::vector<int>> new_ids(g.num_tasks());
+  for (const Task& t : g.tasks) {
+    if (t.type == TaskType::kUpdate || t.group.size() <= 1) {
+      Task copy = t;
+      copy.id = split.num_tasks();
+      new_ids[t.id].push_back(copy.id);
+      split.tasks.push_back(std::move(copy));
+      continue;
+    }
+    for (const MbPiece& piece : t.group) {
+      Task copy = t;
+      copy.id = split.num_tasks();
+      copy.group = {piece};
+      new_ids[t.id].push_back(copy.id);
+      split.tasks.push_back(std::move(copy));
+    }
+  }
+  // Rebuild orders microbatch-major via a dependency-respecting topological
+  // order (Kahn with (piece.begin, creation) priority). A plain sort can
+  // deadlock when U_F != U_B: a backward piece may need a *later-beginning*
+  // forward piece that a naive microbatch-major order schedules behind it
+  // on the same device.
+  split.device_order.assign(split.num_devices, {});
+  split.cpu_order.assign(split.num_devices, {});
+  const DepResolver split_deps(split);
+  std::vector<int> indegree(split.num_tasks(), 0);
+  std::vector<std::vector<int>> dependents(split.num_tasks());
+  std::vector<int> orig_of(split.num_tasks(), 0);
+  for (int orig = 0; orig < g.num_tasks(); ++orig) {
+    for (int id : new_ids[orig]) orig_of[id] = orig;
+  }
+  for (const Task& t : split.tasks) {
+    if (t.type == TaskType::kUpdate) continue;
+    const bool wants_act = t.type == TaskType::kForward || t.fused_forward;
+    auto add_edge = [&](int pid, int) {
+      dependents[pid].push_back(t.id);
+      ++indegree[t.id];
+    };
+    for (const MbPiece& piece : t.group) {
+      split_deps.ForEachProducer(
+          wants_act ? Flow::kActivation : Flow::kGradient,
+          wants_act ? t.pack.lo : t.pack.hi + 1, piece, t.replica, add_edge);
+      if (!wants_act && t.reads_checkpoint) {
+        split_deps.ForEachProducer(Flow::kActivation, t.pack.lo, piece,
+                                   t.replica, add_edge);
+      }
+    }
+  }
+  struct Key {
+    int begin, orig, id;
+    bool operator>(const Key& o) const {
+      if (begin != o.begin) return begin > o.begin;
+      return orig > o.orig;
+    }
+  };
+  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> ready;
+  int scheduled = 0, total = 0;
+  for (const Task& t : split.tasks) {
+    if (t.type == TaskType::kUpdate) continue;
+    ++total;
+    if (indegree[t.id] == 0) {
+      ready.push(Key{t.group.front().begin, orig_of[t.id], t.id});
+    }
+  }
+  while (!ready.empty()) {
+    const Key k = ready.top();
+    ready.pop();
+    split.device_order[split.task(k.id).device].push_back(k.id);
+    ++scheduled;
+    for (int dep : dependents[k.id]) {
+      if (--indegree[dep] == 0) {
+        ready.push(Key{split.task(dep).group.front().begin, orig_of[dep],
+                       dep});
+      }
+    }
+  }
+  HARMONY_CHECK_EQ(scheduled, total) << "cyclic microbatch dependencies";
+  for (const Task& t : split.tasks) {
+    if (t.type != TaskType::kUpdate) continue;
+    if (t.on_cpu) {
+      split.cpu_order[t.device].push_back(t.id);
+    } else {
+      split.device_order[t.device].push_back(t.id);
+    }
+  }
+  *graph = std::move(split);
+}
+
 }  // namespace
 
 int HarmonyTaskDevice(HarmonyMode mode, int num_devices, int replica,
@@ -192,15 +266,33 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
                                    int num_devices, int minibatch,
                                    const OptimizationFlags& flags,
                                    const profile::ProfileDb& profiles) {
+  TaskGraph graph;
+  GenerateHarmonyTaskGraph(config, mode, num_devices, minibatch, flags,
+                           profiles, &graph);
+  return graph;
+}
+
+void GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode,
+                              int num_devices, int minibatch,
+                              const OptimizationFlags& flags,
+                              const profile::ProfileDb& profiles,
+                              TaskGraph* graph) {
+  HARMONY_CHECK(graph != nullptr);
   HARMONY_CHECK_GE(num_devices, 1);
   HARMONY_CHECK_GE(minibatch, 1);
   HARMONY_CHECK(!config.bwd_packs.empty());
   const int R = profiles.num_layers();
   const bool dp = mode == HarmonyMode::kDataParallel;
   const int num_replicas = dp ? num_devices : 1;
+  // Per-replica minibatch shares (Alg 1 line 2: D <- D/N for DP): the first
+  // minibatch % N replicas take one extra sample.
+  HARMONY_CHECK_GE(minibatch / num_replicas, 1);
+  auto share_of = [&](int r) {
+    return minibatch / num_replicas + (r < minibatch % num_replicas ? 1 : 0);
+  };
 
-  TaskGraph g;
-  g.name = std::string(HarmonyModeName(mode));
+  TaskGraph& g = *graph;
+  g.name = HarmonyModeName(mode);
   g.flags = flags;
   g.num_devices = num_devices;
   g.num_replicas = num_replicas;
@@ -211,200 +303,120 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
   g.grad_reduce_via_host = dp && num_devices > 1;
   g.device_reserved_bytes.assign(num_devices, 0);
 
-  // Effective pack lists. With jit-compute the last backward pack's forward
-  // runs fused inside the backward task; without it, that pack gets a
-  // regular forward task appended to P_F.
-  PackList fwd_packs = config.fwd_packs;
-  const Pack last_bwd = config.bwd_packs.back();
-  if (!flags.jit_compute) fwd_packs.push_back(last_bwd);
-
   // Resolve the residency policy table (the explicit {keep, swap, recompute}
   // axis). This is the one place an empty Configuration::policy is read: it
   // means the paper's default, recompute everywhere (Sec 4.3.1).
-  PolicyTable policy = config.policy;
-  if (policy.empty()) policy = PolicyTable::Uniform(R, StashPolicy::kRecompute);
-  HARMONY_CHECK_EQ(policy.num_layers(), R)
-      << "policy table size != model layers";
-  g.stash_policy = policy;
-
-  // Checkpoint boundaries: inputs of every backward pack whose remat chain
-  // starts at the pack input — i.e. the pack's first layer is kRecompute —
-  // will be read from host (fused pack's input streams in instead).
-  // Boundary 0 is the data loader (already host-resident). Packs whose
-  // first layer keeps or swaps its stash need no input checkpoint.
-  std::vector<int> ckpt_boundaries;
-  for (size_t j = 0; j < config.bwd_packs.size(); ++j) {
-    const bool fused = flags.jit_compute && j + 1 == config.bwd_packs.size();
-    const int b = config.bwd_packs[j].lo;
-    if (!fused && b > 0 && policy.at(b) == StashPolicy::kRecompute) {
-      ckpt_boundaries.push_back(b);
-    }
+  if (config.policy.empty()) {
+    g.stash_policy.AssignUniform(R, StashPolicy::kRecompute);
+  } else {
+    g.stash_policy = config.policy;
   }
+  HARMONY_CHECK_EQ(g.stash_policy.num_layers(), R)
+      << "policy table size != model layers";
+  const PolicyTable& policy = g.stash_policy;
 
-  // Per-replica minibatch shares (Alg 1 line 2: D <- D/N for DP).
-  std::vector<int> shares(num_replicas, minibatch / num_replicas);
-  for (int r = 0; r < minibatch % num_replicas; ++r) ++shares[r];
-  for (int s : shares) HARMONY_CHECK_GE(s, 1);
-
-  auto add_task = [&g](Task t) {
-    t.id = g.num_tasks();
-    g.tasks.push_back(std::move(t));
-    return g.tasks.back().id;
+  // Effective pack lists. With jit-compute the last backward pack's forward
+  // runs fused inside the backward task; without it, that pack gets a
+  // regular forward task appended to P_F.
+  const int num_bwd = static_cast<int>(config.bwd_packs.size());
+  const int num_fwd =
+      static_cast<int>(config.fwd_packs.size()) + (flags.jit_compute ? 0 : 1);
+  auto fwd_pack = [&](int i) -> const Pack& {
+    return i < static_cast<int>(config.fwd_packs.size())
+               ? config.fwd_packs[i]
+               : config.bwd_packs.back();
+  };
+  // Backward pack j reads its input checkpoint from host when its remat
+  // chain starts at the pack input, i.e. the pack's first layer is
+  // kRecompute. The fused pack's input streams in instead, boundary 0 is
+  // the data loader (already host-resident), and packs whose first layer
+  // keeps or swaps its stash need no input checkpoint.
+  auto checkpointed = [&](int j) {
+    const bool fused = flags.jit_compute && j + 1 == num_bwd;
+    const int b = config.bwd_packs[j].lo;
+    return !fused && b > 0 && policy.at(b) == StashPolicy::kRecompute;
   };
 
-  // Forward and backward tasks, per replica.
-  std::vector<std::vector<int>> bwd_ids(num_replicas);
+  // Every task is written in place over the graph's previous tasks, so a
+  // regenerated graph reuses their group and checkpoint storage. With CPU
+  // offload (or PP) gradients from all replicas reduce into a single master
+  // update per pack; otherwise each replica updates its own copy on its GPU.
+  const bool single_update_per_pack = flags.cpu_optimizer || !dp;
+  const int updates_per_pack = single_update_per_pack ? 1 : num_replicas;
+  g.tasks.resize(num_replicas * (num_fwd + num_bwd) +
+                 num_bwd * updates_per_pack);
+  int next_id = 0;
+  auto add_task = [&](TaskType type, const Pack& pack, int device,
+                      int replica) -> Task& {
+    Task& t = g.tasks[next_id];
+    t.id = next_id++;
+    t.type = type;
+    t.pack = pack;
+    t.device = device;
+    t.on_cpu = false;
+    t.group.clear();
+    t.replica = replica;
+    t.fused_forward = false;
+    t.checkpoint_boundaries.clear();
+    t.reads_checkpoint = false;
+    return t;
+  };
+
+  // Forward and backward tasks, per replica, in wrap-around slot order.
   for (int r = 0; r < num_replicas; ++r) {
-    const auto fwd_pieces = SplitMicrobatches(shares[r], config.u_fwd);
-    const auto bwd_pieces = SplitMicrobatches(shares[r], config.u_bwd);
-    int slot = 0;  // wrap-around slot counter (F and B tasks only)
-    for (const Pack& p : fwd_packs) {
-      Task t;
-      t.type = TaskType::kForward;
-      t.pack = p;
-      t.device = HarmonyTaskDevice(mode, num_devices, r, slot);
-      t.group = fwd_pieces;
-      t.replica = r;
-      for (int b : ckpt_boundaries) {
-        if (b - 1 >= p.lo && b - 1 <= p.hi) t.checkpoint_boundaries.push_back(b);
+    int slot = 0;
+    for (int i = 0; i < num_fwd; ++i, ++slot) {
+      const Pack& p = fwd_pack(i);
+      Task& t = add_task(TaskType::kForward, p,
+                         HarmonyTaskDevice(mode, num_devices, r, slot), r);
+      AssignMicrobatches(share_of(r), config.u_fwd, &t.group);
+      // Checkpoint the input of every later backward pack whose boundary
+      // this pack computes (the output of layer b - 1).
+      for (int j = 0; j < num_bwd; ++j) {
+        const int b = config.bwd_packs[j].lo;
+        if (b - 1 >= p.lo && b - 1 <= p.hi && checkpointed(j)) {
+          t.checkpoint_boundaries.push_back(b);
+        }
       }
-      add_task(std::move(t));
-      ++slot;
     }
-    for (int j = static_cast<int>(config.bwd_packs.size()) - 1; j >= 0; --j) {
-      Task t;
-      t.type = TaskType::kBackward;
-      t.pack = config.bwd_packs[j];
-      t.device = HarmonyTaskDevice(mode, num_devices, r, slot);
-      t.group = bwd_pieces;
-      t.replica = r;
-      t.fused_forward =
-          flags.jit_compute && j + 1 == static_cast<int>(config.bwd_packs.size());
+    for (int j = num_bwd - 1; j >= 0; --j, ++slot) {
+      Task& t = add_task(TaskType::kBackward, config.bwd_packs[j],
+                         HarmonyTaskDevice(mode, num_devices, r, slot), r);
+      AssignMicrobatches(share_of(r), config.u_bwd, &t.group);
+      t.fused_forward = flags.jit_compute && j + 1 == num_bwd;
       t.reads_checkpoint = !t.fused_forward && t.pack.lo > 0 &&
                            policy.at(t.pack.lo) == StashPolicy::kRecompute;
-      bwd_ids[r].push_back(add_task(std::move(t)));
-      ++slot;
     }
   }
 
-  // Weight-update tasks, one per backward pack, in backward completion order.
-  // With CPU offload (or DP) gradients from all replicas reduce into a single
-  // master update; otherwise each replica updates its own copy on its GPU.
-  const bool single_update_per_pack = flags.cpu_optimizer || !dp;
-  for (int j = static_cast<int>(config.bwd_packs.size()) - 1; j >= 0; --j) {
-    const int rev = static_cast<int>(config.bwd_packs.size()) - 1 - j;
-    for (int r = 0; r < (single_update_per_pack ? 1 : num_replicas); ++r) {
-      Task t;
-      t.type = TaskType::kUpdate;
-      t.pack = config.bwd_packs[j];
+  // Weight-update tasks, one per backward pack (per replica without a
+  // single master update), in backward completion order.
+  for (int j = num_bwd - 1; j >= 0; --j) {
+    const int rev = num_bwd - 1 - j;
+    for (int r = 0; r < updates_per_pack; ++r) {
+      // PP: the same process as the backward task that produced the
+      // gradients, slot num_fwd + rev of replica 0 (Alg 3 line 23).
+      const int device =
+          dp ? (single_update_per_pack ? rev % num_devices : r)
+             : HarmonyTaskDevice(mode, num_devices, 0, num_fwd + rev);
+      Task& t = add_task(TaskType::kUpdate, config.bwd_packs[j], device,
+                         single_update_per_pack ? -1 : r);
       t.on_cpu = flags.cpu_optimizer;
-      t.replica = single_update_per_pack ? -1 : r;
-      if (dp) {
-        t.device = single_update_per_pack ? rev % num_devices : r;
-      } else {
-        // Same process as the backward task that produced the gradients
-        // (Alg 3 line 23).
-        t.device = g.task(bwd_ids[0][rev]).device;
-      }
-      add_task(std::move(t));
     }
   }
 
-  BuildOrders(&g, flags.input_batch_grouping);
-  PlaceUpdates(&g, flags.input_batch_grouping);
-
-  // Without grouping, F/B tasks split into one task per microbatch so the
-  // device interleaves packs microbatch-major (the pre-Harmony execution
-  // style that causes repeated swaps).
-  if (!flags.input_batch_grouping) {
-    TaskGraph split = g;
-    split.tasks.clear();
-    std::vector<std::vector<int>> new_ids(g.num_tasks());
+  g.device_order.resize(num_devices);
+  g.cpu_order.resize(num_devices);
+  for (std::vector<int>& order : g.device_order) order.clear();
+  for (std::vector<int>& order : g.cpu_order) order.clear();
+  if (flags.input_batch_grouping) {
+    // Grouped execution: each device runs its F/B tasks in creation order.
     for (const Task& t : g.tasks) {
-      if (t.type == TaskType::kUpdate || t.group.size() <= 1) {
-        Task copy = t;
-        copy.id = split.num_tasks();
-        new_ids[t.id].push_back(copy.id);
-        split.tasks.push_back(std::move(copy));
-        continue;
-      }
-      for (const MbPiece& piece : t.group) {
-        Task copy = t;
-        copy.id = split.num_tasks();
-        copy.group = {piece};
-        new_ids[t.id].push_back(copy.id);
-        split.tasks.push_back(std::move(copy));
-      }
+      if (t.type != TaskType::kUpdate) g.device_order[t.device].push_back(t.id);
     }
-    // Rebuild orders microbatch-major via a dependency-respecting topological
-    // order (Kahn with (piece.begin, creation) priority). A plain sort can
-    // deadlock when U_F != U_B: a backward piece may need a *later-beginning*
-    // forward piece that a naive microbatch-major order schedules behind it
-    // on the same device.
-    split.device_order.assign(split.num_devices, {});
-    split.cpu_order.assign(split.num_devices, {});
-    const DepResolver split_deps(split);
-    std::vector<int> indegree(split.num_tasks(), 0);
-    std::vector<std::vector<int>> dependents(split.num_tasks());
-    std::vector<int> orig_of(split.num_tasks(), 0);
-    for (int orig = 0; orig < g.num_tasks(); ++orig) {
-      for (int id : new_ids[orig]) orig_of[id] = orig;
-    }
-    for (const Task& t : split.tasks) {
-      if (t.type == TaskType::kUpdate) continue;
-      const bool wants_act = t.type == TaskType::kForward || t.fused_forward;
-      auto add_edge = [&](int pid, int) {
-        dependents[pid].push_back(t.id);
-        ++indegree[t.id];
-      };
-      for (const MbPiece& piece : t.group) {
-        split_deps.ForEachProducer(
-            wants_act ? Flow::kActivation : Flow::kGradient,
-            wants_act ? t.pack.lo : t.pack.hi + 1, piece, t.replica, add_edge);
-        if (!wants_act && t.reads_checkpoint) {
-          split_deps.ForEachProducer(Flow::kActivation, t.pack.lo, piece,
-                                     t.replica, add_edge);
-        }
-      }
-    }
-    struct Key {
-      int begin, orig, id;
-      bool operator>(const Key& o) const {
-        if (begin != o.begin) return begin > o.begin;
-        return orig > o.orig;
-      }
-    };
-    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> ready;
-    int scheduled = 0, total = 0;
-    for (const Task& t : split.tasks) {
-      if (t.type == TaskType::kUpdate) continue;
-      ++total;
-      if (indegree[t.id] == 0) {
-        ready.push(Key{t.group.front().begin, orig_of[t.id], t.id});
-      }
-    }
-    while (!ready.empty()) {
-      const Key k = ready.top();
-      ready.pop();
-      split.device_order[split.task(k.id).device].push_back(k.id);
-      ++scheduled;
-      for (int dep : dependents[k.id]) {
-        if (--indegree[dep] == 0) {
-          ready.push(Key{split.task(dep).group.front().begin, orig_of[dep],
-                         dep});
-        }
-      }
-    }
-    HARMONY_CHECK_EQ(scheduled, total) << "cyclic microbatch dependencies";
-    for (const Task& t : split.tasks) {
-      if (t.type != TaskType::kUpdate) continue;
-      if (t.on_cpu) {
-        split.cpu_order[t.device].push_back(t.id);
-      } else {
-        split.device_order[t.device].push_back(t.id);
-      }
-    }
-    g = std::move(split);
+    PlaceUpdates(&g);
+  } else {
+    SplitUngrouped(&g);
   }
 
   // Structural validation is O(tasks x layers) with per-layer sorts — more
@@ -415,7 +427,6 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
 #ifndef NDEBUG
   ValidateTaskGraph(g);
 #endif
-  return g;
 }
 
 // ---------------------------------------------------------------------------

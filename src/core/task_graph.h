@@ -164,9 +164,7 @@ class DepResolver {
       // ascend, so the first overlap candidate is the first piece ending past
       // piece.begin, and begins ascend, so the matches end at the first piece
       // starting at or after piece.end().
-      auto it = std::partition_point(
-          group.begin(), group.end(),
-          [&](const MbPiece& p) { return p.end() <= piece.begin; });
+      auto it = group.begin() + FirstPieceEndingAfter(group, piece.begin);
       for (; it != group.end() && it->begin < piece.end(); ++it) {
         if (it->Overlaps(piece)) {
           fn(tid, static_cast<int>(it - group.begin()));
@@ -197,6 +195,28 @@ class DepResolver {
   std::span<const int> AllBackwardTasks(int replica) const;
 
  private:
+  /// Index of the first piece of a sorted, disjoint `group` that ends after
+  /// sample `begin` (group.size() if none). A run of equal pieces, as
+  /// SplitMicrobatches makes, resolves with one division; any other group
+  /// falls back to a binary search.
+  static size_t FirstPieceEndingAfter(const std::vector<MbPiece>& group,
+                                      int begin) {
+    const size_t n = group.size();
+    if (n > 1 && group[0].size > 0 && begin >= group[0].begin) {
+      const size_t k = std::min<size_t>(
+          static_cast<size_t>((begin - group[0].begin) / group[0].size),
+          n - 1);
+      if (group[k].end() > begin && (k == 0 || group[k - 1].end() <= begin)) {
+        return k;
+      }
+    }
+    return static_cast<size_t>(
+        std::partition_point(
+            group.begin(), group.end(),
+            [&](const MbPiece& p) { return p.end() <= begin; }) -
+        group.begin());
+  }
+
   const TaskGraph& graph_;
   DepIndex owned_;  // storage when the caller supplies none
   DepIndex* const ix_;
@@ -221,6 +241,17 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
                                    int num_devices, int minibatch,
                                    const OptimizationFlags& flags,
                                    const profile::ProfileDb& profiles);
+/// The same graph, generated into caller-owned `graph`, whose previous
+/// contents are overwritten. Its tasks, groups, checkpoint lists, orders and
+/// policy table keep their storage, so with input-batch grouping
+/// regenerating a graph no larger than the one it last held allocates
+/// nothing (release builds; debug builds validate every graph). The
+/// configuration search keeps one such graph per worker.
+void GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode,
+                              int num_devices, int minibatch,
+                              const OptimizationFlags& flags,
+                              const profile::ProfileDb& profiles,
+                              TaskGraph* graph);
 
 /// Validates structural invariants (layer coverage per pass and replica,
 /// wrap-around binding, piece partitioning, order consistency). CHECK-fails

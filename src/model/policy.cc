@@ -25,10 +25,14 @@ char StashPolicyCode(StashPolicy p) {
 }
 
 PolicyTable PolicyTable::Uniform(int num_layers, StashPolicy fill) {
-  HARMONY_CHECK_GE(num_layers, 1);
   PolicyTable t;
-  t.entries_.assign(num_layers, fill);
+  t.AssignUniform(num_layers, fill);
   return t;
+}
+
+void PolicyTable::AssignUniform(int num_layers, StashPolicy fill) {
+  HARMONY_CHECK_GE(num_layers, 1);
+  entries_.assign(num_layers, fill);
 }
 
 void PolicyTable::Set(int layer, StashPolicy p) {

@@ -34,6 +34,8 @@ class PolicyTable {
   PolicyTable() = default;
 
   static PolicyTable Uniform(int num_layers, StashPolicy fill);
+  /// Makes this table Uniform(num_layers, fill) in place, reusing storage.
+  void AssignUniform(int num_layers, StashPolicy fill);
 
   bool empty() const { return entries_.empty(); }
   int num_layers() const { return static_cast<int>(entries_.size()); }

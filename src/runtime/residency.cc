@@ -178,6 +178,8 @@ void Residency::Grant(int d, const AllocReq& req) {
 void Residency::PumpAllocator(int d) {
   if (env_.failed()) return;
   while (!alloc_queue_[d].empty()) {
+    // Valid until something queues a request: each branch copies what it
+    // needs before Grant, and does not read `req` after StartEviction.
     AllocReq& req = alloc_queue_[d].front();
     if (req.fault_waiting) return;  // the backoff retry timer owns this slot
     if (mem_[d].IsResident(req.id)) {

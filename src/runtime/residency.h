@@ -1,7 +1,7 @@
 #ifndef HARMONY_RUNTIME_RESIDENCY_H_
 #define HARMONY_RUNTIME_RESIDENCY_H_
 
-#include <deque>
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <utility>
@@ -160,6 +160,32 @@ class Residency {
     int fault_attempts = 0;    // injected alloc-failures consumed so far
     bool fault_waiting = false;  // a backoff retry timer owns this slot
   };
+  /// One device's allocation FIFO: a vector consumed from a head index, so
+  /// its storage is reused for the whole run. push_back compacts the
+  /// consumed prefix and may reallocate, so a front() reference does not
+  /// survive anything that can queue a request (Grant, StartEviction).
+  class AllocQueue {
+   public:
+    bool empty() const { return head_ == reqs_.size(); }
+    AllocReq& front() { return reqs_[head_]; }
+    void pop_front() { ++head_; }
+    void push_back(const AllocReq& req) {
+      if (head_ * 2 >= reqs_.size()) {
+        reqs_.erase(reqs_.begin(),
+                    reqs_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+      reqs_.push_back(req);
+    }
+    std::vector<AllocReq>::const_iterator begin() const {
+      return reqs_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    std::vector<AllocReq>::const_iterator end() const { return reqs_.end(); }
+
+   private:
+    std::vector<AllocReq> reqs_;
+    size_t head_ = 0;
+  };
   /// Queues `req` on `d`. FIFO per device; triggers eviction on pressure.
   void RequestAlloc(int d, const AllocReq& req);
   /// The allocation of `req` was granted on `d` with the tensor pinned.
@@ -208,7 +234,7 @@ class Residency {
   std::vector<DeviceMemory> mem_;
   TensorTable table_;
 
-  std::vector<std::deque<AllocReq>> alloc_queue_;
+  std::vector<AllocQueue> alloc_queue_;
   std::vector<int> evictions_in_flight_;
 
   Bytes host_bytes_ = 0;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "baselines/baselines.h"
 #include "core/estimator.h"
 #include "core/packing.h"
 #include "core/scheduler.h"
@@ -234,6 +235,33 @@ TEST(Estimator, GoldenSchedulesPinnedAcrossRewrite) {
             std::bit_cast<uint64_t>(0.14325066413564352));
   EXPECT_EQ(e.swap_bytes, 511320064);
   EXPECT_EQ(e.p2p_bytes, 9437184);
+}
+
+// GP Swap (R) checkpoints each stage's input from that stage's own forward
+// tasks, so the dependency index lists every such forward piece as a
+// producer of its own input boundary. The estimator skips that self edge
+// instead of waiting on the unit it is placing. The estimate is pinned to
+// the bits the dependency-counted ready queue produced.
+TEST(Estimator, SelfListedProducerDoesNotDeadlock) {
+  const Fixture f;
+  const TaskGraph g = baselines::GpipeSwap(f.db, 4, 16, 4, /*recompute=*/true);
+  const DepResolver deps(g);
+  int self_listed = 0;
+  for (const Task& t : g.tasks) {
+    if (t.type != TaskType::kForward) continue;
+    deps.ForEachProducer(Flow::kActivation, t.pack.lo, t.group.front(),
+                         t.replica, [&](int pid, int) {
+                           if (pid == t.id) ++self_listed;
+                         });
+  }
+  EXPECT_EQ(self_listed, 12);  // stages 1-3, four microbatches each
+  const RuntimeEstimator est(f.db, f.machine);
+  EstimatorScratch scratch;
+  const Estimate e = est.EstimateIteration(g, nullptr, &scratch);
+  EXPECT_EQ(std::bit_cast<uint64_t>(e.iteration_time), 0x3fd0c872667ad238ULL)
+      << std::hex << std::bit_cast<uint64_t>(e.iteration_time);
+  EXPECT_EQ(e.swap_bytes, 2882101248);
+  EXPECT_EQ(e.p2p_bytes, 25165824);
 }
 
 uint64_t FnvMix(uint64_t h, uint64_t v) {

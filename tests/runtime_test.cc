@@ -347,7 +347,8 @@ TEST(Runtime, ExecuteAllocationsPerStepAreBounded) {
   // stream ops and flow completions became engine arena records and steps
   // became spans into per-program pools, these were 21773 for GPT2 (594
   // steps, 36.7 per step) and 38065 for BERT96 (1063 steps, 35.8 per step).
-  // The bound keeps at least a 5x cut.
+  // With those and the allocation FIFO as a reused vector instead of a
+  // deque, they are 561 and 598. The bound keeps at least a 30x cut.
   struct Case {
     const char* name;
     model::LayerGraph layers;
@@ -387,7 +388,7 @@ TEST(Runtime, ExecuteAllocationsPerStepAreBounded) {
                 static_cast<double>(allocs) / static_cast<double>(steps),
                 static_cast<long long>(c.before),
                 static_cast<double>(c.before) / static_cast<double>(steps));
-    EXPECT_LE(allocs * 5, c.before);
+    EXPECT_LE(allocs * 30, c.before);
   }
 }
 

@@ -219,6 +219,85 @@ TEST(BoundedSearch, PrunesMostOfGpt2Pp64) {
       << r.configs_estimated << " of " << r.configs_feasible << " estimated";
 }
 
+// Forward floors {1, N, 2N, 4N} often yield the same forward packs (the floor
+// is clamped to the forward layers, or the natural packing already exceeds
+// it), and backward floors the same backward packs. The bounded search
+// estimates each distinct (U_B, U_F, backward packs, forward packs) at most
+// once, while the explored and feasible counts still cover every grid point
+// and the winner is the exhaustive sweep's, bit for bit. The pinned counts
+// and winner bits are those of the search before duplicates were skipped.
+TEST(BoundedSearch, DuplicateCandidatesAreEstimatedOnce) {
+  struct Case {
+    const char* name;
+    model::LayerGraph layers;
+    int minibatch;
+    Bytes gpu_memory;  // 0 = the machine's own
+    int explored;
+    uint64_t best_bits;
+  };
+  const Case cases[] = {
+      {"GPT2 pp 64", model::Gpt2(), 64, 0, 8192, 0x404a79dc547db3efULL},
+      // 20 layers: every forward pass has fewer layers than the 4N floor.
+      {"TinyTransformer pp 8", model::TinyTransformer(16, 512, 128), 8,
+       MiB(512), 512, 0x3fb4072deded0d1bULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
+    if (c.gpu_memory > 0) machine.gpu.memory_capacity = c.gpu_memory;
+    const profile::ProfileDb db = ProfileOf(c.layers, machine);
+    SearchOptions opts;
+    opts.keep_explored = true;
+    const auto full =
+        SearchConfiguration(db, machine, HarmonyMode::kPipelineParallel,
+                            c.minibatch, OptimizationFlags{}, opts);
+    opts.keep_explored = false;
+    const auto bounded =
+        SearchConfiguration(db, machine, HarmonyMode::kPipelineParallel,
+                            c.minibatch, OptimizationFlags{}, opts);
+    ASSERT_TRUE(full.ok()) << full.status();
+    ASSERT_TRUE(bounded.ok()) << bounded.status();
+    const SearchResult& a = full.value();
+    const SearchResult& b = bounded.value();
+
+    // keep_explored still estimates and lists every feasible grid point.
+    EXPECT_EQ(a.configs_estimated, a.configs_feasible);
+    EXPECT_EQ(static_cast<int>(a.explored.size()), a.configs_feasible);
+    // Legacy mode has one table per point, so the distinct candidate tables
+    // are the distinct four-tuples among the explored points.
+    std::vector<const Configuration*> distinct;
+    for (const ExploredConfig& e : a.explored) {
+      const Configuration& x = e.config;
+      if (std::none_of(distinct.begin(), distinct.end(),
+                       [&](const Configuration* y) {
+                         return x.u_bwd == y->u_bwd && x.u_fwd == y->u_fwd &&
+                                x.bwd_packs == y->bwd_packs &&
+                                x.fwd_packs == y->fwd_packs;
+                       })) {
+        distinct.push_back(&x);
+      }
+      if (c.gpu_memory > 0) {
+        EXPECT_LT(x.bwd_packs.back().lo, 4 * machine.num_gpus);
+      }
+    }
+    EXPECT_LT(distinct.size(), a.explored.size()) << "no duplicates to skip";
+    EXPECT_LE(b.configs_estimated, static_cast<int>(distinct.size()));
+
+    for (const SearchResult* r : {&a, &b}) {
+      EXPECT_EQ(r->configs_explored, c.explored);
+      EXPECT_EQ(r->configs_feasible, c.explored);  // every point fits
+      EXPECT_EQ(std::bit_cast<uint64_t>(r->best_estimate.iteration_time),
+                c.best_bits);
+    }
+    EXPECT_EQ(b.best.u_fwd, a.best.u_fwd);
+    EXPECT_EQ(b.best.u_bwd, a.best.u_bwd);
+    EXPECT_EQ(b.best.fwd_packs, a.best.fwd_packs);
+    EXPECT_EQ(b.best.bwd_packs, a.best.bwd_packs);
+    EXPECT_EQ(b.best_estimate.swap_bytes, a.best_estimate.swap_bytes);
+    EXPECT_EQ(b.best_estimate.p2p_bytes, a.best_estimate.p2p_bytes);
+  }
+}
+
 // A token tripped before the call stops the search in its prep pass, before
 // any candidate is estimated: the status names the phase, so this holds
 // without depending on timing.

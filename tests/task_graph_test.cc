@@ -1,14 +1,41 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "core/packing.h"
 #include "core/task_graph.h"
 #include "model/models.h"
 #include "profile/profiler.h"
 #include "graph_corpus.h"
+
+// Counts global operator new calls while armed, so a test can assert that a
+// code path allocates nothing.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<int64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Every delete funnels through one out-of-line release, so the compiler never
+// pairs an inlined free() with a new-expression at a call site.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace harmony::core {
 namespace {
@@ -489,6 +516,94 @@ TEST(DepResolverDeathTest, UnsortedOrOverlappingGroupsFailTheCheck) {
   EXPECT_DEATH(DepResolver{unsorted}, "not sorted and disjoint");
   const TaskGraph overlapping = graph_with({{0, 4}, {2, 4}, {5, 3}});
   EXPECT_DEATH(DepResolver{overlapping}, "not sorted and disjoint");
+}
+
+void ExpectSameGraph(const TaskGraph& a, const TaskGraph& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.name, b.name) << where;
+  EXPECT_EQ(a.num_devices, b.num_devices) << where;
+  EXPECT_EQ(a.num_replicas, b.num_replicas) << where;
+  EXPECT_EQ(a.num_layers, b.num_layers) << where;
+  EXPECT_EQ(a.minibatch, b.minibatch) << where;
+  EXPECT_EQ(a.u_fwd, b.u_fwd) << where;
+  EXPECT_EQ(a.u_bwd, b.u_bwd) << where;
+  EXPECT_EQ(a.stash_policy, b.stash_policy) << where;
+  EXPECT_EQ(a.grad_reduce_via_host, b.grad_reduce_via_host) << where;
+  EXPECT_EQ(a.device_reserved_bytes, b.device_reserved_bytes) << where;
+  EXPECT_EQ(a.device_order, b.device_order) << where;
+  EXPECT_EQ(a.cpu_order, b.cpu_order) << where;
+  ASSERT_EQ(a.num_tasks(), b.num_tasks()) << where;
+  for (int i = 0; i < a.num_tasks(); ++i) {
+    const Task& x = a.task(i);
+    const Task& y = b.task(i);
+    EXPECT_TRUE(x.id == y.id && x.type == y.type && x.pack == y.pack &&
+                x.device == y.device && x.on_cpu == y.on_cpu &&
+                x.replica == y.replica && x.fused_forward == y.fused_forward &&
+                x.checkpoint_boundaries == y.checkpoint_boundaries &&
+                x.reads_checkpoint == y.reads_checkpoint &&
+                x.group.size() == y.group.size())
+        << where << " task " << i;
+    for (size_t k = 0; k < x.group.size() && k < y.group.size(); ++k) {
+      EXPECT_TRUE(x.group[k].begin == y.group[k].begin &&
+                  x.group[k].size == y.group[k].size)
+          << where << " task " << i << " piece " << k;
+    }
+  }
+}
+
+// Generating into one reused graph, whatever it held before (PP or DP,
+// grouped or split, other flags and tables), yields the graph a fresh
+// generation returns.
+TEST(TaskGraph, RegenerateIntoReusedGraphMatchesFresh) {
+  const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
+  const profile::ProfileDb db = MakeDb();
+  TaskGraph reused;
+  int checked = 0;
+  for (const corpus::CorpusGraph& c : corpus::SeededGraphCorpus(db, machine)) {
+    if (!c.harmony) continue;
+    GenerateHarmonyTaskGraph(c.config, c.mode, c.devices, c.minibatch, c.flags,
+                             db, &reused);
+    ExpectSameGraph(reused, c.graph, c.name);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 288);
+}
+
+// The configuration search generates every candidate into one graph per
+// worker. Once that graph has held the largest of a sequence of graphs with
+// the same tasks, regenerating any of them allocates nothing.
+TEST(TaskGraph, RegenerateIntoWarmGraphAllocatesNothing) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "debug builds validate, and so allocate for, every graph";
+#endif
+  const profile::ProfileDb db = MakeDb();
+  const int R = db.num_layers();
+  const Configuration base = MakeConfig(db, 1, 1);
+  std::vector<Configuration> configs;
+  for (int u : {1, 2, 4}) {
+    for (const PolicyTable& table :
+         {PolicyTable(), PolicyTable::Uniform(R, StashPolicy::kSwap),
+          PolicyTable::Uniform(R, StashPolicy::kKeep)}) {
+      Configuration c = base;
+      c.u_fwd = c.u_bwd = u;
+      c.policy = table;
+      configs.push_back(c);
+    }
+  }
+  for (HarmonyMode mode :
+       {HarmonyMode::kPipelineParallel, HarmonyMode::kDataParallel}) {
+    TaskGraph graph;
+    for (const Configuration& c : configs) {
+      GenerateHarmonyTaskGraph(c, mode, 4, 16, OptimizationFlags{}, db, &graph);
+    }
+    g_allocs = 0;
+    g_count_allocs = true;
+    for (const Configuration& c : configs) {
+      GenerateHarmonyTaskGraph(c, mode, 4, 16, OptimizationFlags{}, db, &graph);
+    }
+    g_count_allocs = false;
+    EXPECT_EQ(g_allocs.load(), 0) << HarmonyModeName(mode);
+  }
 }
 
 // Property sweep: every (U_F, U_B, mode, flags) combination yields a graph
