@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -441,49 +440,54 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
 // the lane's free time plus the exposed weight fetch; its end is start plus
 // duration. So every chain of units in which each unit waits for the one
 // before ends no earlier than the sum of its durations (plus any fetch or
-// swap-out it must wait for). The floor prices such chains: one lane's
-// units in order; with grouping, the pipeline fill before a lane's first
-// unit (piece 0 of each earlier slot, each the producer of the next) and
-// the CPU update after its last one.
+// swap-out it must wait for). The floor prices such chains, one per lane:
+// with grouping, the pipeline fill before the lane's first unit (piece 0 of
+// each earlier slot, each the producer of the next); the lane's units in
+// order, with each later task's exposed fetch; then the drain after its last
+// unit (the last piece of each later slot holds the share's last sample, so
+// it waits for the one before, up to the first backward slot without
+// jit-compute, which reads the loss) and the CPU update after the last slot.
+// The exposed fetch is max(0, fetch - span) after a predecessor of span
+// `span` with prefetch, the whole fetch without it. The floor charges it
+// only where the predecessor is the previous slot's last piece on the lane,
+// whose span it bounds from above; where a GPU update sits in between it
+// charges nothing with prefetch.
 //
-// FP error. Every term is a sum of nonnegative doubles (Predict clamps at
-// 0; bytes are nonnegative), and recursive summation of k nonnegative terms
-// has relative error at most gamma_k = k*u / (1 - k*u), u = 2^-53.
+// FP error. Every duration term is a sum of nonnegative doubles (Predict
+// clamps at 0; bytes are nonnegative), and recursive summation of k
+// nonnegative terms has relative error at most gamma_k = k*u / (1 - k*u),
+// u = 2^-53. Let E be the estimate, the largest unit end.
 // - Estimator side. A piece duration is a nested left-to-right sum of at
 //   most 3R + 2 terms (pack backward time, fused forward or recomputed
 //   layers, one read-back per swapped layer, the checkpoint read), so it is
-//   at least (1 - gamma_{3R+2}) x its exact value. FP addition and max are
-//   monotone, so a chain of n units ends no earlier than the FP sum of its
-//   durations: at least (1 - gamma_{n + 3R + 2}) x the exact sum.
+//   within a factor 1 -+ gamma_{3R+2} of its exact value. FP addition and
+//   max are monotone, so a chain of n units and adds ends no earlier than
+//   (1 - gamma_{n + 3R + 2}) x the exact sum of its durations and addends.
 // - Floor side. A prefix row P is a recursive sum, so |P[k] - S_k| <=
 //   gamma_R S_k. The difference P[hi+1] - P[lo] can cancel, so its error is
 //   bounded against P[hi+1], not against the pack sum: at most
 //   (2 gamma_R + 3u) P[hi+1] with the subtraction's own rounding. Range()
 //   subtracts range_slack_ P[hi+1], range_slack_ = 4(R + 2)u, which exceeds
-//   that, so each range is at most its exact pack sum. What follows (a few
-//   operations per piece, the full-piece product, the fill, the tail, one
-//   add per slot into the lane) is relative error gamma_t, t <= 32 x slots
-//   + 16.
-// So floor <= (1 + gamma_t) / (1 - gamma_{n + 3R + 2}) x the chain's end.
-// lane_margin_ = 2u (n + 3R + 3t), twice the first-order error, covers that
-// and the final product's rounding. A chain visits each slot's pieces at
-// most once, so n <= slots x share with slots <= 2R + 1. At R = 1000 layers
-// and a 65,536-sample share the margin is about 3e-8.
-
-namespace {
-
-/// full x dur(u) + dur(rem) for the pieces SplitMicrobatches(share, u)
-/// yields: a task's pieces share one size except the remainder piece.
-template <typename Dur>
-double PiecesTime(int share, int u, Dur&& dur) {
-  const int full = share / u;
-  const int rem = share % u;
-  double t = full > 0 ? full * dur(u) : 0.0;
-  if (rem > 0) t += dur(rem);
-  return t;
-}
-
-}  // namespace
+//   that, so each range is at most its exact pack sum; RangeUp() adds it, so
+//   each is at least the exact sum times (1 - u). What follows (a few
+//   operations per piece, the full-piece product, the fill, the exposures,
+//   the drain, the tail, one add per slot into the lane) is relative error
+//   gamma_t, t <= 64 x slots + 32.
+// - Exposed fetch. Both sides compute `fetch` with the same operation on the
+//   same integer. A span upper bound is a sum of at most four terms, each at
+//   least its exact value times (1 - u), scaled by 1 + span_slack_,
+//   span_slack_ = 2(3R + 8)u, so it is at least the estimator's FP duration.
+//   The estimator's span, unit_end - unit_start, can exceed that duration by
+//   one rounding of the end time, 2u E, plus its own rounding. So each
+//   exposure the floor charges exceeds the estimator's by at most 5u E,
+//   counting the two subtractions' roundings; a chain holds at most `slots`
+//   of them.
+// So floor <= (1 + gamma_t) x (E / (1 - gamma_{n + 3R + 2}) + 5u x slots x
+// E). lane_margin_ = 2u (n + 3R + 3t + 5 slots), twice the first-order
+// error, covers that and the final product's rounding. A chain visits each
+// slot's pieces at most once and adds one exposure per slot and two tail
+// terms, so n <= slots x (share + 1) + 2 with slots <= 2R + 1. At R = 1000
+// layers and a 65,536-sample share the margin is about 3e-8.
 
 LaneFloor::LaneFloor(const profile::ProfileDb& profiles,
                      const hw::MachineSpec& machine, HarmonyMode mode,
@@ -492,13 +496,16 @@ LaneFloor::LaneFloor(const profile::ProfileDb& profiles,
     : profiles_(profiles),
       mode_(mode),
       num_devices_(num_devices),
+      lanes_(mode == HarmonyMode::kPipelineParallel ? num_devices : 1),
       jit_compute_(flags.jit_compute),
       num_layers_(profiles.num_layers()),
       u_max_(u_max),
       swap_bw_(machine.EffectiveSwapBw(num_devices)),
       cpu_update_bw_(machine.cpu_update_bw),
       grouped_(flags.input_batch_grouping),
-      cpu_optimizer_(flags.cpu_optimizer) {
+      cpu_optimizer_(flags.cpu_optimizer),
+      prefetch_(flags.prefetch),
+      updates_between_(!flags.cpu_optimizer && flags.jit_update) {
   HARMONY_CHECK_GE(num_devices, 1);
   HARMONY_CHECK_GE(minibatch, 1);
   HARMONY_CHECK_GE(u_max, 1);
@@ -508,10 +515,10 @@ LaneFloor::LaneFloor(const profile::ProfileDb& profiles,
   if (mode == HarmonyMode::kDataParallel) {
     const int base = minibatch / num_devices;
     const int extra = minibatch % num_devices;
-    if (extra > 0) shares_.emplace_back(0, base + 1);
-    if (base > 0) shares_.emplace_back(extra, base);
+    if (extra > 0) shares_.push_back(base + 1);
+    if (base > 0) shares_.push_back(base);
   } else {
-    shares_.emplace_back(0, minibatch);
+    shares_.push_back(minibatch);
   }
 
   const size_t row = static_cast<size_t>(R) + 1;
@@ -533,11 +540,14 @@ LaneFloor::LaneFloor(const profile::ProfileDb& profiles,
 
   const double unit = std::numeric_limits<double>::epsilon() / 2;
   const double slots = 2.0 * R + 1;
-  const double units = slots * (mode == HarmonyMode::kPipelineParallel
-                                    ? minibatch
-                                    : minibatch / num_devices + 1);
+  const double share = mode == HarmonyMode::kPipelineParallel
+                           ? minibatch
+                           : minibatch / num_devices + 1;
+  const double units = slots * (share + 1.0) + 2.0;
   range_slack_ = 4.0 * (R + 2) * unit;
-  lane_margin_ = 2.0 * unit * (units + 3.0 * R + 3.0 * (32.0 * slots + 16.0));
+  span_slack_ = 2.0 * (3.0 * R + 8.0) * unit;
+  lane_margin_ = 2.0 * unit *
+                 (units + 3.0 * R + 3.0 * (64.0 * slots + 32.0) + 5.0 * slots);
 }
 
 const double* LaneFloor::FwdRow(int u) const {
@@ -553,6 +563,16 @@ const double* LaneFloor::BwdRow(int u) const {
 double LaneFloor::Range(const double* prefix, const Pack& p) const {
   const double upto = prefix[p.hi + 1];
   return std::max(0.0, upto - prefix[p.lo] - range_slack_ * upto);
+}
+
+double LaneFloor::RangeUp(const double* prefix, const Pack& p) const {
+  const double upto = prefix[p.hi + 1];
+  return upto - prefix[p.lo] + range_slack_ * upto;
+}
+
+double LaneFloor::Fetch(const Pack& p) const {
+  return static_cast<double>(param_prefix_[p.hi + 1] - param_prefix_[p.lo]) /
+         swap_bw_;
 }
 
 LaneFloor::Policy LaneFloor::ForPolicy(const PolicyTable& table,
@@ -573,7 +593,7 @@ LaneFloor::Policy LaneFloor::ForPolicy(const PolicyTable& table,
   if (p.remat_ == Policy::Remat::kSome) {
     // Only the piece sizes a backward task of u_bwd takes: u_bwd and each
     // share's remainder.
-    for (const auto& [replica, share] : shares_) {
+    for (int share : shares_) {
       for (int size : {share >= u_bwd ? u_bwd : 0, share % u_bwd}) {
         if (size > 0 && std::find(p.sizes_.begin(), p.sizes_.end(), size) ==
                             p.sizes_.end()) {
@@ -604,19 +624,76 @@ LaneFloor::Policy LaneFloor::ForPolicy(const PolicyTable& table,
   return p;
 }
 
-TimeSec LaneFloor::Bound(const Configuration& config,
-                         const Policy& policy) const {
-  HARMONY_CHECK_EQ(config.u_bwd, policy.u_bwd_);
-  HARMONY_CHECK(!config.bwd_packs.empty());
-  HARMONY_CHECK(config.u_fwd >= 1 && config.u_fwd <= u_max_)
-      << "u_fwd " << config.u_fwd;
-  const int num_fwd = static_cast<int>(config.fwd_packs.size());
-  const int num_bwd = static_cast<int>(config.bwd_packs.size());
+template <typename PieceFn, typename PackFn>
+void LaneFloor::FillPass(int slots, int u, bool backward, double tail,
+                         PieceFn&& piece, PackFn&& pack, Pass* out) const {
+  const int L = lanes_;
+  out->slots_ = slots;
+  out->lanes_.assign(shares_.size() * L, Pass::Lane{});
+  out->through_.assign(shares_.size(), 0.0);
+  // A later task's fetch: exposed past its predecessor's span with
+  // prefetch, whole without. With prefetch, a backward task that follows a
+  // GPU update is charged nothing.
+  const bool exposes = !prefetch_ || !(backward && updates_between_);
+  for (size_t si = 0; si < shares_.size(); ++si) {
+    const int share = shares_[si];
+    const int full = share / u;
+    const int rem = share % u;
+    const int last = rem > 0 ? rem : u;
+    Pass::Lane* lanes = &out->lanes_[si * L];
+    double below_top = 0;  // last pieces of the slots below the top L
+    for (int i = 0; i < slots; ++i) {
+      Pass::Lane& lane = lanes[i % L];
+      const double dur = full > 0 ? piece(i, u, false) : 0.0;
+      const double dur_rem = rem > 0 ? piece(i, rem, false) : 0.0;
+      lane.sum += (full > 0 ? full * dur : 0.0) + dur_rem;
+      if (!grouped_) continue;
+      const double fetch = Fetch(pack(i));
+      if (i < L) {
+        lane.head_fetch = fetch;
+        lane.head_piece = full > 0 ? dur : dur_rem;
+      } else if (exposes) {
+        lane.sum += prefetch_ ? std::max(0.0, fetch - lane.top_span) : fetch;
+      }
+      if (prefetch_) lane.top_span = piece(i, last, true);
+      // Until the drain pass below, top_drain holds the slot's last piece.
+      const double last_piece = rem > 0 ? dur_rem : dur;
+      if (i < slots - L) below_top += last_piece;
+      lane.top_drain = last_piece;
+    }
+    if (!grouped_) continue;
+    double drain = tail;
+    for (int i = slots - 1; i >= 0 && i >= slots - L; --i) {
+      const double last_piece = lanes[i % L].top_drain;
+      lanes[i % L].top_drain = drain;
+      drain += last_piece;
+    }
+    out->through_[si] = drain + below_top;
+  }
+}
+
+void LaneFloor::ForwardPass(int u_fwd, const PackList& fwd_packs,
+                            const Pack& last_bwd, Pass* out) const {
+  HARMONY_CHECK(u_fwd >= 1 && u_fwd <= u_max_) << "u_fwd " << u_fwd;
+  const int num_fwd = static_cast<int>(fwd_packs.size());
   // Without jit-compute the last backward pack gets a forward task of its
   // own, appended to P_F (as the generator does).
-  const int fwd_slots = num_fwd + (jit_compute_ ? 0 : 1);
-  const int slots = fwd_slots + num_bwd;
+  auto pack = [&](int i) -> const Pack& {
+    return i < num_fwd ? fwd_packs[i] : last_bwd;
+  };
+  FillPass(
+      num_fwd + (jit_compute_ ? 0 : 1), u_fwd, /*backward=*/false, 0.0,
+      [&](int i, int u, bool up) {
+        return up ? RangeUp(FwdRow(u), pack(i)) * (1.0 + span_slack_)
+                  : Range(FwdRow(u), pack(i));
+      },
+      pack, out);
+}
 
+void LaneFloor::BackwardPass(const PackList& bwd_packs, const Policy& policy,
+                             Pass* out) const {
+  HARMONY_CHECK(!bwd_packs.empty());
+  const int num_bwd = static_cast<int>(bwd_packs.size());
   auto remat_row = [&](int u) -> const double* {
     if (policy.remat_ == Policy::Remat::kAll) return FwdRow(u);
     for (size_t k = 0; k < policy.sizes_.size(); ++k) {
@@ -627,27 +704,23 @@ TimeSec LaneFloor::Bound(const Configuration& config,
     HARMONY_CHECK(false) << "no recompute prefix at piece size " << u;
     return nullptr;
   };
-  // The pack of the F/B task in `slot`: forward packs first, then the
-  // backward packs in reverse order.
-  auto slot_pack = [&](int slot) -> const Pack& {
-    if (slot < fwd_slots) {
-      return slot < num_fwd ? config.fwd_packs[slot] : config.bwd_packs.back();
-    }
-    return config.bwd_packs[num_bwd - 1 - (slot - fwd_slots)];
+  // Backward slot k runs the backward packs in reverse order; slot 0 is the
+  // fused pack with jit-compute.
+  auto pack = [&](int k) -> const Pack& {
+    return bwd_packs[num_bwd - 1 - k];
   };
-  auto slot_u = [&](int slot) {
-    return slot < fwd_slots ? config.u_fwd : config.u_bwd;
-  };
-  // Duration of one piece of size `u` of the task in `slot`.
-  auto piece_time = [&](int slot, int u) -> double {
-    const Pack& p = slot_pack(slot);
-    if (slot < fwd_slots) return Range(FwdRow(u), p);
-    const bool fused = jit_compute_ && slot == fwd_slots;
-    double t = Range(BwdRow(u), p);
-    if (fused) {
-      t += Range(FwdRow(u), p);
+  // One piece of size `u` of slot k: a lower bound on the estimator's
+  // duration, or (up) an upper bound on it.
+  auto piece = [&](int k, int u, bool up) -> double {
+    const Pack& p = pack(k);
+    auto range = [&](const double* prefix) {
+      return up ? RangeUp(prefix, p) : Range(prefix, p);
+    };
+    double t = range(BwdRow(u));
+    if (jit_compute_ && k == 0) {
+      t += range(FwdRow(u));
     } else {
-      if (policy.remat_ != Policy::Remat::kNone) t += Range(remat_row(u), p);
+      if (policy.remat_ != Policy::Remat::kNone) t += range(remat_row(u));
       if (!policy.swap_prefix_.empty()) {
         const Bytes swapped =
             policy.swap_prefix_[p.hi + 1] - policy.swap_prefix_[p.lo];
@@ -658,56 +731,77 @@ TimeSec LaneFloor::Bound(const Configuration& config,
         t += static_cast<double>(static_cast<Bytes>(u) * checkpoint) / swap_bw_;
       }
     }
-    return t;
+    return up ? t * (1.0 + span_slack_) : t;
   };
+  // CPU-update tail: pack 0's update waits for the last piece of every
+  // replica's last slot, swaps the gradient out, then runs on the CPU.
+  double tail = 0;
+  if (cpu_optimizer_) {
+    const double params = static_cast<double>(
+        param_prefix_[bwd_packs.front().hi + 1] -
+        param_prefix_[bwd_packs.front().lo]);
+    const int replicas =
+        mode_ == HarmonyMode::kDataParallel ? num_devices_ : 1;
+    tail = params / swap_bw_ + params * (2.0 + replicas) / cpu_update_bw_;
+  }
+  FillPass(num_bwd, policy.u_bwd_, /*backward=*/true, tail, piece, pack, out);
+}
 
-  std::vector<double> lanes(static_cast<size_t>(num_devices_), 0.0);
-  for (const auto& [replica, share] : shares_) {
-    for (int slot = 0; slot < slots; ++slot) {
-      lanes[HarmonyTaskDevice(mode_, num_devices_, replica, slot)] +=
-          PiecesTime(share, slot_u(slot),
-                     [&](int u) { return piece_time(slot, u); });
-    }
-  }
-  if (grouped_) {
-    // With input-batch grouping a lane runs its tasks in slot order: its
-    // first unit is piece 0 of its lowest slot, its last F/B unit the last
-    // piece of its highest slot.
-    auto fetch = [&](int slot) {
-      const Pack& p = slot_pack(slot);
-      return static_cast<double>(param_prefix_[p.hi + 1] -
-                                 param_prefix_[p.lo]) /
-             swap_bw_;
-    };
-    // CPU-update tail: pack 0's update waits for the last piece of every
-    // replica's last slot, swaps the gradient out, then runs on the CPU.
-    const Pack& p0 = config.bwd_packs.front();
-    const double params =
-        static_cast<double>(param_prefix_[p0.hi + 1] - param_prefix_[p0.lo]);
-    const int replicas = mode_ == HarmonyMode::kDataParallel ? num_devices_ : 1;
-    const double tail =
-        params / swap_bw_ + params * (2.0 + replicas) / cpu_update_bw_;
-    for (const auto& [replica, share] : shares_) {
-      auto device = [&](int slot) {
-        return HarmonyTaskDevice(mode_, num_devices_, replica, slot);
-      };
-      // Lane start: each slot before the first device repeat opens a lane
-      // (PP: slots 0..N-1; DP: slot 0). Its first piece waits for its
-      // weights (no earlier task to prefetch behind) and for piece 0 of the
-      // slot before, its producer — except the first backward slot without
-      // jit-compute, whose input is the loss.
-      double prev_end = 0;
-      for (int slot = 0;
-           slot < slots && (slot == 0 || device(slot) != device(0)); ++slot) {
-        const bool chained = slot > 0 && (slot != fwd_slots || jit_compute_);
-        const double start = std::max(chained ? prev_end : 0.0, fetch(slot));
-        lanes[device(slot)] += start;
-        prev_end = start + piece_time(slot, std::min(slot_u(slot), share));
+TimeSec LaneFloor::Compose(const Pass& fwd, const Pass& bwd) const {
+  const int L = lanes_;
+  const int F = fwd.slots_;
+  const int B = bwd.slots_;
+  HARMONY_DCHECK_GE(B, 1);
+  double floor = 0;
+  for (size_t si = 0; si < shares_.size(); ++si) {
+    const Pass::Lane* fl = &fwd.lanes_[si * L];
+    const Pass::Lane* bl = &bwd.lanes_[si * L];
+    double prev_end = 0;  // end of piece 0 of the slot before (the fill)
+    // Slot i sits on lane i mod L, and backward slot k is slot F + k, so
+    // lane d holds forward slots iff d < F and backward slots of residue r.
+    for (int d = 0; d < L && d < F + B; ++d) {
+      const int r = ((d - F) % L + L) % L;
+      const bool has_fwd = d < F;
+      const bool has_bwd = r < B;
+      double lane = (has_fwd ? fl[d].sum : 0.0) + (has_bwd ? bl[r].sum : 0.0);
+      if (grouped_) {
+        // Slot d opens lane d. Its piece 0 waits for its weights (no earlier
+        // task to prefetch behind) and for piece 0 of slot d - 1, its
+        // producer, except the first backward slot without jit-compute,
+        // whose input is the loss.
+        const Pass::Lane& head = has_fwd ? fl[d] : bl[d - F];
+        const bool chained = d > 0 && (d != F || jit_compute_);
+        const double start =
+            std::max(chained ? prev_end : 0.0, head.head_fetch);
+        prev_end = start + head.head_piece;
+        lane += start;
+        if (has_fwd && has_bwd) {
+          // The lane's first backward slot follows its top forward slot.
+          const double fetch = bl[r].head_fetch;
+          lane += prefetch_ ? std::max(0.0, fetch - fl[d].top_span) : fetch;
+        }
+        // The drain after the lane's top slot: through the backward pass
+        // when the chain reaches it.
+        lane += has_bwd ? bl[r].top_drain
+                        : fl[d].top_drain +
+                              (jit_compute_ ? bwd.through_[si] : 0.0);
       }
-      if (cpu_optimizer_) lanes[device(slots - 1)] += tail;
+      floor = std::max(floor, lane);
     }
   }
-  return *std::max_element(lanes.begin(), lanes.end()) * (1.0 - lane_margin_);
+  return floor * (1.0 - lane_margin_);
+}
+
+TimeSec LaneFloor::Bound(const Configuration& config,
+                         const Policy& policy) const {
+  HARMONY_CHECK_EQ(config.u_bwd, policy.u_bwd_);
+  HARMONY_CHECK(!config.bwd_packs.empty());
+  // Per-thread stage storage: a warm call allocates nothing.
+  thread_local Pass fwd;
+  thread_local Pass bwd;
+  ForwardPass(config.u_fwd, config.fwd_packs, config.bwd_packs.back(), &fwd);
+  BackwardPass(config.bwd_packs, policy, &bwd);
+  return Compose(fwd, bwd);
 }
 
 }  // namespace harmony::core

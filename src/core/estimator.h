@@ -2,7 +2,6 @@
 #define HARMONY_CORE_ESTIMATOR_H_
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/task_graph.h"
@@ -91,10 +90,25 @@ class RuntimeEstimator {
 /// pack backward time plus the fused forward or the recomputed layers, the
 /// swap read-back and the checkpoint read — and takes the largest lane.
 /// With input-batch grouping a lane runs its tasks in slot order, so the
-/// floor also charges when the lane can start (its first weight fetch and,
-/// in PP, the pipeline fill) and the CPU-update tail after it. Other
-/// transfers, fetches and updates only add time and are left out. Every
-/// range sum is an O(1) read of a prefix table, so one floor costs O(packs).
+/// floor also charges:
+/// - when the lane can start: its first weight fetch and, in PP, the
+///   pipeline fill;
+/// - each later task's exposed weight fetch: the part of the fetch its
+///   predecessor's span cannot hide with prefetch, the whole fetch without;
+/// - the drain after the lane's last unit: the last piece of every later
+///   slot, each waiting for the one before, then the CPU-update tail.
+/// Transfers, GPU updates and the CPU lane's queue only add time and are
+/// left out.
+///
+/// The floor is built in two stages. A Pass holds one pass's slots (the
+/// forward slots of a (U_F, forward packs) pair, or the backward slots of a
+/// (backward packs, policy) pair) reduced to per-lane terms: its pieces and
+/// in-pass exposures summed by lane residue, and the head and top slot of
+/// each residue. Compose joins a forward and a backward Pass in O(lanes):
+/// the fill, the forward-to-backward exposures and the drain of lanes whose
+/// top slot is a forward slot. The search builds each Pass once and reuses
+/// it across every grid point that shares it; Bound composes fresh ones.
+/// No call allocates once its storage is warm.
 class LaneFloor {
  public:
   /// The policy-dependent prefix tables for one (policy table, U_B) pair:
@@ -114,6 +128,25 @@ class LaneFloor {
     std::vector<Bytes> swap_prefix_;  // empty when no layer swaps
   };
 
+  /// One pass's slots reduced to per-lane terms (see the class comment).
+  /// Filled by ForwardPass or BackwardPass into reused storage.
+  class Pass {
+   private:
+    friend class LaneFloor;
+    // Terms of the pass's slots i with i mod lanes == r, one entry per
+    // (share, r). The head is slot r, the top the last such slot.
+    struct Lane {
+      double sum = 0;         // pieces, plus exposures after in-pass slots
+      double head_fetch = 0;  // the head's weight fetch
+      double head_piece = 0;  // the head's piece 0
+      double top_span = 0;    // upper bound on the top's last-piece span
+      double top_drain = 0;   // last pieces after the top, to the pass end
+    };
+    int slots_ = 0;
+    std::vector<Lane> lanes_;      // index share * lanes + r
+    std::vector<double> through_;  // per share: every slot's last piece
+  };
+
   /// Builds the policy-independent prefix sums of FwdTime and BwdTime over
   /// layers for every microbatch size up to `u_max`, the largest U_F or U_B
   /// the caller asks about.
@@ -125,20 +158,42 @@ class LaneFloor {
   /// table is the generator's default, recompute everywhere.
   Policy ForPolicy(const PolicyTable& table, int u_bwd) const;
 
+  /// The forward slots at microbatch `u_fwd`: `fwd_packs`, then, without
+  /// jit-compute, the forward of `last_bwd`, the last backward pack.
+  void ForwardPass(int u_fwd, const PackList& fwd_packs, const Pack& last_bwd,
+                   Pass* out) const;
+  /// The backward slots of `bwd_packs` (reversed) under the table and U_B
+  /// `policy` was built for, with the CPU-update tail after the last one.
+  void BackwardPass(const PackList& bwd_packs, const Policy& policy,
+                    Pass* out) const;
+  /// The floor of the configuration whose forward and backward slots `fwd`
+  /// and `bwd` hold. O(lanes); allocates nothing.
+  TimeSec Compose(const Pass& fwd, const Pass& bwd) const;
+
   /// The floor for `config`'s packs and microbatch sizes under the table
   /// `policy` was built for (config.policy is not read; config.u_bwd must
-  /// match). Never above the estimate of the graph the generator builds.
+  /// match): both passes built into per-thread storage, then composed.
+  /// Never above the estimate of the graph the generator builds.
   TimeSec Bound(const Configuration& config, const Policy& policy) const;
 
  private:
-  /// Lower bound on the sum over layers [lo, hi] of a prefix row.
+  /// Lower (upper) bound on the sum over layers [lo, hi] of a prefix row.
   double Range(const double* prefix, const Pack& p) const;
+  double RangeUp(const double* prefix, const Pack& p) const;
   const double* FwdRow(int u) const;
   const double* BwdRow(int u) const;
+  double Fetch(const Pack& p) const;
+  /// Fills `out` from `slots` slots, where piece(i, u, up) bounds one piece
+  /// of size u of slot i from below (up: from above) and pack(i) is its
+  /// pack; `tail` follows the pass's last slot.
+  template <typename PieceFn, typename PackFn>
+  void FillPass(int slots, int u, bool backward, double tail,
+                PieceFn&& piece, PackFn&& pack, Pass* out) const;
 
   const profile::ProfileDb& profiles_;
   HarmonyMode mode_;
   int num_devices_ = 1;
+  int lanes_ = 1;  // lanes one replica's slots spread over: N in PP, 1 in DP
   bool jit_compute_ = true;
   int num_layers_ = 0;
   int u_max_ = 0;
@@ -146,15 +201,20 @@ class LaneFloor {
   double cpu_update_bw_ = 0;
   bool grouped_ = true;
   bool cpu_optimizer_ = true;
-  // Distinct per-replica minibatch shares, each with one representative
-  // replica: one share in PP, at most two in DP.
-  std::vector<std::pair<int, int>> shares_;  // (replica, share)
+  bool prefetch_ = true;
+  // Without the CPU optimizer and with jit-update a GPU update unit follows
+  // each backward task on its lane, so it, not the backward task, is the
+  // next backward task's predecessor.
+  bool updates_between_ = false;
+  // Distinct per-replica minibatch shares: one in PP, at most two in DP.
+  std::vector<int> shares_;
   // Row u holds prefix sums over layers at microbatch size u (row 0 unused).
   std::vector<double> fwd_prefix_;
   std::vector<double> bwd_prefix_;
   std::vector<Bytes> param_prefix_;
   // FP margins; derived in estimator.cc.
   double range_slack_ = 0;
+  double span_slack_ = 0;
   double lane_margin_ = 0;
 };
 

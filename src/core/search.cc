@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <limits>
 #include <numeric>
@@ -97,21 +99,33 @@ struct DistinctPoint {
   int feasible = 0;
 };
 
-/// Memo for ForwardPacks keyed by (U_F, min_packs, fwd_layers). ForwardPacks
-/// is a pure function of the key (the backward packs only enter through
-/// fwd_layers). Only the serial prep pass fills it; node-based storage keeps
-/// the returned references stable for the workers that read them later.
+/// Memo for ForwardPacks keyed by (U_F, min_packs, fwd_layers), with each
+/// entry's forward lane-floor terms. ForwardPacks is a pure function of the
+/// key (the backward packs only enter through fwd_layers, and the last
+/// backward pack is [fwd_layers, R - 1]). Only the serial prep pass fills
+/// it; node-based storage keeps the returned references stable for the
+/// workers that read them later.
 class FwdPackMemo {
  public:
   using Key = std::tuple<int, int, int>;
+  struct Entry {
+    Result<PackList> packs;
+    LaneFloor::Pass floor;  // set when packs is ok
+  };
 
-  const Result<PackList>& Get(const Key& key, int u_fwd, const PackList& bwd,
-                              const profile::ProfileDb& profiles,
-                              const PackingOptions& packing) {
+  const Entry& Get(const Key& key, int u_fwd, const PackList& bwd,
+                   const profile::ProfileDb& profiles,
+                   const PackingOptions& packing, const LaneFloor& floor) {
     auto it = cache_.find(key);
     if (it == cache_.end()) {
-      it = cache_.emplace(key, ForwardPacks(u_fwd, bwd, profiles, packing))
+      it = cache_.emplace(key, Entry{ForwardPacks(u_fwd, bwd, profiles,
+                                                  packing),
+                                     {}})
                .first;
+      Entry& e = it->second;
+      if (e.packs.ok()) {
+        floor.ForwardPass(u_fwd, e.packs.value(), bwd.back(), &e.floor);
+      }
     }
     return it->second;
   }
@@ -128,7 +142,7 @@ class FwdPackMemo {
     }
   };
 
-  std::unordered_map<Key, Result<PackList>, KeyHash> cache_;
+  std::unordered_map<Key, Entry, KeyHash> cache_;
 };
 
 }  // namespace
@@ -286,14 +300,19 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   // Phase 1 (serial prep pass): enumerate the grid in canonical order —
   // BackwardPacks runs once per (U_B, floor) group, ForwardPacks once per
   // memo key — and resolve each point's packs, its capacity-gate result per
-  // policy table, and each feasible table's lane floor. configs_feasible is
-  // counted here, so it stays exact however much the fan-out prunes.
+  // policy table, and each feasible table's lane floor. The floor's
+  // backward terms are built once per (group, table) and its forward terms
+  // once per memo key, so a point's floor is an O(N) composition.
+  // configs_feasible is counted here, so it stays exact however much the
+  // fan-out prunes.
   const LaneFloor lane_floor(profiles, machine, mode, n, minibatch, flags,
                              std::max({1, u_fwd_max, u_bwd_max}));
   constexpr double kInfeasible = std::numeric_limits<double>::infinity();
   std::deque<PackList> bwd_groups;  // deques keep element addresses stable
   std::deque<PackList> equi_fwd;    // Equi-FB forward packs, one per group
   FwdPackMemo fwd_memo;
+  std::array<LaneFloor::Pass, kMaxTablesPerPoint> bwd_terms;
+  LaneFloor::Pass equi_terms;
   std::vector<Candidate> candidates;
   // Forward floors often yield the same forward packs (the floor is clamped
   // to the forward layers, or the natural packing already exceeds it), and
@@ -329,19 +348,19 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
         // Equi-FB (Table 4): reuse the backward packs and microbatch size
         // for the forward pass (dropping the fused last pack).
         equi_fwd.emplace_back(bwd_packs.begin(), bwd_packs.end() - 1);
+        lane_floor.ForwardPass(u_bwd, equi_fwd.back(), bwd_packs.back(),
+                               &equi_terms);
       }
 
       std::array<bool, kMaxTablesPerPoint> bwd_ok{};
       for (int ti = 0; ti < num_tables; ++ti) {
         bwd_ok[ti] =
             tables[ti].empty() || bwd_fits(bwd_packs, u_bwd, kept[ti]);
+        if (bwd_ok[ti]) {
+          lane_floor.BackwardPass(bwd_packs, floor_tables[ti], &bwd_terms[ti]);
+        }
       }
 
-      // Scratch configuration for the floors, which read only the packs
-      // and microbatch sizes.
-      Configuration config;
-      config.u_bwd = u_bwd;
-      config.bwd_packs = bwd_packs;
       for (int u_fwd = 1; u_fwd <= u_fwd_max; ++u_fwd) {
         for (int fwd_floor : fwd_floors) {
           result.configs_explored += tables_per_point;
@@ -351,17 +370,19 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
           }
           if (cancelled()) return cancelled_status("preparing candidates");
           Candidate c{u_bwd, bwd_floor, u_fwd, fwd_floor, &bwd_packs};
+          const LaneFloor::Pass* fwd_terms = &equi_terms;
           if (options.equi_fb) {
             c.fwd = &equi_fwd.back();
           } else {
             const int fwd_layers = bwd_packs.back().lo;
             PackingOptions fwd_packing = packing;
             fwd_packing.min_packs = std::min(fwd_floor, fwd_layers);
-            const Result<PackList>& fwd = fwd_memo.Get(
+            const FwdPackMemo::Entry& fwd = fwd_memo.Get(
                 {u_fwd, fwd_packing.min_packs, fwd_layers}, u_fwd, bwd_packs,
-                profiles, fwd_packing);
-            if (!fwd.ok()) continue;
-            c.fwd = &fwd.value();
+                profiles, fwd_packing, lane_floor);
+            if (!fwd.packs.ok()) continue;
+            c.fwd = &fwd.packs.value();
+            fwd_terms = &fwd.floor;
           }
           std::vector<DistinctPoint>& seen = distinct[u_fwd];
           const auto first = std::find_if(
@@ -378,19 +399,24 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
             }
             continue;
           }
-          config.u_fwd = u_fwd;  // Equi-FB points have u_fwd == u_bwd
-          config.fwd_packs = *c.fwd;
           c.min_floor = kInfeasible;
           DistinctPoint point{&bwd_packs, c.fwd};
           for (int ti = 0; ti < num_tables; ++ti) {
             c.floor[ti] = kInfeasible;
             if (!bwd_ok[ti] ||
                 (!tables[ti].empty() &&
-                 !fwd_fits(*c.fwd, config.u_fwd, tables[ti], kept[ti]))) {
+                 !fwd_fits(*c.fwd, u_fwd, tables[ti], kept[ti]))) {
               continue;
             }
             ++point.feasible;
-            c.floor[ti] = lane_floor.Bound(config, floor_tables[ti]);
+            c.floor[ti] = lane_floor.Compose(*fwd_terms, bwd_terms[ti]);
+            // The reused group and memo terms must give the floor that
+            // Bound builds fresh, bit for bit.
+            HARMONY_DCHECK_EQ(
+                std::bit_cast<uint64_t>(c.floor[ti]),
+                std::bit_cast<uint64_t>(lane_floor.Bound(
+                    Configuration{u_fwd, u_bwd, *c.fwd, bwd_packs, {}},
+                    floor_tables[ti])));
             c.min_floor = std::min(c.min_floor, c.floor[ti]);
           }
           result.configs_feasible += point.feasible;

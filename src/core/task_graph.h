@@ -225,8 +225,9 @@ class DepResolver {
 /// The wrap-around device rule of Algorithm 3 for the `slot`-th F/B task of
 /// `replica`: slots count the effective forward packs first, then the
 /// backward packs in reverse order; PP binds slot i to GPU[i mod N], DP runs
-/// every task of a replica on that replica's GPU. The generator and the
-/// search's lane floor (core/estimator.h) both place tasks with it.
+/// every task of a replica on that replica's GPU. The generator places tasks
+/// with it; the search's lane floor (core/estimator.h) groups slots by the
+/// same rule, slot i on lane i mod N in PP and one lane per replica in DP.
 int HarmonyTaskDevice(HarmonyMode mode, int num_devices, int replica, int slot);
 
 /// Generates the Harmony task graph for a configuration (Algorithm 3):

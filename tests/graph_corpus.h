@@ -78,10 +78,11 @@ inline Configuration PackedConfig(const profile::ProfileDb& db, int u_fwd,
 }
 
 /// 288 Harmony graphs (6 policy tables x 8 flag variants x {PP, DP} x 3
-/// seeded shapes) followed by 24 baseline graphs.
+/// seeded shapes) followed by 24 baseline graphs. Harmony graphs draw their
+/// device count from [1, max_devices].
 inline std::vector<CorpusGraph> SeededGraphCorpus(
     const profile::ProfileDb& db, const hw::MachineSpec& machine,
-    uint64_t seed = 17) {
+    uint64_t seed = 17, int max_devices = 4) {
   Rng rng(seed);
   const int R = db.num_layers();
   std::vector<CorpusGraph> out;
@@ -95,7 +96,7 @@ inline std::vector<CorpusGraph> SeededGraphCorpus(
     for (int variant = 0; variant < 8; ++variant) {
       for (int dp = 0; dp < 2; ++dp) {
         for (int rep = 0; rep < 3; ++rep) {
-          const int devices = static_cast<int>(rng.NextInt(1, 4));
+          const int devices = static_cast<int>(rng.NextInt(1, max_devices));
           const int minibatch = static_cast<int>(rng.NextInt(devices, 24));
           const int u_bwd = static_cast<int>(rng.NextInt(1, 6));
           const int u_fwd = rng.NextInt(0, 5) == 0
