@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string_view>
 
 #include "core/estimator.h"
 #include "core/packing.h"
@@ -14,6 +16,7 @@
 #include "runtime/memory_manager.h"
 #include "runtime/runtime.h"
 #include "runtime/step_compiler.h"
+#include "trace/chrome_trace.h"
 
 // Counts global operator new calls while armed, so a test can bound how much
 // a code path allocates.
@@ -336,6 +339,65 @@ TEST_P(RuntimeFlagSweep, CompletesForAllFlagCombos) {
 
 INSTANTIATE_TEST_SUITE_P(AllFlagCombos, RuntimeFlagSweep,
                          ::testing::Range(0, 128, 1));
+
+// ---------------------------------------------------------------------------
+// Paper-model workloads: u = 4 packs on a commodity server
+// ---------------------------------------------------------------------------
+
+struct Workload {
+  Workload(const model::LayerGraph& layers, HarmonyMode mode, int minibatch,
+           hw::MachineSpec m = hw::MachineSpec::Commodity4Gpu())
+      : machine(std::move(m)),
+        model(model::Sequentialize(layers)),
+        db(profile::Profiler(machine.gpu, {}).Profile(model)) {
+    core::PackingOptions opts;
+    opts.capacity = static_cast<Bytes>(machine.gpu.usable_memory() * 0.85);
+    Configuration config;
+    config.u_fwd = config.u_bwd = 4;
+    config.bwd_packs = core::BackwardPacks(4, db, opts).value();
+    opts.min_packs = 4;
+    config.fwd_packs =
+        core::ForwardPacks(4, config.bwd_packs, db, opts).value();
+    graph = core::GenerateHarmonyTaskGraph(config, mode, machine.num_gpus,
+                                           minibatch, OptimizationFlags{}, db);
+  }
+
+  hw::MachineSpec machine;
+  model::SequentialModel model;
+  profile::ProfileDb db;
+  TaskGraph graph;
+};
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Runtime, ChromeTraceBytesArePinned) {
+  // Every byte of the chrome://tracing JSON of a small GPT2 pp run: span
+  // labels ("t<task> step<i>", "t<task> cpu-update", lane names for
+  // transfers), instants, counters and row metadata.
+  const Workload w(model::Gpt2(), HarmonyMode::kPipelineParallel, 8);
+  trace::ChromeTraceSink sink;
+  RuntimeOptions opts;
+  opts.trace_sinks.push_back(&sink);
+  ASSERT_TRUE(Runtime(w.machine, w.model).Execute(w.graph, opts).ok());
+  std::ostringstream os;
+  sink.WriteJson(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("{\"name\":\"t0 step0\",\"cat\":\"compute\",\"ph\":\"X\""),
+            std::string::npos);
+  EXPECT_NE(json.find("cpu-update\",\"cat\":\"cpu\""), std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"swapin\",\"cat\":\"swapin\""),
+            std::string::npos);
+  EXPECT_EQ(sink.num_events(), 2019);
+  EXPECT_EQ(json.size(), 135968u);
+  EXPECT_EQ(Fnv1a(json), 0x5791199ff875188cull);
+}
 
 // ---------------------------------------------------------------------------
 // Allocation budget of one simulated iteration
