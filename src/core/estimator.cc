@@ -405,14 +405,17 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
           begin.device = cpu_lane ? lane_id - N : lane_id;
           begin.time = unit_start[uid];
           begin.task = id;
-          if (trace->detailed()) {
-            begin.name = "t" + std::to_string(id);
-            if (!update) begin.name += " p" + std::to_string(k);
+          // Labelled "t<id> p<piece>", or "t<id>" for an update.
+          if (!update) {
+            begin.detail = "p";
+            begin.index = k;
           }
-          trace::Event end = begin;
+          trace::Event end;
           end.kind = trace::EventKind::kOpEnd;
+          end.lane = begin.lane;
+          end.device = begin.device;
           end.time = unit_end[uid];
-          end.name.clear();
+          end.task = id;
           trace->Emit(begin);
           trace->Emit(end);
         }

@@ -9,11 +9,12 @@
 namespace harmony::fault {
 
 ChaosDriver::ChaosDriver(sim::Engine* engine, trace::TraceBus* bus,
-                         FaultInjector* injector)
-    : engine_(engine), bus_(bus), injector_(injector) {}
+                         trace::MetricsSink* metrics, FaultInjector* injector)
+    : engine_(engine), bus_(bus), metrics_(metrics), injector_(injector) {}
 
 void ChaosDriver::Emit(trace::EventKind kind, FaultKind fault, int device,
                        Bytes bytes, int task) {
+  metrics_->Fold(kind, device, bytes);
   if (bus_ == nullptr || !bus_->active()) return;
   trace::Event e;
   e.kind = kind;

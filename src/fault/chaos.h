@@ -12,6 +12,7 @@
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "sim/stream.h"
+#include "trace/metrics_sink.h"
 #include "trace/trace.h"
 
 namespace harmony::fault {
@@ -20,9 +21,10 @@ namespace harmony::fault {
 /// flaps, memory-pressure spikes) on the simulation clock, attaches stall
 /// probes to streams, and wraps FlowNetwork transfers in the
 /// retry-with-jittered-backoff recovery loop. Every fault and every repair is
-/// published on the trace bus as a typed kFaultInjected / kFaultRecovered
-/// instant, so chrome traces show the injection schedule next to the work it
-/// perturbed and MetricsSink counts it into RunMetrics.
+/// counted into the run's MetricsSink (and so RunMetrics), and published on
+/// the trace bus as a typed kFaultInjected / kFaultRecovered instant when a
+/// sink is attached, so chrome traces show the injection schedule next to the
+/// work it perturbed.
 ///
 /// The driver is owned by the executor for the duration of one run. Recurring
 /// faults re-arm themselves until the stop probe reports the run is over
@@ -30,7 +32,7 @@ namespace harmony::fault {
 class ChaosDriver {
  public:
   ChaosDriver(sim::Engine* engine, trace::TraceBus* bus,
-              FaultInjector* injector);
+              trace::MetricsSink* metrics, FaultInjector* injector);
 
   /// Recurring faults stop re-arming once this returns true.
   void SetStopProbe(std::function<bool()> probe) {
@@ -95,6 +97,7 @@ class ChaosDriver {
 
   sim::Engine* engine_;
   trace::TraceBus* bus_;
+  trace::MetricsSink* metrics_;
   FaultInjector* injector_;
   std::function<bool()> stop_probe_;
   std::function<void(Status)> fail_;

@@ -139,6 +139,10 @@ MachineSpec MachineSpec::WithLinkScale(int link, double factor) const {
 
 Status MachineSpec::Validate() const {
   if (num_gpus < 1) return Status::InvalidArgument("machine: num_gpus < 1");
+  if (num_gpus > kMaxGpus) {
+    return Status::InvalidArgument("machine: num_gpus > " +
+                                   std::to_string(kMaxGpus));
+  }
   if (num_switches < 1) {
     return Status::InvalidArgument("machine: num_switches < 1");
   }

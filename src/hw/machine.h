@@ -46,6 +46,10 @@ struct LinkId {
   bool operator==(const LinkId& o) const { return id == o.id; }
 };
 
+/// Most GPUs one machine may have: the runtime keeps sets of devices as
+/// 32-bit masks and per-device results inline (runtime::PerDevice).
+inline constexpr int kMaxGpus = 32;
+
 /// A commodity multi-GPU server: GPUs hang off PCIe switches which share
 /// uplinks into the host root complex (Fig 2a). `gpu_to_switch[g]` gives the
 /// switch for GPU g; each switch has one uplink. When every GPU swaps

@@ -14,7 +14,8 @@
 namespace harmony::model {
 
 /// What happens to a layer's stashed activations between its forward and its
-/// backward pass (the residency-policy axis, ROADMAP item 3):
+/// backward pass (the residency-policy axis, which generalizes the paper's
+/// recompute-everything choice to one policy per layer):
 ///   kKeep      — stay GPU-resident; the memory manager may still evict them
 ///                under pressure, but the planner charges nothing for them.
 ///   kSwap      — proactively moved to host after the forward, fetched back

@@ -1,25 +1,32 @@
 #include "runtime/executor.h"
 
-#include <memory>
-
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace harmony::runtime {
 
-Executor::Executor(const hw::MachineSpec& machine, const core::TaskGraph& graph,
-                   const RuntimeOptions& options, const StepProgram& program,
-                   trace::TraceBus* bus, trace::MetricsSink* metrics)
-    : machine_(machine),
-      graph_(graph),
-      options_(options),
-      program_(program),
-      bus_(bus),
-      metrics_(metrics),
-      net_(machine),
-      flows_(&engine_, net_.capacities()) {}
+Executor::Executor()
+    : flows_(&engine_, {}),
+      residency_([this] {
+        Residency::Env env;
+        env.engine = &engine_;
+        env.flows = &flows_;
+        env.net = &net_;
+        env.streams = &streams_;
+        env.fail = [this](Status status) { Fail(std::move(status)); };
+        env.failed = [this]() { return failed_; };
+        env.steps_in_flight = [this](int d) {
+          return issue_next_[d] - steps_done_[d] > 1;
+        };
+        env.committed = [this](StepToken token) { OnCommitted(token); };
+        env.arrived = [this](StepToken token) { OnArrived(token); };
+        return env;
+      }()) {}
+
+Executor::~Executor() = default;
 
 void Executor::Fail(Status status) {
   if (failed_) return;
@@ -32,31 +39,30 @@ void Executor::Fail(Status status) {
 // ---------------------------------------------------------------------------
 
 bool Executor::AllWorkDone() const {
-  for (size_t d = 0; d < steps_done_.size(); ++d) {
-    if (steps_done_[d] < program_.steps[d].size()) return false;
-    if (cpu_next_[d] < program_.cpu_steps[d].size()) return false;
+  for (int d = 0; d < num_devices_; ++d) {
+    if (steps_done_[d] < program_->steps[d].size()) return false;
+    if (cpu_next_[d] < program_->cpu_steps[d].size()) return false;
   }
   return true;
 }
 
 int64_t Executor::ProgressCounter() const {
   int64_t p = 0;
-  for (size_t d = 0; d < steps_done_.size(); ++d) {
+  for (int d = 0; d < num_devices_; ++d) {
+    const DeviceStreams& s = *streams_[d];
     p += static_cast<int64_t>(steps_done_[d]) +
-         static_cast<int64_t>(cpu_next_[d]);
+         static_cast<int64_t>(cpu_next_[d]) + s.swapin.ops_completed() +
+         s.swapout.ops_completed() + s.p2pin.ops_completed();
   }
-  for (const auto& s : swapin_) p += s->ops_completed();
-  for (const auto& s : swapout_) p += s->ops_completed();
-  for (const auto& s : p2pin_) p += s->ops_completed();
   return p;
 }
 
 bool Executor::PollCancel() {
   if (failed_) return true;
-  if (options_.cancel == nullptr || !options_.cancel->Cancelled()) {
+  if (options_->cancel == nullptr || !options_->cancel->Cancelled()) {
     return false;
   }
-  Fail(options_.cancel->DeadlinePassed()
+  Fail(options_->cancel->DeadlinePassed()
            ? Status::DeadlineExceeded(
                  "run cancelled: deadline passed mid-iteration")
            : Status::Cancelled("run cancelled"));
@@ -76,7 +82,7 @@ void Executor::WatchdogTick() {
     // escalation, the run must surface kCancelled — not an Internal
     // "watchdog: no progress" dressed with DescribeStuck noise. Only the
     // actual tripper pays for (and reports) the wedge diagnostics.
-    if (options_.cancel != nullptr && !options_.cancel->Cancel()) {
+    if (options_->cancel != nullptr && !options_->cancel->Cancel()) {
       PollCancel();
       return;
     }
@@ -96,17 +102,7 @@ void Executor::WatchdogTick() {
 void Executor::OnTaskStepDone(int task) {
   HARMONY_CHECK_GT(task_steps_remaining_[task], 0);
   if (--task_steps_remaining_[task] == 0) {
-    auto waiters = std::move(task_waiters_[task]);
-    task_waiters_[task].clear();
-    for (auto& w : waiters) w();
-  }
-}
-
-void Executor::WhenTaskComplete(int task, std::function<void()> fn) {
-  if (task_steps_remaining_[task] == 0) {
-    fn();
-  } else {
-    task_waiters_[task].push_back(std::move(fn));
+    task_waiters_[task].RunAll(&engine_);
   }
 }
 
@@ -118,11 +114,11 @@ void Executor::TryIssue(int d) {
   if (failed_ || issue_busy_[d]) return;
   // Amortized cancel poll: Cancelled() reads a wall clock, so consult it
   // once every 256 issue attempts rather than on the simulator hot path.
-  if (options_.cancel != nullptr && (++cancel_poll_ & 0xffu) == 0 &&
+  if (options_->cancel != nullptr && (++cancel_poll_ & 0xffu) == 0 &&
       PollCancel()) {
     return;
   }
-  if (issue_next_[d] >= program_.steps[d].size()) return;
+  if (issue_next_[d] >= program_->steps[d].size()) return;
   const size_t in_flight = issue_next_[d] - steps_done_[d];
   if (in_flight > static_cast<size_t>(issue_window_)) return;
   issue_busy_[d] = true;
@@ -131,27 +127,23 @@ void Executor::TryIssue(int d) {
 }
 
 void Executor::IssueStep(int d, int step_idx) {
-  const Step& s = program_.steps[d][step_idx];
-  StepJoin& join = joins_[step_base_[d] + step_idx];
+  const Step& s = program_->steps[d][step_idx];
+  const size_t flat = step_base_[d] + static_cast<size_t>(step_idx);
+  StepJoin& join = joins_[flat];
   join.commits_left = static_cast<int>(s.needs.size() + s.produces.size()) + 1;
   join.arrivals_left = join.commits_left;
-  join.ready = &conditions_.emplace_back(&engine_);
 
   // Push the compute op first: the sentinel commit below can re-enter
   // TryIssue and push the next step's op, and the compute stream must stay
-  // in step order.
-  std::string label;
-  if (bus_ != nullptr && bus_->detailed()) {
-    label = "t" + std::to_string(s.task) + " step" + std::to_string(step_idx);
-  }
-  compute_[d]
-      ->PushTimed({join.ready}, std::move(label), s.task, s.compute)
+  // in step order. Labelled "t<task> step<i>".
+  streams_[d]
+      ->compute.PushTimed({&ready_[flat]}, s.compute, s.task, "step", step_idx)
       ->OnFire([this, d, step_idx]() { FinishStep(d, step_idx); });
 
   const StepToken token{d, step_idx};
-  for (const NeedSpec& n : s.needs) residency_->EnsureResident(n, token);
+  for (const NeedSpec& n : s.needs) residency_.EnsureResident(n, token);
   for (const ProduceSpec& p : s.produces) {
-    residency_->AllocForProduce(p, token);
+    residency_.AllocForProduce(p, token);
   }
   // The +1 sentinel resolves immediately (handles empty lists).
   OnCommitted(token);
@@ -159,37 +151,37 @@ void Executor::IssueStep(int d, int step_idx) {
 }
 
 void Executor::OnCommitted(StepToken token) {
-  if (--joins_[step_base_[token.device] + token.step].commits_left == 0) {
+  if (--joins_[FlatStep(token)].commits_left == 0) {
     issue_busy_[token.device] = false;
     TryIssue(token.device);
   }
 }
 
 void Executor::OnArrived(StepToken token) {
-  StepJoin& join = joins_[step_base_[token.device] + token.step];
-  if (--join.arrivals_left == 0) join.ready->Fire();
+  const size_t flat = FlatStep(token);
+  if (--joins_[flat].arrivals_left == 0) ready_[flat].Fire();
 }
 
 void Executor::FinishStep(int d, int step_idx) {
-  const Step& s = program_.steps[d][step_idx];
+  const Step& s = program_->steps[d][step_idx];
 
   // 1. Unpin this step's tensors.
-  for (const NeedSpec& n : s.needs) residency_->UnpinNeed(d, n.id);
+  for (const NeedSpec& n : s.needs) residency_.UnpinNeed(d, n.id);
   // 2. Finalize produced tensors.
-  for (const ProduceSpec& p : s.produces) residency_->FinalizeProduce(d, p);
+  for (const ProduceSpec& p : s.produces) residency_.FinalizeProduce(d, p);
   // 3. Dirty marks (gradient accumulation, updated weights).
-  for (const TensorId k : s.mark_dirty) residency_->MarkDirty(k);
+  for (const TensorId k : s.mark_dirty) residency_.MarkDirty(k);
   // 4. Host copies (checkpoints, master weight write-back).
-  for (const TensorId k : s.copy_to_host) residency_->CopyToHost(d, k);
+  for (const TensorId k : s.copy_to_host) residency_.CopyToHost(d, k);
   // 5. Moves to host (gradient push, optimizer state write-back).
-  for (const TensorId k : s.move_to_host) residency_->MoveToHost(d, k);
+  for (const TensorId k : s.move_to_host) residency_.MoveToHost(d, k);
   // 6. Dereference consumed inputs.
-  for (const TensorId k : s.derefs) residency_->Deref(k);
+  for (const TensorId k : s.derefs) residency_.Deref(k);
 
   ++steps_done_[d];
   OnTaskStepDone(s.task);
   // Unpins and frees above may unblock queued allocations anywhere.
-  residency_->PumpAll();
+  residency_.PumpAll();
   TryIssue(d);
 }
 
@@ -198,8 +190,8 @@ void Executor::FinishStep(int d, int step_idx) {
 // ---------------------------------------------------------------------------
 
 void Executor::AdvanceCpu(int d) {
-  if (failed_ || cpu_next_[d] >= program_.cpu_steps[d].size()) return;
-  const CpuStep& s = program_.cpu_steps[d][cpu_next_[d]];
+  if (failed_ || cpu_next_[d] >= program_->cpu_steps[d].size()) return;
+  const CpuStep& s = program_->cpu_steps[d][cpu_next_[d]];
   auto retry = [this, d]() { AdvanceCpu(d); };
 
   // Wait for producing (and, without jit, all) backward tasks first; then
@@ -208,27 +200,24 @@ void Executor::AdvanceCpu(int d) {
   // counts once the producers are done.
   for (int task : s.wait_tasks) {
     if (task_steps_remaining_[task] != 0) {
-      WhenTaskComplete(task, retry);
+      task_waiters_[task].Add(&engine_, retry);
       return;
     }
   }
   for (const TensorId k : s.host_needs) {
-    if (!residency_->HostReady(k)) {
-      residency_->AddHostWaiter(k, retry);
+    if (!residency_.HostReady(k)) {
+      residency_.AddHostWaiter(k, retry);
       return;
     }
   }
 
-  std::string label;
-  if (bus_ != nullptr && bus_->detailed()) {
-    label = "t" + std::to_string(s.task) + " cpu-update";
-  }
-  cpu_[d]
-      ->PushTimed({}, std::move(label), s.task, s.duration)
+  // Labelled "t<task> cpu-update".
+  streams_[d]
+      ->cpu.PushTimed({}, s.duration, s.task, "cpu-update")
       ->OnFire([this, d]() {
-        const CpuStep& step = program_.cpu_steps[d][cpu_next_[d]];
+        const CpuStep& step = program_->cpu_steps[d][cpu_next_[d]];
         for (const TensorId k : step.host_frees) {
-          residency_->ReleaseHostCopy(k);
+          residency_.ReleaseHostCopy(k);
         }
         OnTaskStepDone(step.task);
         ++cpu_next_[d];
@@ -242,19 +231,19 @@ void Executor::AdvanceCpu(int d) {
 
 std::string Executor::DescribeStuck() {
   std::string out;
-  const int N = graph_.num_devices;
-  for (int d = 0; d < N; ++d) {
-    if (steps_done_[d] < program_.steps[d].size()) {
+  const StepProgram& program = *program_;
+  for (int d = 0; d < num_devices_; ++d) {
+    if (steps_done_[d] < program.steps[d].size()) {
       const size_t idx = steps_done_[d];
-      const Step& s = program_.steps[d][idx];
+      const Step& s = program.steps[d][idx];
       out += "; d" + std::to_string(d) + " stuck at step " +
              std::to_string(idx) + "/" +
-             std::to_string(program_.steps[d].size()) + " (task " +
+             std::to_string(program.steps[d].size()) + " (task " +
              std::to_string(s.task) + ") waiting on " +
-             residency_->DescribeWait(d, s);
+             residency_.DescribeWait(d, s);
     }
-    if (cpu_next_[d] < program_.cpu_steps[d].size()) {
-      const CpuStep& s = program_.cpu_steps[d][cpu_next_[d]];
+    if (cpu_next_[d] < program.cpu_steps[d].size()) {
+      const CpuStep& s = program.cpu_steps[d][cpu_next_[d]];
       std::string waits;
       for (int task : s.wait_tasks) {
         if (task_steps_remaining_[task] == 0) continue;
@@ -262,9 +251,9 @@ std::string Executor::DescribeStuck() {
         waits += "task " + std::to_string(task);
       }
       for (const TensorId k : s.host_needs) {
-        if (residency_->HostReady(k)) continue;
+        if (residency_.HostReady(k)) continue;
         if (!waits.empty()) waits += ", ";
-        waits += program_.tensors.key(k).ToString() + " [no host copy]";
+        waits += program.tensors.key(k).ToString() + " [no host copy]";
       }
       if (waits.empty()) waits = "cpu stream backlog";
       out += "; cpu" + std::to_string(d) + " stuck at update (task " +
@@ -279,109 +268,157 @@ std::string Executor::DescribeStuck() {
 // Run
 // ---------------------------------------------------------------------------
 
-Result<RunMetrics> Executor::Run() {
-  const int N = graph_.num_devices;
-  HARMONY_CHECK_LE(N, machine_.num_gpus);
-  HARMONY_CHECK_EQ(program_.steps.size(), static_cast<size_t>(N))
+Result<RunMetrics> Executor::Run(const hw::MachineSpec& machine,
+                                 const core::TaskGraph& graph,
+                                 const RuntimeOptions& options,
+                                 const StepProgram& program) {
+  machine_ = &machine;
+  graph_ = &graph;
+  options_ = &options;
+  program_ = &program;
+  num_devices_ = graph.num_devices;
+  // Every return path leaves the executor empty for the next run.
+  struct RunEnd {
+    Executor* executor;
+    ~RunEnd() { executor->EndRun(); }
+  } run_end{this};
+  return Drive();
+}
+
+void Executor::EndRun() {
+  // Drop, never run, whatever a failed or wedged run left pending: the
+  // owners of held records first, then the engine's queue.
+  residency_.DropWaiters();
+  for (sim::WaiterList& waiters : task_waiters_) waiters.DropAll(&engine_);
+  const size_t num_steps = joins_.size();
+  for (size_t i = 0; i < num_steps; ++i) ready_[i].Reset();
+  for (const auto& s : streams_) {
+    s->compute.Reset();
+    s->swapin.Reset();
+    s->swapout.Reset();
+    s->p2pin.Reset();
+    s->cpu.Reset();
+  }
+  flows_.Reset(net_.capacities());
+  engine_.Reset();
+  chaos_.reset();
+  injector_.reset();
+  bus_.Clear();
+  machine_ = nullptr;
+  graph_ = nullptr;
+  options_ = nullptr;
+  program_ = nullptr;
+  num_devices_ = 0;
+}
+
+Result<RunMetrics> Executor::Drive() {
+  const hw::MachineSpec& machine = *machine_;
+  const core::TaskGraph& graph = *graph_;
+  const RuntimeOptions& options = *options_;
+  const StepProgram& program = *program_;
+  const int N = num_devices_;
+  HARMONY_CHECK_LE(N, machine.num_gpus);
+  HARMONY_CHECK_LE(N, hw::kMaxGpus);
+  HARMONY_CHECK_EQ(program.steps.size(), static_cast<size_t>(N))
       << "program compiled for another task graph";
+  failed_ = false;
+  failure_ = Status::Ok();
+  cancel_poll_ = 0;
+  metrics_.Reset(N);
 
   // Static host footprint: master weights + optimizer state (+ scheme
   // overheads like ZeRO staging buffers).
   const Bytes static_host =
-      options_.host_static_overhead + program_.static_host_bytes;
-  if (options_.enforce_host_capacity && static_host > machine_.host_memory) {
+      options.host_static_overhead + program.static_host_bytes;
+  if (options.enforce_host_capacity && static_host > machine.host_memory) {
     return Status::OutOfMemory(
         "host memory exhausted before training: static state " +
         FormatBytes(static_host) + " exceeds " +
-        FormatBytes(machine_.host_memory));
+        FormatBytes(machine.host_memory));
   }
 
-  std::vector<Bytes> capacities;
+  // Observers: the HARMONY_RUNTIME_TRACE filter, then the caller's sinks.
+  if (const char* f = trace::FilterSink::EnvFilter()) {
+    if (filter_ == nullptr) filter_ = std::make_unique<trace::FilterSink>(f);
+    bus_.AddSink(filter_.get());
+  }
+  for (trace::TraceSink* sink : options.trace_sinks) {
+    if (sink != nullptr) bus_.AddSink(sink);
+  }
+  const bool traced = bus_.active();
+
+  net_.Reset(machine);
+  flows_.Reset(net_.capacities());
+  if (traced) flows_.BindTrace(&bus_);
+  capacities_.clear();
+  while (streams_.size() < static_cast<size_t>(N)) {
+    streams_.push_back(std::make_unique<DeviceStreams>(&engine_));
+  }
   for (int d = 0; d < N; ++d) {
-    Bytes reserved = d < static_cast<int>(graph_.device_reserved_bytes.size())
-                         ? graph_.device_reserved_bytes[d]
+    Bytes reserved = d < static_cast<int>(graph.device_reserved_bytes.size())
+                         ? graph.device_reserved_bytes[d]
                          : 0;
-    const Bytes capacity = machine_.GpuAt(d).usable_memory() - reserved;
+    const Bytes capacity = machine.GpuAt(d).usable_memory() - reserved;
     if (capacity <= 0) {
       return Status::OutOfMemory("device reservation exceeds GPU capacity");
     }
-    capacities.push_back(capacity);
-    const std::string sd = std::to_string(d);
-    compute_.push_back(std::make_unique<sim::Stream>(&engine_, "compute" + sd));
-    swapin_.push_back(std::make_unique<sim::Stream>(&engine_, "swapin" + sd));
-    swapout_.push_back(std::make_unique<sim::Stream>(&engine_, "swapout" + sd));
-    p2pin_.push_back(std::make_unique<sim::Stream>(&engine_, "p2pin" + sd));
-    cpu_.push_back(std::make_unique<sim::Stream>(&engine_, "cpu" + sd));
-    if (bus_ != nullptr && bus_->active()) {
-      compute_[d]->BindTrace(bus_, d, trace::Lane::kCompute);
-      swapin_[d]->BindTrace(bus_, d, trace::Lane::kSwapIn);
-      swapout_[d]->BindTrace(bus_, d, trace::Lane::kSwapOut);
-      p2pin_[d]->BindTrace(bus_, d, trace::Lane::kP2pIn);
-      cpu_[d]->BindTrace(bus_, d, trace::Lane::kCpu);
+    capacities_.push_back(capacity);
+    if (traced) {
+      DeviceStreams& s = *streams_[d];
+      s.compute.BindTrace(&bus_, d, trace::Lane::kCompute);
+      s.swapin.BindTrace(&bus_, d, trace::Lane::kSwapIn);
+      s.swapout.BindTrace(&bus_, d, trace::Lane::kSwapOut);
+      s.p2pin.BindTrace(&bus_, d, trace::Lane::kP2pIn);
+      s.cpu.BindTrace(&bus_, d, trace::Lane::kCpu);
     }
   }
-  if (bus_ != nullptr && bus_->active()) flows_.BindTrace(bus_);
 
   // Fault injection: build the seeded decision oracle and the engine-side
   // chaos driver before the residency layer, which borrows both.
-  const fault::FaultPlan& plan = options_.fault_plan;
+  const fault::FaultPlan& plan = options.fault_plan;
   if (plan.enabled && plan.Any()) {
     injector_ = std::make_unique<fault::FaultInjector>(plan);
-    chaos_ =
-        std::make_unique<fault::ChaosDriver>(&engine_, bus_, injector_.get());
+    chaos_ = std::make_unique<fault::ChaosDriver>(&engine_, &bus_, &metrics_,
+                                                  injector_.get());
     chaos_->SetStopProbe([this]() { return failed_ || AllWorkDone(); });
     chaos_->SetFail([this](Status status) { Fail(std::move(status)); });
   }
-
-  Residency::Env env;
-  env.engine = &engine_;
-  env.flows = &flows_;
-  env.net = &net_;
-  for (int d = 0; d < N; ++d) {
-    env.swapin.push_back(swapin_[d].get());
-    env.swapout.push_back(swapout_[d].get());
-    env.p2pin.push_back(p2pin_[d].get());
-  }
-  env.fail = [this](Status status) { Fail(std::move(status)); };
-  env.failed = [this]() { return failed_; };
-  env.steps_in_flight = [this](int d) {
-    return issue_next_[d] - steps_done_[d] > 1;
-  };
-  env.committed = [this](StepToken token) { OnCommitted(token); };
-  env.arrived = [this](StepToken token) { OnArrived(token); };
-  env.injector = injector_.get();
-  if (injector_ != nullptr && plan.transfer_failure_rate > 0) {
-    env.reliable = chaos_.get();
-  }
-  residency_ = std::make_unique<Residency>(graph_, std::move(capacities),
-                                           &program_, std::move(env), bus_);
-  residency_->SetStaticHostBytes(static_host);
+  residency_.Reset(graph, program, capacities_, &bus_, &metrics_,
+                   injector_.get(),
+                   injector_ != nullptr && plan.transfer_failure_rate > 0
+                       ? chaos_.get()
+                       : nullptr);
+  residency_.SetStaticHostBytes(static_host);
 
   size_t num_steps = 0;
   step_base_.clear();
-  for (const auto& dev : program_.steps) {
+  for (const auto& dev : program.steps) {
     step_base_.push_back(num_steps);
     num_steps += dev.size();
   }
   joins_.assign(num_steps, {});
+  while (ready_.size() < num_steps) ready_.emplace_back(&engine_);
   issue_next_.assign(N, 0);
   steps_done_.assign(N, 0);
   issue_busy_.assign(N, false);
   cpu_next_.assign(N, 0);
-  issue_window_ = graph_.flags.prefetch ? 2 : 0;
+  issue_window_ = graph.flags.prefetch ? 2 : 0;
 
-  task_steps_remaining_ = program_.task_step_counts;
-  task_waiters_.assign(graph_.num_tasks(), {});
+  task_steps_remaining_ = program.task_step_counts;
+  if (task_waiters_.size() < static_cast<size_t>(graph.num_tasks())) {
+    task_waiters_.resize(graph.num_tasks());
+  }
 
   // Arm the recurring fault schedules (state vectors above are live now, so
   // the driver's stop probe is safe to consult).
   if (chaos_ != nullptr) {
     if (plan.stream_stall_rate > 0 && plan.stream_stall_duration > 0) {
       for (int d = 0; d < N; ++d) {
-        chaos_->AttachStreamStalls(compute_[d].get(), d);
-        chaos_->AttachStreamStalls(swapin_[d].get(), d);
-        chaos_->AttachStreamStalls(swapout_[d].get(), d);
-        chaos_->AttachStreamStalls(p2pin_[d].get(), d);
+        DeviceStreams& s = *streams_[d];
+        chaos_->AttachStreamStalls(&s.compute, d);
+        chaos_->AttachStreamStalls(&s.swapin, d);
+        chaos_->AttachStreamStalls(&s.swapout, d);
+        chaos_->AttachStreamStalls(&s.p2pin, d);
       }
     }
     if (plan.link_flap_interval > 0 && plan.link_flap_duration > 0) {
@@ -393,10 +430,10 @@ Result<RunMetrics> Executor::Run() {
       chaos_->ArmMemoryPressure(
           N,
           [this](int d) {
-            return residency_->ApplyFaultPressure(
-                d, options_.fault_plan.mem_pressure_fraction);
+            return residency_.ApplyFaultPressure(
+                d, options_->fault_plan.mem_pressure_fraction);
           },
-          [this](int d) { return residency_->ReleaseFaultPressure(d); });
+          [this](int d) { return residency_.ReleaseFaultPressure(d); });
     }
     // Persistent targeted degradations: the machine changes and stays
     // changed. Pressure is applied once and never released — the health
@@ -424,16 +461,16 @@ Result<RunMetrics> Executor::Run() {
       }
       chaos_->ArmPersistentMemShrink(
           plan.mem_shrink_device, plan.mem_shrink_at, [this](int d) {
-            return residency_->ApplyFaultPressure(
-                d, options_.fault_plan.mem_shrink_fraction);
+            return residency_.ApplyFaultPressure(
+                d, options_->fault_plan.mem_shrink_fraction);
           });
     }
   }
   // Watchdog: explicit interval, or a 60s default whenever chaos or a cancel
   // token makes a wedge survivable-by-diagnosis rather than fatal-by-CHECK.
-  watchdog_interval_ = options_.watchdog_interval;
+  watchdog_interval_ = options.watchdog_interval;
   if (watchdog_interval_ == 0 &&
-      (chaos_ != nullptr || options_.cancel != nullptr)) {
+      (chaos_ != nullptr || options.cancel != nullptr)) {
     watchdog_interval_ = 60.0;
   }
   if (watchdog_interval_ > 0) {
@@ -451,61 +488,67 @@ Result<RunMetrics> Executor::Run() {
   // one final no-op tick on the clock past the real work, and the engine's
   // drain time would report that tick as iteration time.
   TimeSec end = 0.0;
-  for (const auto* set :
-       {&compute_, &swapin_, &swapout_, &p2pin_, &cpu_}) {
-    for (const auto& s : *set) end = std::max(end, s->last_completion());
+  for (int d = 0; d < N; ++d) {
+    const DeviceStreams& s = *streams_[d];
+    for (const sim::Stream* stream :
+         {&s.compute, &s.swapin, &s.swapout, &s.p2pin, &s.cpu}) {
+      end = std::max(end, stream->last_completion());
+    }
   }
 
   if (failed_) return failure_;
   for (int d = 0; d < N; ++d) {
-    if (steps_done_[d] != program_.steps[d].size() ||
-        cpu_next_[d] != program_.cpu_steps[d].size()) {
+    if (steps_done_[d] != program.steps[d].size() ||
+        cpu_next_[d] != program.cpu_steps[d].size()) {
       for (int dev = 0; dev < N; ++dev) {
-        if (residency_->HasPendingAllocs(dev)) {
+        if (residency_.HasPendingAllocs(dev)) {
           // Stalled with allocations outstanding: the working set cannot fit
           // even with everything evictable gone.
           return Status::OutOfMemory(
               "device " + std::to_string(dev) +
               " wedged on allocation: working set exceeds GPU capacity"
               "; pending: " +
-              residency_->DescribePendingAllocs(dev) + DescribeStuck());
+              residency_.DescribePendingAllocs(dev) + DescribeStuck());
         }
       }
       return Status::Internal(
           "device " + std::to_string(d) + " stalled: executed " +
           std::to_string(steps_done_[d]) + "/" +
-          std::to_string(program_.steps[d].size()) +
+          std::to_string(program.steps[d].size()) +
           " steps (schedule deadlock)" + DescribeStuck());
     }
   }
-  if (options_.enforce_host_capacity &&
-      metrics_->peak_host_bytes() > machine_.host_memory) {
+  if (options.enforce_host_capacity &&
+      metrics_.peak_host_bytes() > machine.host_memory) {
     return Status::OutOfMemory("host memory exhausted during training: peak " +
-                               FormatBytes(metrics_->peak_host_bytes()) +
-                               " exceeds " + FormatBytes(machine_.host_memory));
+                               FormatBytes(metrics_.peak_host_bytes()) +
+                               " exceeds " + FormatBytes(machine.host_memory));
   }
 
   RunMetrics metrics;
   metrics.iteration_time = end;
-  metrics.swap_in_bytes = metrics_->swap_in_bytes();
-  metrics.swap_out_bytes = metrics_->swap_out_bytes();
-  metrics.p2p_bytes = metrics_->p2p_bytes();
+  metrics.swap_in_bytes.assign(metrics_.swap_in_bytes().begin(),
+                               metrics_.swap_in_bytes().end());
+  metrics.swap_out_bytes.assign(metrics_.swap_out_bytes().begin(),
+                                metrics_.swap_out_bytes().end());
+  metrics.p2p_bytes.assign(metrics_.p2p_bytes().begin(),
+                           metrics_.p2p_bytes().end());
   // Busy time comes from the stream counters, not the trace fold: PushTimed
   // charges each op its profiled duration directly, so the sum is invariant
   // under the time translation injected faults cause — the chaos harness
   // asserts it bit-identical against the fault-free run. (The trace-folded
   // end-minus-begin sum drifts by ulps when op start times shift.)
-  metrics.compute_busy.reserve(static_cast<size_t>(N));
   for (int d = 0; d < N; ++d) {
-    metrics.compute_busy.push_back(compute_[d]->busy_time());
+    metrics.compute_busy.push_back(streams_[d]->compute.busy_time());
   }
-  metrics.peak_device_bytes = metrics_->peak_device_bytes();
-  metrics.peak_host_bytes = metrics_->peak_host_bytes();
-  metrics.evictions = metrics_->evictions();
-  metrics.clean_drops = metrics_->clean_drops();
-  metrics.faults_injected = metrics_->faults_injected();
-  metrics.faults_recovered = metrics_->faults_recovered();
-  metrics.recovery_bytes = metrics_->recovery_bytes();
+  metrics.peak_device_bytes.assign(metrics_.peak_device_bytes().begin(),
+                                   metrics_.peak_device_bytes().end());
+  metrics.peak_host_bytes = metrics_.peak_host_bytes();
+  metrics.evictions = metrics_.evictions();
+  metrics.clean_drops = metrics_.clean_drops();
+  metrics.faults_injected = metrics_.faults_injected();
+  metrics.faults_recovered = metrics_.faults_recovered();
+  metrics.recovery_bytes = metrics_.recovery_bytes();
   return metrics;
 }
 

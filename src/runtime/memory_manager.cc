@@ -26,9 +26,21 @@ std::string TensorKey::ToString() const {
   return s;
 }
 
-DeviceMemory::DeviceMemory(Bytes capacity, int num_tensors)
-    : capacity_(capacity), entries_(num_tensors) {
+void DeviceMemory::Reset(Bytes capacity, int num_tensors) {
   HARMONY_CHECK_GT(capacity, 0);
+  capacity_ = capacity;
+  used_ = 0;
+  pressure_ = 0;
+  peak_used_ = 0;
+  clock_ = 0;
+  for (TensorId id : resident_list_) {
+    entries_[id].resident = false;
+    entries_[id].list_pos = -1;
+  }
+  resident_list_.clear();
+  if (entries_.size() < static_cast<size_t>(num_tensors)) {
+    entries_.resize(num_tensors);
+  }
 }
 
 void DeviceMemory::AddResident(TensorId id, Bytes bytes) {
@@ -80,22 +92,21 @@ void DeviceMemory::Unpin(TensorId id) {
   --e.pins;
 }
 
-std::vector<TensorId> DeviceMemory::PickVictims(Bytes needed) const {
-  std::vector<std::pair<int64_t, TensorId>> candidates;
+void DeviceMemory::PickVictims(Bytes needed, std::vector<TensorId>* victims) {
+  candidates_.clear();
   for (TensorId id : resident_list_) {
-    if (entries_[id].pins == 0) candidates.emplace_back(entries_[id].lru, id);
+    if (entries_[id].pins == 0) candidates_.emplace_back(entries_[id].lru, id);
   }
   // The lru clock is a unique monotone counter, so this order is
   // deterministic regardless of resident_list_'s (arbitrary) order.
-  std::sort(candidates.begin(), candidates.end());
-  std::vector<TensorId> victims;
+  std::sort(candidates_.begin(), candidates_.end());
+  victims->clear();
   Bytes reclaimed = 0;
-  for (const auto& [lru, id] : candidates) {
+  for (const auto& [lru, id] : candidates_) {
     if (reclaimed >= needed) break;
-    victims.push_back(id);
+    victims->push_back(id);
     reclaimed += entries_[id].bytes;
   }
-  return victims;
 }
 
 Bytes DeviceMemory::EvictableBytes() const {

@@ -1,6 +1,7 @@
 #ifndef HARMONY_RUNTIME_MEMORY_MANAGER_H_
 #define HARMONY_RUNTIME_MEMORY_MANAGER_H_
 
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -17,9 +18,17 @@ namespace harmony::runtime {
 /// a compact list of resident ids backs the eviction scans.
 class DeviceMemory {
  public:
+  DeviceMemory() = default;
   /// `num_tensors` is the program catalog size; ids passed to every other
   /// method must be < num_tensors.
-  DeviceMemory(Bytes capacity, int num_tensors);
+  DeviceMemory(Bytes capacity, int num_tensors) { Reset(capacity, num_tensors); }
+
+  /// Empties the device for a run of a program with `num_tensors` tensors,
+  /// keeping the id-indexed table: it grows to the largest catalog seen, and
+  /// only the entries left resident are cleared. Every other entry is
+  /// already non-resident, and AddResident rewrites an entry before anything
+  /// else reads it.
+  void Reset(Bytes capacity, int num_tensors);
 
   Bytes capacity() const { return capacity_; }
   Bytes used() const { return used_; }
@@ -55,10 +64,11 @@ class DeviceMemory {
     return entries_[id].resident && entries_[id].pins > 0;
   }
 
-  /// Least-recently-used unpinned victims whose combined size reaches
-  /// `needed` bytes (may return fewer if not enough are evictable). Does not
-  /// remove them — the executor removes each once its swap-out completes.
-  std::vector<TensorId> PickVictims(Bytes needed) const;
+  /// Fills `victims` with the least-recently-used unpinned tensors whose
+  /// combined size reaches `needed` bytes (fewer if not enough are
+  /// evictable). Does not remove them — the residency layer removes each
+  /// once its swap-out completes.
+  void PickVictims(Bytes needed, std::vector<TensorId>* victims);
 
   /// Sum of evictable (unpinned resident) bytes.
   Bytes EvictableBytes() const;
@@ -74,13 +84,14 @@ class DeviceMemory {
     int list_pos = -1;  // index into resident_list_ (swap-remove)
   };
 
-  Bytes capacity_;
+  Bytes capacity_ = 0;
   Bytes used_ = 0;
   Bytes pressure_ = 0;  // injected-fault capacity reserve
   Bytes peak_used_ = 0;
   int64_t clock_ = 0;
   std::vector<Entry> entries_;         // indexed by TensorId
   std::vector<TensorId> resident_list_;  // compact; order arbitrary
+  std::vector<std::pair<int64_t, TensorId>> candidates_;  // PickVictims scratch
 };
 
 }  // namespace harmony::runtime

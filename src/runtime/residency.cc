@@ -9,23 +9,34 @@
 
 namespace harmony::runtime {
 
-Residency::Residency(const core::TaskGraph& graph,
-                     std::vector<Bytes> capacities, const StepProgram* program,
-                     Env env, trace::TraceBus* bus)
-    : graph_(graph),
-      program_(program),
-      env_(std::move(env)),
-      bus_(bus),
-      table_(program->tensors.size()) {
-  mem_.reserve(capacities.size());
-  for (Bytes capacity : capacities) {
-    mem_.emplace_back(capacity, program->tensors.size());
+void Residency::Reset(const core::TaskGraph& graph, const StepProgram& program,
+                      std::span<const Bytes> capacities, trace::TraceBus* bus,
+                      trace::MetricsSink* metrics,
+                      fault::FaultInjector* injector,
+                      fault::ChaosDriver* reliable) {
+  graph_ = &graph;
+  program_ = &program;
+  bus_ = bus;
+  metrics_ = metrics;
+  injector_ = injector;
+  reliable_ = reliable;
+  traced_ = bus != nullptr && bus->active();
+  tensor_events_ = traced_ && bus->tensor_events();
+  num_devices_ = static_cast<int>(capacities.size());
+  if (mem_.size() < capacities.size()) {
+    mem_.resize(capacities.size());
+    alloc_queue_.resize(capacities.size());
   }
-  alloc_queue_.assign(capacities.size(), {});
+  for (int d = 0; d < num_devices_; ++d) {
+    mem_[d].Reset(capacities[d], program.tensors.size());
+    alloc_queue_[d].clear();
+  }
   evictions_in_flight_.assign(capacities.size(), 0);
+  table_.Reset(program.tensors.size());
+  host_bytes_ = 0;
 }
 
-Residency::~Residency() {
+void Residency::DropWaiters() {
   for (TensorId id = 0; id < table_.size(); ++id) {
     TensorState& st = table_.Get(id);
     st.creation_waiters.DropAll(env_.engine);
@@ -38,40 +49,27 @@ Residency::~Residency() {
 // Trace plumbing
 // ---------------------------------------------------------------------------
 
-void Residency::EmitInstant(trace::EventKind kind, trace::Lane lane,
-                            int device, Bytes bytes) {
-  if (bus_ == nullptr || !bus_->active()) return;
+void Residency::Publish(trace::EventKind kind, trace::Lane lane, int device,
+                        Bytes bytes, const char* detail) {
   trace::Event e;
   e.kind = kind;
   e.lane = lane;
   e.device = device;
   e.time = env_.engine->now();
   e.bytes = bytes;
-  bus_->Emit(e);
-}
-
-void Residency::EmitFault(trace::EventKind kind, int device, Bytes bytes,
-                          const char* detail) {
-  if (bus_ == nullptr || !bus_->active()) return;
-  trace::Event e;
-  e.kind = kind;
-  e.lane = trace::Lane::kAlloc;
-  e.device = device;
-  e.time = env_.engine->now();
-  e.bytes = bytes;
   e.detail = detail;
   bus_->Emit(e);
 }
 
-void Residency::TraceTensor(TensorId id, const char* detail, int device) {
-  if (bus_ == nullptr || !bus_->tensor_events()) return;
+void Residency::PublishTensor(TensorId id, const char* detail, int device) {
   trace::Event e;
   e.kind = trace::EventKind::kTensor;
   e.lane = trace::Lane::kAlloc;
   e.device = device;
   e.time = env_.engine->now();
   e.detail = detail;
-  e.name = KeyOf(id).ToString();
+  tensor_name_ = KeyOf(id).ToString();
+  e.name = tensor_name_.c_str();
   bus_->Emit(e);
 }
 
@@ -199,20 +197,20 @@ void Residency::PumpAllocator(int d) {
       continue;
     }
     if (req.bytes <= mem_[d].free_bytes()) {
-      if (env_.injector != nullptr && env_.injector->AllocFails()) {
+      if (injector_ != nullptr && injector_->AllocFails()) {
         // Injected transient allocation failure (fragmentation): retry with
         // jittered backoff, fatal only once the plan's budget is spent.
         EmitFault(trace::EventKind::kFaultInjected, d, req.bytes,
                   "alloc-failure");
-        if (req.fault_attempts >= env_.injector->plan().max_alloc_retries) {
+        if (req.fault_attempts >= injector_->plan().max_alloc_retries) {
           env_.fail(Status::OutOfMemory(
               "injected alloc-failure for " + KeyOf(req.id).ToString() +
               " on device " + std::to_string(d) + " persisted past " +
               std::to_string(req.fault_attempts) + " retries (chaos " +
-              env_.injector->plan().Describe() + ")"));
+              injector_->plan().Describe() + ")"));
           return;
         }
-        const TimeSec delay = env_.injector->BackoffDelay(req.fault_attempts);
+        const TimeSec delay = injector_->BackoffDelay(req.fault_attempts);
         ++req.fault_attempts;
         req.fault_waiting = true;
         env_.engine->After(delay, [this, d]() {
@@ -240,11 +238,11 @@ void Residency::PumpAllocator(int d) {
     // virtualization (the per-GPU-swap baselines) instead swaps out *all*
     // inactive tensors once the limit is hit — the eviction storms behind
     // the paper's 100-300x baseline swap volumes (Fig 10).
-    const Bytes want = graph_.flags.smart_eviction
+    const Bytes want = graph_->flags.smart_eviction
                            ? deficit
                            : std::numeric_limits<Bytes>::max();
-    const auto victims = mem_[d].PickVictims(want);
-    if (victims.empty()) {
+    mem_[d].PickVictims(want, &victims_);
+    if (victims_.empty()) {
       if (evictions_in_flight_[d] > 0) {
         // Retry when one lands.
         EmitInstant(trace::EventKind::kAllocStall, trace::Lane::kAlloc, d,
@@ -281,10 +279,10 @@ void Residency::PumpAllocator(int d) {
     // smart_eviction off the fault-free run evicts everything inactive
     // anyway, so every victim stays semantic.
     const bool classify =
-        graph_.flags.smart_eviction && mem_[d].pressure() > 0;
+        graph_->flags.smart_eviction && mem_[d].pressure() > 0;
     Bytes natural_deficit = std::max<Bytes>(
         0, req.bytes - (mem_[d].free_bytes() + mem_[d].pressure()));
-    for (const TensorId v : victims) {
+    for (const TensorId v : victims_) {
       const bool recovery = classify && natural_deficit <= 0;
       natural_deficit =
           std::max<Bytes>(0, natural_deficit - table_.Get(v).bytes);
@@ -293,10 +291,6 @@ void Residency::PumpAllocator(int d) {
     if (mem_[d].free_bytes() > free_before) continue;  // clean drops freed space
     return;  // all victims are async transfers; resume from their completions
   }
-}
-
-void Residency::PumpAll() {
-  for (size_t d = 0; d < mem_.size(); ++d) PumpAllocator(static_cast<int>(d));
 }
 
 void Residency::StartEviction(int d, TensorId id, bool fault_recovery) {
@@ -310,7 +304,7 @@ void Residency::StartEviction(int d, TensorId id, bool fault_recovery) {
   // Harmony's state machine drops copies that are backed elsewhere without a
   // transfer; LMS-style baselines always write the victim to host.
   const bool backed = st.on_host || st.NumResident() > 1;
-  if (backed && graph_.flags.smart_eviction) {
+  if (backed && graph_->flags.smart_eviction) {
     // Dropped synchronously; the caller (PumpAllocator) observes the freed
     // space — no re-entrant pump, which would double-evict from its stale
     // victim list.
@@ -329,7 +323,7 @@ void Residency::StartEviction(int d, TensorId id, bool fault_recovery) {
   ++evictions_in_flight_[d];
   const Bytes bytes = st.bytes;
   sim::Condition* flow_done =
-      env_.swapout[d]->Push({}, [this, d, bytes](sim::Stream::Done done) {
+      swapout(d).Push({}, [this, d, bytes](sim::Stream::Done done) {
         Transfer(env_.net->SwapOutPath(d), bytes, d, done);
       });
   flow_done->OnFire([this, d, id, fault_recovery]() {
@@ -376,8 +370,8 @@ Bytes Residency::ApplyFaultPressure(int d, double fraction) {
   // behaves like a real co-tenant allocation rather than a lazy debt. Every
   // victim is recovery-classified — the fault-free run keeps them resident.
   if (mem_[d].free_bytes() < 0) {
-    const auto victims = mem_[d].PickVictims(-mem_[d].free_bytes());
-    for (const TensorId v : victims) {
+    mem_[d].PickVictims(-mem_[d].free_bytes(), &victims_);
+    for (const TensorId v : victims_) {
       StartEviction(d, v, /*fault_recovery=*/true);
     }
   }
@@ -480,7 +474,7 @@ void Residency::StartFetch(TensorId id, int src, StepToken token) {
     } else if (ghost_src >= 0) {
       // Physical host swap-in standing in for the p2p (or host bounce)
       // the fault-free run would have made from the evicted device.
-      if (graph_.flags.p2p_transfers) {
+      if (graph_->flags.p2p_transfers) {
         EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d,
                     bytes);
       } else {
@@ -494,7 +488,7 @@ void Residency::StartFetch(TensorId id, int src, StepToken token) {
       EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
                   bytes);
     }
-    env_.swapin[d]->Push({}, [this, id, token, bytes](sim::Stream::Done done) {
+    swapin(d).Push({}, [this, id, token, bytes](sim::Stream::Done done) {
       Transfer(env_.net->SwapInPath(token.device), bytes, token.device,
                [this, id, token, done]() {
                  FinishFetch(id, -1, token);
@@ -503,13 +497,13 @@ void Residency::StartFetch(TensorId id, int src, StepToken token) {
     });
     return;
   }
-  if (graph_.flags.p2p_transfers) {
+  if (graph_->flags.p2p_transfers) {
     if (heal) {
       EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
     } else {
       EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d, bytes);
     }
-    env_.p2pin[d]->Push({}, [this, id, src, token,
+    p2pin(d).Push({}, [this, id, src, token,
                              bytes](sim::Stream::Done done) {
       Transfer(env_.net->P2pPath(src, token.device), bytes, token.device,
                [this, id, src, token, done]() {
@@ -528,7 +522,7 @@ void Residency::StartFetch(TensorId id, int src, StepToken token) {
     EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
                 bytes);
   }
-  env_.swapout[src]->Push({}, [this, id, src, token,
+  swapout(src).Push({}, [this, id, src, token,
                                bytes](sim::Stream::Done done) {
     Transfer(env_.net->SwapOutPath(src), bytes, src, [this, id, src, token,
                                                       bytes, done]() {
@@ -537,7 +531,7 @@ void Residency::StartFetch(TensorId id, int src, StepToken token) {
         AddHostBuffer(&st);
         st.on_host = true;
       }
-      env_.swapin[token.device]->Push(
+      swapin(token.device).Push(
           {}, [this, id, src, token, bytes](sim::Stream::Done in_done) {
             Transfer(env_.net->SwapInPath(token.device), bytes, token.device,
                      [this, id, src, token, in_done]() {
@@ -618,7 +612,7 @@ void Residency::CopyToHost(int d, TensorId id) {
   const Bytes bytes = st.bytes;
   EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, d,
               bytes);
-  env_.swapout[d]->Push({}, [this, d, id, bytes](sim::Stream::Done done) {
+  swapout(d).Push({}, [this, d, id, bytes](sim::Stream::Done done) {
     Transfer(env_.net->SwapOutPath(d), bytes, d, [this, d, id, done]() {
       TensorState& st = table_.Get(id);
       if (st.exists && !st.on_host) {
@@ -664,7 +658,7 @@ void Residency::MoveToHost(int d, TensorId id) {
   const Bytes bytes = st.bytes;
   EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, d,
               bytes);
-  env_.swapout[d]->Push({}, [this, d, id, bytes](sim::Stream::Done done) {
+  swapout(d).Push({}, [this, d, id, bytes](sim::Stream::Done done) {
     Transfer(env_.net->SwapOutPath(d), bytes, d, [this, d, id, done]() {
       TensorState& st = table_.Get(id);
       if (st.exists && !st.on_host) {

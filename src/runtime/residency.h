@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,9 +19,19 @@
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "sim/stream.h"
+#include "trace/metrics_sink.h"
 #include "trace/trace.h"
 
 namespace harmony::runtime {
+
+/// The five CUDA-like streams of one GPU (Sec 4.4). The executor owns them and
+/// drives compute and cpu; the residency layer issues transfers on the rest.
+struct DeviceStreams {
+  explicit DeviceStreams(sim::Engine* engine)
+      : compute(engine), swapin(engine), swapout(engine), p2pin(engine),
+        cpu(engine) {}
+  sim::Stream compute, swapin, swapout, p2pin, cpu;
+};
 
 /// The residency layer of the execution pipeline: Harmony's tensor-lifetime
 /// state machine (Sec 4.4) over per-device memory. Owns the tensor table, the
@@ -29,26 +41,29 @@ namespace harmony::runtime {
 /// host-backed copies, gradient pushes, and checkpoint write-backs.
 ///
 /// The executor above it only says *what* a step needs and produces; this
-/// layer decides *where* the bytes come from and emits the byte-accounting
-/// trace events (kSwapIn/OutIssued, kP2pIssued, kEvict, kCleanDrop,
-/// kAllocStall, kHostBytes, kDeviceBytes) that MetricsSink folds into
-/// RunMetrics.
+/// layer decides *where* the bytes come from and accounts the bytes: swap and
+/// p2p volume, evictions, clean drops and memory high-water marks are folded
+/// straight into the run's MetricsSink, and published on the trace bus
+/// (kSwapIn/OutIssued, kP2pIssued, kEvict, kCleanDrop, kAllocStall,
+/// kHostBytes, kDeviceBytes) when a sink is attached.
 ///
 /// All tensors are addressed by the program's dense TensorId; the program's
 /// catalog resolves ids back to structural keys for diagnostics only.
+///
+/// One Residency serves any number of runs: Reset binds the next run and
+/// reuses every table, and DropWaiters ends one.
 class Residency {
  public:
-  /// Services the residency layer borrows from the executor: the simulation
-  /// clock and transfer machinery, the run-failure channel, and a probe for
-  /// "more in-flight steps will unpin tensors soon" (which turns an empty
-  /// victim list into a wait instead of an OOM).
+  /// Services the residency layer borrows from the executor for its whole
+  /// lifetime: the simulation clock and transfer machinery, the run-failure
+  /// channel, and a probe for "more in-flight steps will unpin tensors soon"
+  /// (which turns an empty victim list into a wait instead of an OOM).
   struct Env {
     sim::Engine* engine = nullptr;
     sim::FlowNetwork* flows = nullptr;
     const sim::Interconnect* net = nullptr;
-    std::vector<sim::Stream*> swapin;   // per device
-    std::vector<sim::Stream*> swapout;  // per device
-    std::vector<sim::Stream*> p2pin;    // per device
+    /// The executor's streams, indexed by device.
+    const std::vector<std::unique_ptr<DeviceStreams>>* streams = nullptr;
     std::function<void(Status)> fail;
     std::function<bool()> failed;
     std::function<bool(int)> steps_in_flight;  // >1 outstanding steps on d?
@@ -56,24 +71,27 @@ class Residency {
     /// can recycle), and one of its tensors is resident.
     std::function<void(StepToken)> committed;
     std::function<void(StepToken)> arrived;
-
-    /// Transfers go through this driver's retry-with-backoff wrapper when
-    /// transfer failures are armed; null = FlowNetwork::StartFlow directly.
-    fault::ChaosDriver* reliable = nullptr;
-    /// Fault decision oracle; null = chaos disabled (every injection site
-    /// pays one branch).
-    fault::FaultInjector* injector = nullptr;
   };
 
-  /// `program` must outlive the Residency; its catalog sizes the tensor
-  /// table and its ref_counts seed consumer counts.
-  Residency(const core::TaskGraph& graph, std::vector<Bytes> capacities,
-            const StepProgram* program, Env env, trace::TraceBus* bus);
+  explicit Residency(Env env) : env_(std::move(env)) {}
   Residency(const Residency&) = delete;
   Residency& operator=(const Residency&) = delete;
+  ~Residency() { DropWaiters(); }
+
+  /// Binds a run of `program` (compiled from `graph`, both borrowed until
+  /// the next Reset) on devices of `capacities` bytes: every tensor starts
+  /// unproduced and every device empty. `metrics` folds the byte accounting;
+  /// `bus` carries it to attached sinks. `injector` is the fault decision
+  /// oracle (null = chaos disabled: every injection site pays one branch);
+  /// `reliable`, when set, wraps every transfer in its retry-with-backoff
+  /// loop instead of FlowNetwork::StartFlow.
+  void Reset(const core::TaskGraph& graph, const StepProgram& program,
+             std::span<const Bytes> capacities, trace::TraceBus* bus,
+             trace::MetricsSink* metrics, fault::FaultInjector* injector,
+             fault::ChaosDriver* reliable);
   /// Drops the continuations of a run that ended with tensors still awaited
   /// (a failed or wedged schedule) without running them.
-  ~Residency();
+  void DropWaiters();
 
   // --- allocation & fetching (issue side) ---------------------------------
 
@@ -92,8 +110,13 @@ class Residency {
 
   /// Drains device `d`'s allocation queue as far as memory allows.
   void PumpAllocator(int d);
-  /// Re-pumps every device (after unpins/frees that may unblock any queue).
-  void PumpAll();
+  /// Re-pumps every device with queued allocations (after unpins/frees that
+  /// may unblock any queue). Most steps find every queue empty.
+  void PumpAll() {
+    for (int d = 0; d < num_devices_; ++d) {
+      if (!alloc_queue_[d].empty()) PumpAllocator(d);
+    }
+  }
 
   // --- step-completion actions (finish side) ------------------------------
 
@@ -166,6 +189,10 @@ class Residency {
   /// survive anything that can queue a request (Grant, StartEviction).
   class AllocQueue {
    public:
+    void clear() {
+      reqs_.clear();
+      head_ = 0;
+    }
     bool empty() const { return head_ == reqs_.size(); }
     AllocReq& front() { return reqs_[head_]; }
     void pop_front() { ++head_; }
@@ -200,9 +227,9 @@ class Residency {
   template <typename F>
   void Transfer(const std::vector<int>& path, Bytes bytes, int device,
                 F&& done) {
-    if (env_.reliable != nullptr) {
-      env_.reliable->StartReliableFlow(env_.flows, path, bytes, device,
-                                       std::forward<F>(done));
+    if (reliable_ != nullptr) {
+      reliable_->StartReliableFlow(env_.flows, path, bytes, device,
+                                   std::forward<F>(done));
     } else {
       env_.flows->StartFlow(path, bytes, std::forward<F>(done));
     }
@@ -220,22 +247,51 @@ class Residency {
   void FreeTensor(TensorId id);
   int RefCount(TensorId id) const { return program_->ref_counts[id]; }
 
+  sim::Stream& swapin(int d) { return (*env_.streams)[d]->swapin; }
+  sim::Stream& swapout(int d) { return (*env_.streams)[d]->swapout; }
+  sim::Stream& p2pin(int d) { return (*env_.streams)[d]->p2pin; }
+
+  /// Folds an accounting instant into the metrics; publishes it when a sink
+  /// is attached.
   void EmitInstant(trace::EventKind kind, trace::Lane lane, int device,
-                   Bytes bytes);
+                   Bytes bytes) {
+    metrics_->Fold(kind, device, bytes);
+    if (traced_) Publish(kind, lane, device, bytes, "");
+  }
   void EmitFault(trace::EventKind kind, int device, Bytes bytes,
-                 const char* detail);
-  void TraceTensor(TensorId id, const char* detail, int device);
+                 const char* detail) {
+    metrics_->Fold(kind, device, bytes);
+    if (traced_) Publish(kind, trace::Lane::kAlloc, device, bytes, detail);
+  }
+  void Publish(trace::EventKind kind, trace::Lane lane, int device,
+               Bytes bytes, const char* detail);
+  /// A tensor state transition, for sinks that asked for them.
+  void TraceTensor(TensorId id, const char* detail, int device) {
+    if (tensor_events_) PublishTensor(id, detail, device);
+  }
+  void PublishTensor(TensorId id, const char* detail, int device);
 
-  const core::TaskGraph& graph_;
-  const StepProgram* program_;
   Env env_;
-  trace::TraceBus* bus_;
+  // Bound by Reset for one run.
+  const core::TaskGraph* graph_ = nullptr;
+  const StepProgram* program_ = nullptr;
+  trace::TraceBus* bus_ = nullptr;
+  trace::MetricsSink* metrics_ = nullptr;
+  fault::FaultInjector* injector_ = nullptr;
+  fault::ChaosDriver* reliable_ = nullptr;
+  bool traced_ = false;         // a sink is attached to bus_
+  bool tensor_events_ = false;  // ... and one wants kTensor transitions
+  int num_devices_ = 0;
 
+  // Per device, grown to the most devices any run had; the first
+  // num_devices_ are in use.
   std::vector<DeviceMemory> mem_;
-  TensorTable table_;
-
   std::vector<AllocQueue> alloc_queue_;
   std::vector<int> evictions_in_flight_;
+  TensorTable table_;
+
+  std::vector<TensorId> victims_;  // PickVictims scratch
+  std::string tensor_name_;        // kTensor event name buffer
 
   Bytes host_bytes_ = 0;
 };

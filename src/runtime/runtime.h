@@ -1,10 +1,14 @@
 #ifndef HARMONY_RUNTIME_RUNTIME_H_
 #define HARMONY_RUNTIME_RUNTIME_H_
 
+#include <algorithm>
+#include <array>
+#include <initializer_list>
 #include <numeric>
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/logging.h"
 #include "common/status.h"
 #include "core/task_graph.h"
 #include "fault/fault.h"
@@ -19,18 +23,62 @@ class TraceSink;
 
 namespace harmony::runtime {
 
+/// One value per device, stored inline (at most hw::kMaxGpus), so results
+/// cost no allocation. A vector-like subset: indexing, iteration, push_back.
+template <typename T>
+class PerDevice {
+ public:
+  using value_type = T;
+  using iterator = T*;
+  using const_iterator = const T*;
+
+  PerDevice() = default;
+  PerDevice(std::initializer_list<T> values) {
+    for (const T& v : values) push_back(v);
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  T& operator[](size_t d) { return values_[d]; }
+  const T& operator[](size_t d) const { return values_[d]; }
+  T* data() { return values_.data(); }
+  const T* data() const { return values_.data(); }
+  T* begin() { return values_.data(); }
+  T* end() { return values_.data() + size_; }
+  const T* begin() const { return values_.data(); }
+  const T* end() const { return values_.data() + size_; }
+
+  void push_back(const T& v) {
+    HARMONY_CHECK_LT(size_, values_.size()) << "more than hw::kMaxGpus devices";
+    values_[size_++] = v;
+  }
+  template <typename It>
+  void assign(It first, It last) {
+    size_ = 0;
+    for (; first != last; ++first) push_back(*first);
+  }
+
+  bool operator==(const PerDevice& o) const {
+    return std::equal(begin(), end(), o.begin(), o.end());
+  }
+
+ private:
+  std::array<T, hw::kMaxGpus> values_{};
+  size_t size_ = 0;
+};
+
 /// Measurements from executing one training iteration.
 struct RunMetrics {
   TimeSec iteration_time = 0;
 
   /// CPU->GPU and GPU->CPU traffic per device ("swap load", Fig 10).
-  std::vector<Bytes> swap_in_bytes;
-  std::vector<Bytes> swap_out_bytes;
+  PerDevice<Bytes> swap_in_bytes;
+  PerDevice<Bytes> swap_out_bytes;
   /// GPU->GPU traffic attributed to the receiving device.
-  std::vector<Bytes> p2p_bytes;
+  PerDevice<Bytes> p2p_bytes;
 
-  std::vector<TimeSec> compute_busy;      // per device compute-stream busy time
-  std::vector<Bytes> peak_device_bytes;   // memory-manager high-water mark
+  PerDevice<TimeSec> compute_busy;      // per device compute-stream busy time
+  PerDevice<Bytes> peak_device_bytes;   // memory-manager high-water mark
   Bytes peak_host_bytes = 0;
   int64_t evictions = 0;    // evictions that required a transfer
   int64_t clean_drops = 0;  // evictions satisfied by dropping a clean copy
@@ -71,9 +119,9 @@ struct RuntimeOptions {
   /// memory (Fig 15's 40B-parameter wall). Checked before execution from the
   /// static state and during execution from the dynamic peak.
   bool enforce_host_capacity = true;
-  /// Extra observers attached to the execution's trace bus (borrowed, e.g. a
-  /// ChromeTraceSink); MetricsSink and the HARMONY_RUNTIME_TRACE filter are
-  /// always attached. Null entries are ignored.
+  /// Observers attached to the execution's trace bus (borrowed, e.g. a
+  /// ChromeTraceSink), after the HARMONY_RUNTIME_TRACE filter when that is
+  /// set. RunMetrics is folded without them. Null entries are ignored.
   std::vector<trace::TraceSink*> trace_sinks;
 
   /// Deterministic fault injection (chaos runs). Default-constructed =
@@ -102,6 +150,14 @@ struct RuntimeOptions {
 /// double-buffered prefetch, p2p transfers, and CPU-offloaded weight update.
 /// Swap behaviour (repeated / unnecessary / unbalanced swaps) emerges from
 /// the schedule and memory pressure rather than being scripted.
+///
+/// Each thread keeps one execution context (the executor's engine, streams,
+/// network, residency tables and metrics, plus a compiled-program buffer)
+/// and resets it for every Execute instead of building a new one, so a warm
+/// Execute allocates nothing. The context is released after each run: it
+/// holds no reference to a caller's graph, program or sinks between runs.
+/// An Execute that starts while its thread's context is in use (say, from a
+/// trace sink) runs on a fresh context of the same type.
 class Runtime {
  public:
   Runtime(hw::MachineSpec machine, const model::SequentialModel& model);

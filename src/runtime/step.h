@@ -50,13 +50,14 @@ struct StepToken {
   int step = -1;  // index into StepProgram::steps[device]
 };
 
-/// CPU-offloaded work (weight updates).
+/// CPU-offloaded work (weight updates). Like Step's, the lists are spans into
+/// the owning StepProgram's pools.
 struct CpuStep {
   int task = -1;
   TimeSec duration = 0;
-  std::vector<TensorId> host_needs;  // wait until a valid host copy exists
-  std::vector<int> wait_tasks;       // task-completion dependencies
-  std::vector<TensorId> host_frees;  // consumed host copies (gradients)
+  std::span<const TensorId> host_needs;  // wait until a valid host copy exists
+  std::span<const int> wait_tasks;       // task-completion dependencies
+  std::span<const TensorId> host_frees;  // consumed host copies (gradients)
 };
 
 /// The compiled form of a TaskGraph: per-device GPU step sequences, per-
@@ -68,7 +69,8 @@ struct CpuStep {
 /// program serves any number of executions.
 ///
 /// Move-only: the steps' spans point into the pools below, which a move
-/// carries along but a copy would not.
+/// carries along but a copy would not. A StepCompiler can compile into an
+/// existing program, reusing all of its storage.
 struct StepProgram {
   StepProgram() = default;
   StepProgram(StepProgram&&) = default;
@@ -87,6 +89,9 @@ struct StepProgram {
   std::vector<NeedSpec> need_pool;
   std::vector<ProduceSpec> produce_pool;
   std::vector<TensorId> id_pool;  // derefs, copy, move, dirty per step
+  /// CSR pools behind every CpuStep's lists, in step order (process-major).
+  std::vector<TensorId> cpu_id_pool;  // host_needs (= host_frees) per step
+  std::vector<int> wait_pool;         // wait_tasks per step
 
   int64_t num_steps() const {
     int64_t n = 0;

@@ -1,7 +1,6 @@
 #include "runtime/step_compiler.h"
 
 #include <algorithm>
-#include <set>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -14,43 +13,57 @@ using core::MbPiece;
 using core::Task;
 using core::TaskType;
 
+namespace {
+
+/// Grows a [replica][slot] piece layout to at least `replicas` x `slots`
+/// and empties every slot, keeping all storage: a larger graph's extra slots
+/// stay, empty, for the next one.
+void ResetLayout(std::vector<std::vector<std::vector<MbPiece>>>* layout,
+                 int replicas, int slots) {
+  if (layout->size() < static_cast<size_t>(replicas)) layout->resize(replicas);
+  for (std::vector<std::vector<MbPiece>>& per_replica : *layout) {
+    if (per_replica.size() < static_cast<size_t>(slots)) {
+      per_replica.resize(slots);
+    }
+    for (std::vector<MbPiece>& slot : per_replica) slot.clear();
+  }
+}
+
+}  // namespace
+
 StepCompiler::StepCompiler(const hw::MachineSpec& machine,
                            const model::SequentialModel& model,
                            const core::TaskGraph& graph,
                            model::Optimizer optimizer)
-    : machine_(machine), model_(model), graph_(graph), cost_(machine.PlanningGpu()) {
-  opt_mult_ = model::OptimizerStateBytesPerParamByte(optimizer);
-}
+    : machine_(&machine), model_(&model), graph_(&graph),
+      optimizer_(optimizer) {}
 
 void StepCompiler::Precompute() {
-  const int R = model_.num_layers();
+  const int R = model_->num_layers();
   boundary_bytes_.assign(R + 1, 0);
-  boundary_bytes_[0] = model_.sample_input_bytes;
+  boundary_bytes_[0] = model_->sample_input_bytes;
   stash_bytes_.assign(R, 0);
   for (int l = 0; l < R; ++l) {
-    boundary_bytes_[l + 1] = model_.layers[l].boundary_out_bytes();
-    stash_bytes_[l] = model_.layers[l].spec.stash_bytes_per_sample +
-                      model_.layers[l].relay_bytes_per_sample;
+    boundary_bytes_[l + 1] = model_->layers[l].boundary_out_bytes();
+    stash_bytes_[l] = model_->layers[l].spec.stash_bytes_per_sample +
+                      model_->layers[l].relay_bytes_per_sample;
   }
 
   program_.static_host_bytes = 0;
-  for (const auto& layer : model_.layers) {
+  for (const auto& layer : model_->layers) {
     program_.static_host_bytes += layer.spec.param_bytes * (1 + opt_mult_);
   }
 
-  act_layout_.assign(graph_.num_replicas,
-                     std::vector<std::vector<MbPiece>>(R + 1));
-  grad_layout_.assign(graph_.num_replicas,
-                      std::vector<std::vector<MbPiece>>(R + 1));
-  stash_layout_.assign(graph_.num_replicas,
-                       std::vector<std::vector<MbPiece>>(R));
+  ResetLayout(&act_layout_, graph_->num_replicas, R + 1);
+  ResetLayout(&grad_layout_, graph_->num_replicas, R + 1);
+  ResetLayout(&stash_layout_, graph_->num_replicas, R);
   // Accumulate raw pieces first, then canonicalize each slot once: the
   // sort-after-every-merge variant re-sorted near-sorted vectors O(tasks)
   // times per boundary and dominated compile time on deep models.
   auto merge = [](std::vector<MbPiece>* dst, const std::vector<MbPiece>& src) {
     dst->insert(dst->end(), src.begin(), src.end());
   };
-  for (const Task& t : graph_.tasks) {
+  for (const Task& t : graph_->tasks) {
     if (t.type == TaskType::kForward) {
       for (int b = t.pack.lo + 1; b <= t.pack.hi + 1; ++b) {
         merge(&act_layout_[t.replica][b], t.group);
@@ -59,7 +72,7 @@ void StepCompiler::Precompute() {
       // the backward rematerializes it (fused packs have no forward task and
       // always rematerialize, so they never reach here).
       for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-        if (graph_.policy_at(l) != core::StashPolicy::kRecompute) {
+        if (graph_->policy_at(l) != core::StashPolicy::kRecompute) {
           merge(&stash_layout_[t.replica][l], t.group);
         }
       }
@@ -135,6 +148,18 @@ void StepCompiler::BindSpans() {
       s.mark_dirty = take(ids, x.dirty);
     }
   }
+  const TensorId* cpu_ids = program_.cpu_id_pool.data();
+  const int* waits = program_.wait_pool.data();
+  e = 0;
+  for (auto& proc : program_.cpu_steps) {
+    for (CpuStep& s : proc) {
+      const CpuExtent& x = cpu_extents_[e++];
+      // The gradients an update needs on host are the ones it consumes.
+      s.host_needs = take(cpu_ids, x.needs);
+      s.host_frees = s.host_needs;
+      s.wait_tasks = take(waits, x.waits);
+    }
+  }
 }
 
 void StepCompiler::ConsumeBoundaryInput(int boundary, int replica,
@@ -168,7 +193,7 @@ void StepCompiler::ConsumeStash(int layer, int replica, const MbPiece& piece) {
       << "backward without recompute needs stash of layer " << layer;
   // Swapped-out stash lives host-side only (the forward's move released the
   // GPU copy); consumers must pull it back through the host channel.
-  const bool swapped = graph_.policy_at(layer) == core::StashPolicy::kSwap;
+  const bool swapped = graph_->policy_at(layer) == core::StashPolicy::kSwap;
   for (const MbPiece& p : stash_layout_[replica][layer]) {
     if (!p.Overlaps(piece)) continue;
     const TensorId id = Id(TensorKey{TensorKind::kStash, layer, p.begin, replica});
@@ -178,21 +203,49 @@ void StepCompiler::ConsumeStash(int layer, int replica, const MbPiece& piece) {
   }
 }
 
+TensorId StepCompiler::WeightId(int l) {
+  TensorId& id = task_weights_[l - task_lo_];
+  if (id == kInvalidTensorId) {
+    id = Id(TensorKey{TensorKind::kWeight, l, -1, task_device_});
+  }
+  return id;
+}
+
+TensorId StepCompiler::GradId(int l) {
+  TensorId& id = task_grads_[l - task_lo_];
+  if (id == kInvalidTensorId) {
+    id = Id(TensorKey{TensorKind::kGrad, l, -1, task_replica_});
+  }
+  return id;
+}
+
+void StepCompiler::BeginTask(const Task& t, int replica) {
+  task_device_ = t.device;
+  task_replica_ = replica;
+  task_lo_ = t.pack.lo;
+  const size_t layers = static_cast<size_t>(t.pack.hi - t.pack.lo + 1);
+  task_weights_.assign(layers, kInvalidTensorId);
+  task_grads_.assign(layers, kInvalidTensorId);
+  task_stash_.assign(layers, kInvalidTensorId);
+}
+
 void StepCompiler::CompileForward(const Task& t) {
   const int d = t.device;
+  BeginTask(t, t.replica);
   for (const MbPiece& piece : t.group) {
+    // Layer l's output, which layer l + 1 of the same piece consumes.
+    TensorId chain = kInvalidTensorId;
     for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-      Draft& s = Begin(t.id, cost_.FwdTime(model_.layers[l].spec, piece.size));
-      const Bytes params = model_.layers[l].spec.param_bytes;
-      if (params > 0) {
-        s.needs.push_back(
-            NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
-      }
+      Draft& s = Begin(t.id, cost_->FwdTime(model_->layers[l].spec, piece.size));
+      const Bytes params = model_->layers[l].spec.param_bytes;
+      if (params > 0) s.needs.push_back(NeedSpec{WeightId(l), params});
       if (l == t.pack.lo) {
         ConsumeBoundaryInput(l, t.replica, piece, /*from_host=*/false);
       } else if (boundary_bytes_[l] > 0) {
-        const TensorId in =
-            Id(TensorKey{TensorKind::kActivation, l, piece.begin, t.replica});
+        const TensorId in = chain;
+        HARMONY_DCHECK_EQ(in, program_.tensors.Find(TensorKey{
+                                  TensorKind::kActivation, l, piece.begin,
+                                  t.replica}));
         s.needs.push_back(
             NeedSpec{in, static_cast<Bytes>(piece.size) * boundary_bytes_[l]});
         s.derefs.push_back(in);
@@ -200,6 +253,7 @@ void StepCompiler::CompileForward(const Task& t) {
       if (boundary_bytes_[l + 1] > 0) {
         const TensorId out = Id(
             TensorKey{TensorKind::kActivation, l + 1, piece.begin, t.replica});
+        chain = out;
         s.produces.push_back(ProduceSpec{
             out, static_cast<Bytes>(piece.size) * boundary_bytes_[l + 1]});
         if (std::find(t.checkpoint_boundaries.begin(),
@@ -208,7 +262,7 @@ void StepCompiler::CompileForward(const Task& t) {
           s.copy_to_host.push_back(out);
         }
       }
-      const core::StashPolicy pol = graph_.policy_at(l);
+      const core::StashPolicy pol = graph_->policy_at(l);
       if (pol != core::StashPolicy::kRecompute && stash_bytes_[l] > 0) {
         const TensorId st =
             Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica});
@@ -227,16 +281,17 @@ void StepCompiler::CompileForward(const Task& t) {
 
 void StepCompiler::CompileBackward(const Task& t) {
   const int d = t.device;
-  const int R = model_.num_layers();
+  const int R = model_->num_layers();
   // Per-layer rematerialization: a fused jit-compute task re-runs its whole
   // pack; otherwise only the layers the residency policy marked kRecompute.
   auto remat_layer = [&](int l) {
     return t.fused_forward ||
-           graph_.policy_at(l) == core::StashPolicy::kRecompute;
+           graph_->policy_at(l) == core::StashPolicy::kRecompute;
   };
   const bool push_grads =
-      graph_.flags.cpu_optimizer || graph_.grad_reduce_via_host;
+      graph_->flags.cpu_optimizer || graph_->grad_reduce_via_host;
 
+  BeginTask(t, t.replica);
   for (size_t pi = 0; pi < t.group.size(); ++pi) {
     const MbPiece& piece = t.group[pi];
     const bool first_piece = pi == 0;
@@ -247,19 +302,16 @@ void StepCompiler::CompileBackward(const Task& t) {
     // granularity) — and the pack input (checkpoint) at the pack start.
     for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
       if (!remat_layer(l)) continue;
-      Draft& s = Begin(t.id, cost_.FwdTime(model_.layers[l].spec, piece.size));
-      const Bytes params = model_.layers[l].spec.param_bytes;
-      if (params > 0) {
-        s.needs.push_back(
-            NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
-      }
+      Draft& s = Begin(t.id, cost_->FwdTime(model_->layers[l].spec, piece.size));
+      const Bytes params = model_->layers[l].spec.param_bytes;
+      if (params > 0) s.needs.push_back(NeedSpec{WeightId(l), params});
       if (l == t.pack.lo) {
         // A checkpoint read takes the message-passing channel.
         ConsumeBoundaryInput(l, t.replica, piece, t.reads_checkpoint);
       } else if (remat_layer(l - 1)) {
         if (stash_bytes_[l - 1] > 0) {
-          const TensorId in =
-              Id(TensorKey{TensorKind::kStash, l - 1, piece.begin, t.replica});
+          // Rematerialized just above, in this piece.
+          const TensorId in = task_stash_[l - 1 - t.pack.lo];
           s.needs.push_back(
               NeedSpec{in, static_cast<Bytes>(piece.size) * stash_bytes_[l - 1]});
           s.derefs.push_back(in);
@@ -269,19 +321,23 @@ void StepCompiler::CompileBackward(const Task& t) {
         ConsumeStash(l - 1, t.replica, piece);
       }
       if (stash_bytes_[l] > 0) {
+        const TensorId out =
+            Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica});
+        task_stash_[l - t.pack.lo] = out;
         s.produces.push_back(ProduceSpec{
-            Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica}),
-            static_cast<Bytes>(piece.size) * stash_bytes_[l]});
+            out, static_cast<Bytes>(piece.size) * stash_bytes_[l]});
       }
       Emit(d);
     }
+    // Layer l's outgoing gradient, which layer l - 1 of the same piece
+    // consumes.
+    TensorId chain = kInvalidTensorId;
     for (int l = t.pack.hi; l >= t.pack.lo; --l) {
-      Draft& s = Begin(t.id, cost_.BwdTime(model_.layers[l].spec, piece.size));
-      const Bytes params = model_.layers[l].spec.param_bytes;
+      Draft& s = Begin(t.id, cost_->BwdTime(model_->layers[l].spec, piece.size));
+      const Bytes params = model_->layers[l].spec.param_bytes;
       if (params > 0) {
-        s.needs.push_back(
-            NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
-        const TensorId g = Id(TensorKey{TensorKind::kGrad, l, -1, t.replica});
+        s.needs.push_back(NeedSpec{WeightId(l), params});
+        const TensorId g = GradId(l);
         if (first_piece) {
           s.produces.push_back(ProduceSpec{g, params});
         } else {
@@ -292,8 +348,10 @@ void StepCompiler::CompileBackward(const Task& t) {
       // Stashed activations of this layer (rematerialized or fetched).
       if (remat_layer(l)) {
         if (stash_bytes_[l] > 0) {
-          const TensorId st =
-              Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica});
+          const TensorId st = task_stash_[l - t.pack.lo];
+          HARMONY_DCHECK_EQ(st, program_.tensors.Find(TensorKey{
+                                    TensorKind::kStash, l, piece.begin,
+                                    t.replica}));
           s.needs.push_back(
               NeedSpec{st, static_cast<Bytes>(piece.size) * stash_bytes_[l]});
           s.derefs.push_back(st);
@@ -314,25 +372,26 @@ void StepCompiler::CompileBackward(const Task& t) {
           }
         }
       } else if (boundary_bytes_[l + 1] > 0) {
-        const TensorId gin =
-            Id(TensorKey{TensorKind::kGradAct, l + 1, piece.begin, t.replica});
+        const TensorId gin = chain;
+        HARMONY_DCHECK_EQ(gin, program_.tensors.Find(TensorKey{
+                                   TensorKind::kGradAct, l + 1, piece.begin,
+                                   t.replica}));
         s.needs.push_back(
             NeedSpec{gin, static_cast<Bytes>(piece.size) * boundary_bytes_[l + 1]});
         s.derefs.push_back(gin);
       }
       // Outgoing gradient dA(l) (none for the model input).
       if (l > 0 && boundary_bytes_[l] > 0) {
+        chain = Id(TensorKey{TensorKind::kGradAct, l, piece.begin, t.replica});
         s.produces.push_back(ProduceSpec{
-            Id(TensorKey{TensorKind::kGradAct, l, piece.begin, t.replica}),
-            static_cast<Bytes>(piece.size) * boundary_bytes_[l]});
+            chain, static_cast<Bytes>(piece.size) * boundary_bytes_[l]});
       }
       // The group's last step pushes the accumulated gradients to host when
       // the update runs on CPU or gradients reduce across replicas.
       if (push_grads && last_piece && l == t.pack.lo) {
         for (int gl = t.pack.lo; gl <= t.pack.hi; ++gl) {
-          if (model_.layers[gl].spec.param_bytes > 0) {
-            s.move_to_host.push_back(
-                Id(TensorKey{TensorKind::kGrad, gl, -1, t.replica}));
+          if (model_->layers[gl].spec.param_bytes > 0) {
+            s.move_to_host.push_back(GradId(gl));
           }
         }
       }
@@ -344,15 +403,16 @@ void StepCompiler::CompileBackward(const Task& t) {
 void StepCompiler::CompileGpuUpdate(const Task& t) {
   const int d = t.device;
   const int replica = std::max(t.replica, 0);
+  BeginTask(t, replica);
   bool any = false;
   // One step per layer: an update of a pack larger than GPU memory must
   // stream layer by layer, exactly like forward/backward execution.
   for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-    const Bytes params = model_.layers[l].spec.param_bytes;
+    const Bytes params = model_->layers[l].spec.param_bytes;
     if (params == 0) continue;
-    Draft& s = Begin(t.id, cost_.GpuUpdateTime(model_.layers[l].spec));
-    const TensorId w = Id(TensorKey{TensorKind::kWeight, l, -1, d});
-    const TensorId g = Id(TensorKey{TensorKind::kGrad, l, -1, replica});
+    Draft& s = Begin(t.id, cost_->GpuUpdateTime(model_->layers[l].spec));
+    const TensorId w = WeightId(l);
+    const TensorId g = GradId(l);
     const TensorId o = Id(TensorKey{TensorKind::kOptState, l, -1, d});
     s.needs.push_back(NeedSpec{w, params});
     s.needs.push_back(NeedSpec{g, params});
@@ -377,32 +437,42 @@ void StepCompiler::CompileCpuUpdate(const Task& t,
                                     const core::DepResolver& deps) {
   CpuStep s;
   s.task = t.id;
-  const auto producers = deps.BackwardTasksForPack(t.pack, t.replica);
-  std::set<int> replicas;
-  for (int pid : producers) replicas.insert(graph_.task(pid).replica);
-  const int nrep = std::max<int>(1, replicas.size());
+  // Gradients are only final once their backward tasks complete (an eviction
+  // can land a partial gradient on host earlier): wait for the producers,
+  // and gather their replicas.
+  const size_t waits = program_.wait_pool.size();
+  replicas_.clear();
+  deps.ForEachBackwardTaskForPack(t.pack, t.replica, [&](int pid) {
+    program_.wait_pool.push_back(pid);
+    replicas_.push_back(graph_->task(pid).replica);
+  });
+  std::sort(replicas_.begin(), replicas_.end());
+  replicas_.erase(std::unique(replicas_.begin(), replicas_.end()),
+                  replicas_.end());
+  const int nrep = std::max<int>(1, static_cast<int>(replicas_.size()));
+  const size_t needs = program_.cpu_id_pool.size();
   for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-    const Bytes params = model_.layers[l].spec.param_bytes;
+    const Bytes params = model_->layers[l].spec.param_bytes;
     if (params == 0) continue;
     s.duration += static_cast<double>(params) * (2.0 + nrep) /
-                  machine_.cpu_update_bw;
-    for (int r : replicas) {
-      const TensorId g = Id(TensorKey{TensorKind::kGrad, l, -1, r});
-      s.host_needs.push_back(g);
-      s.host_frees.push_back(g);
+                  machine_->cpu_update_bw;
+    for (int r : replicas_) {
+      program_.cpu_id_pool.push_back(
+          Id(TensorKey{TensorKind::kGrad, l, -1, r}));
     }
   }
-  // Gradients are only final once their backward tasks complete (an eviction
-  // can land a partial gradient on host earlier).
-  s.wait_tasks.insert(s.wait_tasks.end(), producers.begin(), producers.end());
-  if (!graph_.flags.jit_update) {
-    for (int r = 0; r < graph_.num_replicas; ++r) {
+  if (!graph_->flags.jit_update) {
+    for (int r = 0; r < graph_->num_replicas; ++r) {
       if (t.replica >= 0 && r != t.replica) continue;
       const auto& all = deps.AllBackwardTasks(r);
-      s.wait_tasks.insert(s.wait_tasks.end(), all.begin(), all.end());
+      program_.wait_pool.insert(program_.wait_pool.end(), all.begin(),
+                                all.end());
     }
   }
-  program_.cpu_steps[t.device].push_back(std::move(s));
+  cpu_extents_.push_back(
+      CpuExtent{static_cast<uint32_t>(program_.cpu_id_pool.size() - needs),
+                static_cast<uint32_t>(program_.wait_pool.size() - waits)});
+  program_.cpu_steps[t.device].push_back(s);
 }
 
 void StepCompiler::ComputeRefs() {
@@ -415,38 +485,69 @@ void StepCompiler::ComputeRefs() {
 }
 
 StepProgram StepCompiler::Compile() {
+  StepProgram program;
+  Compile(*machine_, *model_, *graph_, optimizer_, &program);
+  return program;
+}
+
+void StepCompiler::ResetProgram() {
+  const size_t devices = static_cast<size_t>(graph_->num_devices);
+  program_.steps.resize(devices);
+  for (std::vector<Step>& dev : program_.steps) dev.clear();
+  program_.cpu_steps.resize(devices);
+  for (std::vector<CpuStep>& proc : program_.cpu_steps) proc.clear();
+  program_.tensors.Clear();
+  program_.need_pool.clear();
+  program_.produce_pool.clear();
+  program_.id_pool.clear();
+  program_.cpu_id_pool.clear();
+  program_.wait_pool.clear();
+  extents_.clear();
+  cpu_extents_.clear();
+}
+
+void StepCompiler::Compile(const hw::MachineSpec& machine,
+                           const model::SequentialModel& model,
+                           const core::TaskGraph& graph,
+                           model::Optimizer optimizer, StepProgram* program) {
+  machine_ = &machine;
+  model_ = &model;
+  graph_ = &graph;
+  optimizer_ = optimizer;
+  cost_.emplace(machine.PlanningGpu());
+  opt_mult_ = model::OptimizerStateBytesPerParamByte(optimizer);
+  program_ = std::move(*program);
+  ResetProgram();
   Precompute();
-  program_.steps.assign(graph_.num_devices, {});
-  program_.cpu_steps.assign(graph_.num_devices, {});
   // One dependency index for every CPU update: building it per update made
   // compile O(tasks x CPU updates).
-  const core::DepResolver deps(graph_);
-  for (int d = 0; d < graph_.num_devices; ++d) {
-    for (int id : graph_.device_order[d]) {
-      const Task& t = graph_.task(id);
+  const core::DepResolver deps(graph, &deps_);
+  for (int d = 0; d < graph.num_devices; ++d) {
+    for (int id : graph.device_order[d]) {
+      const Task& t = graph.task(id);
       switch (t.type) {
         case TaskType::kForward: CompileForward(t); break;
         case TaskType::kBackward: CompileBackward(t); break;
         case TaskType::kUpdate: CompileGpuUpdate(t); break;
       }
     }
-    if (static_cast<size_t>(d) < graph_.cpu_order.size()) {
-      for (int id : graph_.cpu_order[d]) {
-        CompileCpuUpdate(graph_.task(id), deps);
+    if (static_cast<size_t>(d) < graph.cpu_order.size()) {
+      for (int id : graph.cpu_order[d]) {
+        CompileCpuUpdate(graph.task(id), deps);
       }
     }
   }
   BindSpans();
   ComputeRefs();
 
-  program_.task_step_counts.assign(graph_.num_tasks(), 0);
+  program_.task_step_counts.assign(graph.num_tasks(), 0);
   for (const auto& dev : program_.steps) {
     for (const Step& s : dev) ++program_.task_step_counts[s.task];
   }
   for (const auto& proc : program_.cpu_steps) {
     for (const CpuStep& s : proc) ++program_.task_step_counts[s.task];
   }
-  return std::move(program_);
+  *program = std::move(program_);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #define HARMONY_RUNTIME_STEP_COMPILER_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/task_graph.h"
@@ -19,16 +20,30 @@ namespace harmony::runtime {
 /// offloaded updates expand to CpuSteps with host-copy and task-completion
 /// dependencies. No simulator state is touched — the compiler is a function
 /// of (machine, model, graph, optimizer) and is unit-tested without the sim.
+///
+/// A compiler is reusable: each Compile into an existing program reuses the
+/// program's storage and the compiler's scratch, so compiling a graph the
+/// size of an earlier one allocates nothing.
 class StepCompiler {
  public:
+  /// An unbound compiler, for Compile(machine, model, graph, ...).
+  StepCompiler() = default;
+  /// A compiler bound to one graph, for the one-shot Compile().
   StepCompiler(const hw::MachineSpec& machine,
                const model::SequentialModel& model,
                const core::TaskGraph& graph,
                model::Optimizer optimizer = model::Optimizer::kAdam);
 
-  /// One-shot lowering. Deterministic: identical inputs yield an identical
-  /// program (golden-tested).
+  /// One-shot lowering of the bound graph. Deterministic: identical inputs
+  /// yield an identical program (golden-tested).
   StepProgram Compile();
+
+  /// Lowers `graph` into `*program`, replacing its contents: the same
+  /// program Compile() would return, built in the program's own storage.
+  void Compile(const hw::MachineSpec& machine,
+               const model::SequentialModel& model,
+               const core::TaskGraph& graph, model::Optimizer optimizer,
+               StepProgram* program);
 
  private:
   /// The step being lowered. Each list is filled in the order the program
@@ -47,6 +62,8 @@ class StepCompiler {
   void Emit(int d);
   /// Points every step's spans into the finished pools.
   void BindSpans();
+  /// Empties program_ for a new compile, keeping its storage.
+  void ResetProgram();
 
   void Precompute();
   void CompileForward(const core::Task& t);
@@ -63,16 +80,32 @@ class StepCompiler {
   void ComputeRefs();
 
   Bytes opt_state_bytes(int layer) const {
-    return opt_mult_ * model_.layers[layer].spec.param_bytes;
+    return opt_mult_ * model_->layers[layer].spec.param_bytes;
   }
 
   /// Interns `key` into the program's catalog, returning its dense id.
   TensorId Id(const TensorKey& key) { return program_.tensors.Intern(key); }
+  /// The id of layer `l`'s weights (or gradient) of the task being lowered,
+  /// interned on first use: one lookup per task, not one per piece.
+  TensorId WeightId(int l);
+  TensorId GradId(int l);
 
-  const hw::MachineSpec& machine_;
-  const model::SequentialModel& model_;
-  const core::TaskGraph& graph_;
-  model::CostModel cost_;
+  // Bound for one compile (or, by the binding constructor, for Compile()).
+  const hw::MachineSpec* machine_ = nullptr;
+  const model::SequentialModel* model_ = nullptr;
+  const core::TaskGraph* graph_ = nullptr;
+  model::Optimizer optimizer_ = model::Optimizer::kAdam;
+  std::optional<model::CostModel> cost_;
+
+  // The task being lowered: its device, replica and pack, the ids of its
+  // pack layers' weights and gradients (kInvalidTensorId until interned), and
+  // the rematerialized stash of the current piece, by pack layer.
+  int task_device_ = 0;
+  int task_replica_ = 0;
+  int task_lo_ = 0;
+  std::vector<TensorId> task_weights_, task_grads_, task_stash_;
+  /// Binds the task's id caches; `replica` keys its gradients.
+  void BeginTask(const core::Task& t, int replica);
 
   // Piece layouts: [replica][boundary/layer] -> producer pieces.
   std::vector<std::vector<std::vector<core::MbPiece>>> act_layout_;
@@ -91,6 +124,13 @@ class StepCompiler {
     uint32_t needs, produces, derefs, copy, move, dirty;
   };
   std::vector<Extent> extents_;
+  /// Per emitted CPU step: host_needs and wait_tasks lengths.
+  struct CpuExtent {
+    uint32_t needs, waits;
+  };
+  std::vector<CpuExtent> cpu_extents_;
+  core::DepIndex deps_;             // the dependency index, rebuilt in place
+  std::vector<int> replicas_;       // CompileCpuUpdate scratch
 };
 
 }  // namespace harmony::runtime

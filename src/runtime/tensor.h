@@ -73,6 +73,12 @@ class TensorCatalog {
   const TensorKey& key(TensorId id) const { return keys_[id]; }
   int size() const { return static_cast<int>(keys_.size()); }
 
+  /// Forgets every key, keeping the storage.
+  void Clear() {
+    keys_.clear();
+    std::fill(slots_.begin(), slots_.end(), kInvalidTensorId);
+  }
+
  private:
   /// The compiler interns the same key many times (once per consuming step),
   /// so the index is a flat open-addressing table of ids (linear probing,
@@ -164,7 +170,7 @@ struct TensorState {
 
   /// Continuations: fired (and cleared) on production, on GPU arrival, and on
   /// host-copy availability, respectively. Held records of the run's engine;
-  /// the residency layer drops any left over when it is destroyed.
+  /// the residency layer drops any left over when the run ends.
   sim::WaiterList creation_waiters;
   sim::WaiterList arrival_waiters;
   sim::WaiterList host_waiters;
@@ -175,7 +181,12 @@ struct TensorState {
 /// `exists` distinguishes produced tensors.
 class TensorTable {
  public:
-  explicit TensorTable(int num_tensors) : states_(num_tensors) {}
+  /// Fresh states for `num_tensors` ids, reusing the storage. Every waiter
+  /// of the previous run must have been run or dropped.
+  void Reset(int num_tensors) {
+    states_.clear();
+    states_.resize(num_tensors);
+  }
 
   TensorState& Get(TensorId id) { return states_[id]; }
   const TensorState& Get(TensorId id) const { return states_[id]; }

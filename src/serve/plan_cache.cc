@@ -11,14 +11,7 @@ size_t CachedPlan::ApproxBytes() const {
   bytes += canonical_request.capacity();
   bytes += (config.fwd_packs.capacity() + config.bwd_packs.capacity()) *
            sizeof(core::Pack);
-  if (has_metrics) {
-    bytes += (metrics.swap_in_bytes.capacity() +
-              metrics.swap_out_bytes.capacity() +
-              metrics.p2p_bytes.capacity() +
-              metrics.peak_device_bytes.capacity()) * sizeof(Bytes);
-    bytes += metrics.compute_busy.capacity() * sizeof(TimeSec);
-  }
-  return bytes;
+  return bytes;  // RunMetrics stores its per-device values inline
 }
 
 PlanResponse PlanResponseFromCache(const CachedPlan& plan,

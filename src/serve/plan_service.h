@@ -65,7 +65,7 @@ struct ServeOptions {
   int max_pending = 64;
   int retry_after_ms = 50;
   /// Optional observer (borrowed). The service serializes its emissions, so
-  /// single-threaded sinks (ChromeTraceSink, MetricsSink) work unchanged;
+  /// single-threaded sinks (ChromeTraceSink) work unchanged;
   /// event times are wall-clock seconds since service construction.
   trace::TraceBus* bus = nullptr;
   /// Test hook: every search worker sleeps this long before searching,

@@ -83,13 +83,13 @@ Result<core::PackList> PackListFromJson(const json::Value& v,
   return packs;
 }
 
-json::Value BytesArrayToJson(const std::vector<Bytes>& xs) {
+json::Value BytesArrayToJson(const runtime::PerDevice<Bytes>& xs) {
   json::Value arr = json::Value::Array();
   for (Bytes b : xs) arr.Append(json::Value::Int(b));
   return arr;
 }
 
-json::Value TimesArrayToJson(const std::vector<TimeSec>& xs) {
+json::Value TimesArrayToJson(const runtime::PerDevice<TimeSec>& xs) {
   json::Value arr = json::Value::Array();
   for (TimeSec t : xs) arr.Append(json::Value::Number(t));
   return arr;
@@ -545,8 +545,19 @@ Result<runtime::RunMetrics> RunMetricsFromJson(const json::Value& v) {
   runtime::RunMetrics m;
   HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "iteration_time", &m.iteration_time));
   std::vector<double> tmp;
-  auto read_bytes = [&v, &tmp](const char* key, std::vector<Bytes>* out) {
+  // Per-device arrays hold at most hw::kMaxGpus entries.
+  auto read_array = [&v, &tmp](const char* key) {
     HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, key, &tmp));
+    if (tmp.size() > static_cast<size_t>(hw::kMaxGpus)) {
+      return Status::InvalidArgument("metrics: field '" + std::string(key) +
+                                     "' has more than " +
+                                     std::to_string(hw::kMaxGpus) + " devices");
+    }
+    return Status::Ok();
+  };
+  auto read_bytes = [&read_array, &tmp](const char* key,
+                                        runtime::PerDevice<Bytes>* out) {
+    HARMONY_RETURN_IF_ERROR(read_array(key));
     for (double b : tmp) {
       if (!json::IsIntegerIn(b, std::numeric_limits<Bytes>::min(),
                              std::numeric_limits<Bytes>::max())) {
@@ -560,7 +571,7 @@ Result<runtime::RunMetrics> RunMetricsFromJson(const json::Value& v) {
   HARMONY_RETURN_IF_ERROR(read_bytes("swap_in_bytes", &m.swap_in_bytes));
   HARMONY_RETURN_IF_ERROR(read_bytes("swap_out_bytes", &m.swap_out_bytes));
   HARMONY_RETURN_IF_ERROR(read_bytes("p2p_bytes", &m.p2p_bytes));
-  HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, "compute_busy", &tmp));
+  HARMONY_RETURN_IF_ERROR(read_array("compute_busy"));
   m.compute_busy.assign(tmp.begin(), tmp.end());
   HARMONY_RETURN_IF_ERROR(
       read_bytes("peak_device_bytes", &m.peak_device_bytes));

@@ -2,11 +2,17 @@
 
 namespace harmony::sim {
 
-Engine::~Engine() {
+Engine::~Engine() { Reset(); }
+
+void Engine::Reset() {
   // Destroy pending payloads without running them (run=false) so captured
-  // state (shared_ptrs, trace sinks) is released even when the engine is
-  // torn down with events still queued.
+  // state (shared_ptrs, trace sinks) is released even when a run ends with
+  // events still queued.
   while (EventRec* rec = queue_.PopMin()) rec->op(rec, this, /*run=*/false);
+  now_ = 0.0;
+  next_seq_ = 0;
+  events_processed_ = 0;
+  causality_clamps_ = 0;
 }
 
 TimeSec Engine::Run() {

@@ -31,6 +31,11 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
+  /// Returns the engine to its just-constructed state for a new run, keeping
+  /// the record arenas: pending events are destroyed unrun. Held records
+  /// belong to their owners, which drop them first.
+  void Reset();
+
   TimeSec now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `t`. Scheduling in the past is a
@@ -149,9 +154,13 @@ class WaiterList {
   }
 
   /// Detaches the list, then runs each waiter in registration order.
-  void RunAll(Engine* engine) { Drain(engine, /*run=*/true); }
+  void RunAll(Engine* engine) {
+    if (!empty()) Drain(engine, /*run=*/true);
+  }
   /// Destroys every waiter without running it.
-  void DropAll(Engine* engine) { Drain(engine, /*run=*/false); }
+  void DropAll(Engine* engine) {
+    if (!empty()) Drain(engine, /*run=*/false);
+  }
 
  private:
   void Drain(Engine* engine, bool run);
@@ -173,6 +182,12 @@ class Condition {
 
   bool fired() const { return fired_; }
   Engine* engine() const { return engine_; }
+
+  /// Rearms the condition for reuse: pending waiters are dropped unrun.
+  void Reset() {
+    waiters_.DropAll(engine_);
+    fired_ = false;
+  }
 
   /// Fires the condition; runs pending callbacks synchronously, in
   /// registration order (they execute within the current event, at the

@@ -6,19 +6,43 @@
 
 namespace harmony::sim {
 
-FlowNetwork::FlowNetwork(Engine* engine, std::vector<BytesPerSec> link_capacities)
-    : engine_(engine),
-      capacities_(std::move(link_capacities)),
-      base_capacities_(capacities_),
-      link_bytes_(capacities_.size(), 0.0),
-      link_flows_(capacities_.size()),
-      residual_(capacities_.size(), 0.0),
-      nflows_(capacities_.size(), 0) {
-  for (BytesPerSec c : capacities_) HARMONY_CHECK_GT(c, 0.0);
+FlowNetwork::FlowNetwork(Engine* engine,
+                         const std::vector<BytesPerSec>& link_capacities)
+    : engine_(engine) {
+  Reset(link_capacities);
 }
 
 FlowNetwork::~FlowNetwork() {
   for (int slot : active_) engine_->DropHeld(flow_done_[slot]);
+}
+
+void FlowNetwork::Reset(const std::vector<BytesPerSec>& link_capacities) {
+  for (BytesPerSec c : link_capacities) HARMONY_CHECK_GT(c, 0.0);
+  for (int slot : active_) engine_->DropHeld(flow_done_[slot]);
+  active_.clear();
+  bus_ = nullptr;
+  const size_t links = link_capacities.size();
+  capacities_.assign(link_capacities.begin(), link_capacities.end());
+  base_capacities_.assign(link_capacities.begin(), link_capacities.end());
+  link_bytes_.assign(links, 0.0);
+  if (link_flows_.size() < links) link_flows_.resize(links);
+  for (std::vector<int>& on_link : link_flows_) on_link.clear();
+  residual_.assign(links, 0.0);
+  nflows_.assign(links, 0);
+  free_slots_.clear();
+  for (int slot = static_cast<int>(flow_id_.size()) - 1; slot >= 0; --slot) {
+    flow_path_[slot].clear();
+    flow_done_[slot] = nullptr;
+    frozen_epoch_[slot] = 0;
+    free_slots_.push_back(slot);
+  }
+  fill_epoch_ = 0;
+  done_scratch_.clear();
+  next_flow_id_ = 0;
+  last_update_ = 0.0;
+  armed_times_.clear();
+  next_completion_time_ = 0.0;
+  wakeups_suppressed_ = 0;
 }
 
 void FlowNetwork::EmitFlow(trace::EventKind kind, Bytes bytes) {
@@ -100,7 +124,7 @@ void FlowNetwork::RecomputeRates() {
   // All scratch (residual_, nflows_, frozen_epoch_) is reused; the only
   // per-round work is an O(links) scan plus the flows actually frozen.
   residual_.assign(capacities_.begin(), capacities_.end());
-  for (size_t l = 0; l < link_flows_.size(); ++l) {
+  for (size_t l = 0; l < nflows_.size(); ++l) {
     nflows_[l] = static_cast<int>(link_flows_[l].size());
   }
   ++fill_epoch_;
@@ -227,65 +251,70 @@ void FlowNetwork::RemoveFromLinks(int slot) {
 // Interconnect
 // ---------------------------------------------------------------------------
 
-Interconnect::Interconnect(const hw::MachineSpec& machine)
-    : capacities_(machine.NumLinks()),
-      names_(machine.NumLinks()),
-      num_gpus_(machine.num_gpus) {
+void Interconnect::Reset(const hw::MachineSpec& machine) {
+  num_gpus_ = machine.num_gpus;
+  num_switches_ = machine.num_switches;
   // Link ids come from hw::MachineSpec's Link* helpers, so a heterogeneous
   // machine's per-link scale applies by id. The scale is an exact 1.0
   // multiply on homogeneous machines.
-  auto set_link = [&](int id, BytesPerSec cap, std::string name) {
+  capacities_.assign(machine.NumLinks(), 0.0);
+  auto set_link = [&](int id, BytesPerSec cap) {
     capacities_[id] = cap * machine.LinkScaleAt(id);
-    names_[id] = std::move(name);
   };
-  for (int g = 0; g < machine.num_gpus; ++g) {
-    const std::string gpu = "gpu" + std::to_string(g);
-    set_link(machine.LinkGpuUp(g), machine.pcie_bw, gpu + ".up");
-    set_link(machine.LinkGpuDown(g), machine.pcie_bw, gpu + ".down");
+  for (int g = 0; g < num_gpus_; ++g) {
+    set_link(machine.LinkGpuUp(g), machine.pcie_bw);
+    set_link(machine.LinkGpuDown(g), machine.pcie_bw);
     if (machine.nvlink_bw > 0) {
-      set_link(machine.LinkNvlinkOut(g), machine.nvlink_bw, gpu + ".nvl.out");
-      set_link(machine.LinkNvlinkIn(g), machine.nvlink_bw, gpu + ".nvl.in");
+      set_link(machine.LinkNvlinkOut(g), machine.nvlink_bw);
+      set_link(machine.LinkNvlinkIn(g), machine.nvlink_bw);
     }
   }
-  for (int s = 0; s < machine.num_switches; ++s) {
-    const std::string sw = "sw" + std::to_string(s);
-    set_link(machine.LinkSwitchUp(s), machine.uplink_bw, sw + ".up");
-    set_link(machine.LinkSwitchDown(s), machine.uplink_bw, sw + ".down");
+  for (int s = 0; s < num_switches_; ++s) {
+    set_link(machine.LinkSwitchUp(s), machine.uplink_bw);
+    set_link(machine.LinkSwitchDown(s), machine.uplink_bw);
   }
-  set_link(machine.LinkHostWrite(), machine.host_mem_bw, "hostmem.write");
-  set_link(machine.LinkHostRead(), machine.host_mem_bw, "hostmem.read");
+  set_link(machine.LinkHostWrite(), machine.host_mem_bw);
+  set_link(machine.LinkHostRead(), machine.host_mem_bw);
 
-  p2p_.resize(static_cast<size_t>(num_gpus_) * num_gpus_);
+  const size_t gpus = static_cast<size_t>(num_gpus_);
+  if (swap_in_.size() < gpus) {
+    swap_in_.resize(gpus);
+    swap_out_.resize(gpus);
+  }
+  if (p2p_.size() < gpus * gpus) p2p_.resize(gpus * gpus);
   for (int g = 0; g < num_gpus_; ++g) {
     const int s = machine.gpu_to_switch[g];
-    swap_in_.push_back({machine.LinkHostRead(), machine.LinkSwitchDown(s),
+    swap_in_[g].assign({machine.LinkHostRead(), machine.LinkSwitchDown(s),
                         machine.LinkGpuDown(g)});
-    swap_out_.push_back({machine.LinkGpuUp(g), machine.LinkSwitchUp(s),
+    swap_out_[g].assign({machine.LinkGpuUp(g), machine.LinkSwitchUp(s),
                          machine.LinkHostWrite()});
     for (int dst = 0; dst < num_gpus_; ++dst) {
-      if (dst == g) continue;
       std::vector<int>& path = p2p_[g * num_gpus_ + dst];
       const int ds = machine.gpu_to_switch[dst];
-      if (machine.nvlink_bw > 0) {
+      if (dst == g) {
+        path.clear();
+      } else if (machine.nvlink_bw > 0) {
         // Dedicated NVLink ports: p2p bypasses the PCIe tree entirely.
-        path = {machine.LinkNvlinkOut(g), machine.LinkNvlinkIn(dst)};
+        path.assign({machine.LinkNvlinkOut(g), machine.LinkNvlinkIn(dst)});
       } else if (s == ds) {
-        path = {machine.LinkGpuUp(g), machine.LinkGpuDown(dst)};
+        path.assign({machine.LinkGpuUp(g), machine.LinkGpuDown(dst)});
       } else {
         // Cross-switch p2p bounces through the root complex (no DRAM hop).
-        path = {machine.LinkGpuUp(g), machine.LinkSwitchUp(s),
-                machine.LinkSwitchDown(ds), machine.LinkGpuDown(dst)};
+        path.assign({machine.LinkGpuUp(g), machine.LinkSwitchUp(s),
+                     machine.LinkSwitchDown(ds), machine.LinkGpuDown(dst)});
       }
     }
   }
 }
 
 const std::vector<int>& Interconnect::SwapInPath(int gpu) const {
-  return swap_in_.at(gpu);
+  HARMONY_CHECK(gpu >= 0 && gpu < num_gpus_);
+  return swap_in_[gpu];
 }
 
 const std::vector<int>& Interconnect::SwapOutPath(int gpu) const {
-  return swap_out_.at(gpu);
+  HARMONY_CHECK(gpu >= 0 && gpu < num_gpus_);
+  return swap_out_[gpu];
 }
 
 const std::vector<int>& Interconnect::P2pPath(int src_gpu, int dst_gpu) const {
@@ -295,6 +324,23 @@ const std::vector<int>& Interconnect::P2pPath(int src_gpu, int dst_gpu) const {
   return p2p_[src_gpu * num_gpus_ + dst_gpu];
 }
 
-std::string Interconnect::LinkName(int link) const { return names_.at(link); }
+std::string Interconnect::LinkName(int link) const {
+  // Inverts MachineSpec's link-id layout: GPU PCIe pairs, switch uplink
+  // pairs, host DRAM write/read, then NVLink pairs.
+  HARMONY_CHECK(link >= 0 && link < num_links());
+  const int gpu_links = 2 * num_gpus_;
+  const int host = gpu_links + 2 * num_switches_;
+  const bool second = link % 2 == 1;
+  if (link < gpu_links) {
+    return "gpu" + std::to_string(link / 2) + (second ? ".down" : ".up");
+  }
+  if (link < host) {
+    return "sw" + std::to_string((link - gpu_links) / 2) +
+           (second ? ".down" : ".up");
+  }
+  if (link < host + 2) return second ? "hostmem.read" : "hostmem.write";
+  return "gpu" + std::to_string((link - host - 2) / 2) +
+         (second ? ".nvl.in" : ".nvl.out");
+}
 
 }  // namespace harmony::sim

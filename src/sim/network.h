@@ -36,12 +36,18 @@ namespace harmony::sim {
 /// are unaffected). Suppressed enqueues are counted in wakeups_suppressed().
 class FlowNetwork {
  public:
-  FlowNetwork(Engine* engine, std::vector<BytesPerSec> link_capacities);
+  FlowNetwork(Engine* engine, const std::vector<BytesPerSec>& link_capacities);
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
   /// Drops the completions of flows still in flight (a wedged or failed
   /// run) without running them. The engine must outlive the network.
   ~FlowNetwork();
+
+  /// Returns the network to a just-constructed state over `link_capacities`
+  /// for a new run, keeping every slot and scratch array: in-flight
+  /// completions are dropped unrun, and slots are handed out again lowest
+  /// first, as a fresh network would. Unbinds the trace.
+  void Reset(const std::vector<BytesPerSec>& link_capacities);
 
   /// Starts a flow of `bytes` over the directed links in `path`; invokes
   /// `done` when the last byte arrives. Zero-byte flows complete immediately
@@ -126,7 +132,9 @@ class FlowNetwork {
   std::vector<EventRec*> flow_done_;          // held completion records
   std::vector<int> free_slots_;
   std::vector<int> active_;
-  std::vector<std::vector<int>> link_flows_;  // one entry per path traversal
+  // One entry per path traversal. Grows to the most links any run had; only
+  // the first capacities_.size() lists are in use.
+  std::vector<std::vector<int>> link_flows_;
 
   // Progressive-filling scratch, reused across recomputes (no per-recompute
   // allocation). `frozen_epoch_[slot] == fill_epoch_` marks a frozen flow;
@@ -158,13 +166,17 @@ class FlowNetwork {
 /// the uplinks entirely when both GPUs share a switch).
 class Interconnect {
  public:
-  explicit Interconnect(const hw::MachineSpec& machine);
+  Interconnect() = default;
+  explicit Interconnect(const hw::MachineSpec& machine) { Reset(machine); }
+
+  /// Rebuilds the links and paths for `machine`, reusing the storage.
+  void Reset(const hw::MachineSpec& machine);
 
   int num_links() const { return static_cast<int>(capacities_.size()); }
   const std::vector<BytesPerSec>& capacities() const { return capacities_; }
 
-  /// Paths are built once at construction; the runtime starts a flow on one
-  /// per transfer without copying it.
+  /// Paths are built once per Reset; the runtime starts a flow on one per
+  /// transfer without copying it.
   const std::vector<int>& SwapInPath(int gpu) const;   // host -> gpu
   const std::vector<int>& SwapOutPath(int gpu) const;  // gpu -> host
   const std::vector<int>& P2pPath(int src_gpu, int dst_gpu) const;
@@ -174,10 +186,12 @@ class Interconnect {
 
  private:
   std::vector<BytesPerSec> capacities_;
-  std::vector<std::string> names_;  // indexed by MachineSpec link id
-  std::vector<std::vector<int>> swap_in_, swap_out_;  // per GPU
-  std::vector<std::vector<int>> p2p_;  // [src * num_gpus + dst]; empty if equal
+  // Per GPU and [src * num_gpus + dst] (empty when equal); grown to the
+  // largest machine, only the first num_gpus_ (squared) in use.
+  std::vector<std::vector<int>> swap_in_, swap_out_;
+  std::vector<std::vector<int>> p2p_;
   int num_gpus_ = 0;
+  int num_switches_ = 0;
 };
 
 }  // namespace harmony::sim

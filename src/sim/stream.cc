@@ -6,8 +6,22 @@ namespace harmony::sim {
 
 void Stream::Done::operator()() const { op_->stream->Complete(op_); }
 
-Stream::Stream(Engine* engine, std::string name)
-    : engine_(engine), name_(std::move(name)) {}
+Stream::Stream(Engine* engine) : engine_(engine) {}
+
+void Stream::Reset() {
+  for (size_t i = 0; i < num_ops_; ++i) {
+    op_chunks_[i / kOpsPerChunk][i % kOpsPerChunk].reset();
+  }
+  num_ops_ = 0;
+  bus_ = nullptr;
+  trace_device_ = -1;
+  trace_lane_ = trace::Lane::kCompute;
+  last_done_ = nullptr;
+  stall_probe_ = nullptr;
+  busy_time_ = 0.0;
+  last_completion_ = 0.0;
+  ops_completed_ = 0;
+}
 
 void Stream::BindTrace(trace::TraceBus* bus, int device, trace::Lane lane) {
   bus_ = bus;
@@ -15,28 +29,31 @@ void Stream::BindTrace(trace::TraceBus* bus, int device, trace::Lane lane) {
   trace_lane_ = lane;
 }
 
-Stream::Op* Stream::NewOp(std::string label, int task, TimeSec duration) {
-  if (chunk_used_ == kOpsPerChunk) {
+Stream::Op* Stream::NewOp(TimeSec duration, int task, const char* tag,
+                          int index) {
+  const size_t chunk = num_ops_ / kOpsPerChunk;
+  if (chunk == op_chunks_.size()) {
     op_chunks_.push_back(
         std::make_unique<std::optional<Op>[]>(kOpsPerChunk));
-    chunk_used_ = 0;
   }
-  Op* op = &op_chunks_.back()[chunk_used_++].emplace(this);
-  op->label = std::move(label);
+  Op* op = &op_chunks_[chunk][num_ops_++ % kOpsPerChunk].emplace(this);
   op->task = task;
+  op->tag = tag;
+  op->index = index;
   op->duration = duration;
   return op;
 }
 
 Condition* Stream::PushTimed(std::initializer_list<Condition*> deps,
-                             std::string label, int task, TimeSec duration) {
-  return Enqueue(NewOp(std::move(label), task, duration), deps);
+                             TimeSec duration, int task, const char* tag,
+                             int index) {
+  return Enqueue(NewOp(duration, task, tag, index), deps);
 }
 
 Condition* Stream::PushDelay(std::initializer_list<Condition*> deps,
                              TimeSec duration) {
   HARMONY_CHECK_GE(duration, 0.0);
-  return PushTimed(deps, std::string(), -1, duration);
+  return PushTimed(deps, duration);
 }
 
 Condition* Stream::Enqueue(Op* op, std::initializer_list<Condition*> deps) {
@@ -82,7 +99,8 @@ void Stream::Start(Op* op) {
     e.device = trace_device_;
     e.time = op->start;
     e.task = op->task;
-    e.name = std::move(op->label);
+    e.detail = op->tag;
+    e.index = op->index;
     bus_->Emit(e);
   }
   if (op->body != nullptr) {

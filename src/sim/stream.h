@@ -5,7 +5,6 @@
 #include <initializer_list>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,9 +27,10 @@ namespace harmony::sim {
 ///
 /// Each op is one record in the stream's chunked op arena: its completion
 /// condition, its count of unfired dependencies (each unfired dependency
-/// holds one waiter that counts it down), its trace label, and its body as a
-/// held engine record. Pushing, starting and completing an op allocate
-/// nothing once the arena is warm.
+/// holds one waiter that counts it down), its trace label ids, and its body as
+/// a held engine record. Pushing, starting and completing an op allocate
+/// nothing once the arena is warm, and Reset keeps the arena for the next
+/// run.
 class Stream {
  private:
   struct Op;
@@ -49,30 +49,35 @@ class Stream {
     Op* op_;
   };
 
-  Stream(Engine* engine, std::string name);
+  explicit Stream(Engine* engine);
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
+
+  /// Returns the stream to its just-constructed state, keeping the op arena:
+  /// ops of a failed or wedged run that never started drop their bodies and
+  /// waiters unrun. Unbinds the trace and the stall probe.
+  void Reset();
 
   /// Enqueues an op whose `body` (callable with a Done) does the work;
   /// returns the condition fired on its completion. The returned pointer
   /// stays valid for the stream's lifetime.
   template <typename F>
   Condition* Push(std::initializer_list<Condition*> deps, F&& body) {
-    Op* op = NewOp(std::string(), -1, -1.0);
+    Op* op = NewOp(-1.0, -1, "", -1);
     op->body = engine_->Hold(
         [op, body = std::forward<F>(body)]() mutable { body(Done(op)); });
     return Enqueue(op, deps);
   }
 
-  /// An op whose duration is known at push time (a profiled compute delay),
-  /// with a trace label and task id attached to the span events. Build the
-  /// label only when the bound bus reports detailed() — it is dead weight
-  /// otherwise. busy_time accumulates `duration` itself rather than the
-  /// end-minus-start timestamp difference, so the total is invariant under
-  /// time translation: injected faults that merely *delay* ops cannot drift
-  /// busy_time by even an ulp.
+  /// An op whose duration is known at push time (a profiled compute delay).
+  /// Its span events carry `task` and the label ids `tag` (static) and
+  /// `index`, which a printing sink formats (trace::OpLabel). busy_time
+  /// accumulates `duration` itself rather than the end-minus-start timestamp
+  /// difference, so the total is invariant under time translation: injected
+  /// faults that merely *delay* ops cannot drift busy_time by even an ulp.
   Condition* PushTimed(std::initializer_list<Condition*> deps,
-                       std::string label, int task, TimeSec duration);
+                       TimeSec duration, int task = -1, const char* tag = "",
+                       int index = -1);
 
   /// Convenience: an op that just occupies the stream for `duration`.
   Condition* PushDelay(std::initializer_list<Condition*> deps,
@@ -99,7 +104,6 @@ class Stream {
   /// timers (watchdog ticks) keep the engine's clock running past the last
   /// real work, so the engine's drain time is not the iteration time.
   TimeSec last_completion() const { return last_completion_; }
-  const std::string& name() const { return name_; }
   int64_t ops_completed() const { return ops_completed_; }
 
  private:
@@ -115,8 +119,9 @@ class Stream {
     Stream* stream;
     Condition done;
     EventRec* body = nullptr;  // held work; null for timed ops
-    std::string label;         // empty unless the pusher saw detailed()
     int task = -1;
+    const char* tag = "";      // label ids (trace::OpLabel)
+    int index = -1;
     int waiting = 0;           // unfired deps, the previous op included
     /// >= 0: a timed op, charged exactly this much busy time; < 0: the body
     /// decides, and busy time is end minus start.
@@ -124,7 +129,7 @@ class Stream {
     TimeSec start = 0.0;
   };
 
-  Op* NewOp(std::string label, int task, TimeSec duration);
+  Op* NewOp(TimeSec duration, int task, const char* tag, int index);
   /// Registers `op` behind its dependencies and the previous op; starts it
   /// at once if none is pending.
   Condition* Enqueue(Op* op, std::initializer_list<Condition*> deps);
@@ -134,17 +139,17 @@ class Stream {
   void Complete(Op* op);
 
   Engine* engine_;
-  std::string name_;
   trace::TraceBus* bus_ = nullptr;
   int trace_device_ = -1;
   trace::Lane trace_lane_ = trace::Lane::kCompute;
   Condition* last_done_ = nullptr;
   std::function<TimeSec()> stall_probe_;
   // Op arena: fixed chunks, so a pushed op (and the condition Push hands
-  // out) never moves; ops are destroyed with the stream.
+  // out) never moves; op i of the run lives in chunk i / kOpsPerChunk. Ops
+  // are destroyed by Reset or with the stream.
   static constexpr size_t kOpsPerChunk = 256;
   std::vector<std::unique_ptr<std::optional<Op>[]>> op_chunks_;
-  size_t chunk_used_ = kOpsPerChunk;  // forces first-chunk alloc
+  size_t num_ops_ = 0;
   TimeSec busy_time_ = 0.0;
   TimeSec last_completion_ = 0.0;
   int64_t ops_completed_ = 0;

@@ -77,7 +77,8 @@ void ChromeTraceSink::WriteJson(std::ostream& os) const {
         auto it = open.find({pid, tid});
         if (it == open.end()) break;  // unmatched end: drop
         const Event& b = it->second;
-        std::string name = b.name.empty() ? LaneName(e.lane) : Escaped(b.name);
+        const std::string label = OpLabel(b);
+        const std::string name = label.empty() ? LaneName(e.lane) : Escaped(label);
         snprintf(buf, sizeof(buf),
                  "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
                  "\"dur\":%.3f,\"pid\":%d,\"tid\":%d",
@@ -102,7 +103,6 @@ void ChromeTraceSink::WriteJson(std::ostream& os) const {
         rows.insert({pid, tid});
         std::string name = EventKindName(e.kind);
         if (e.detail[0] != '\0') name += std::string(" ") + e.detail;
-        if (!e.name.empty()) name += " " + Escaped(e.name);
         snprintf(buf, sizeof(buf),
                  "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":%d,"
                  "\"tid\":%d,\"args\":{\"bytes\":%lld}}",
@@ -134,8 +134,7 @@ void ChromeTraceSink::WriteJson(std::ostream& os) const {
         // Instants keyed by request id: the per-request latency breakdown is
         // the gap between a request's admit / search-begin / complete marks.
         rows.insert({pid, tid});
-        std::string name = EventKindName(e.kind);
-        if (!e.name.empty()) name += " " + Escaped(e.name);
+        const std::string name = EventKindName(e.kind);
         snprintf(buf, sizeof(buf),
                  "\",\"ph\":\"i\",\"s\":\"p\",\"ts\":%.3f,\"pid\":%d,"
                  "\"tid\":%d,\"args\":{\"request\":%d,\"latency_ns\":%lld}}",

@@ -18,8 +18,12 @@ namespace harmony::trace {
 /// https://ui.perfetto.dev.
 class ChromeTraceSink : public TraceSink {
  public:
-  void OnEvent(const Event& event) override { events_.push_back(event); }
-  bool WantsDetail() const override { return true; }
+  /// Keeps every rendered event. kTensor transitions (delivered when another
+  /// sink asked for them) are not rendered, and their borrowed names would
+  /// not outlive the call, so they are not kept.
+  void OnEvent(const Event& event) override {
+    if (event.kind != EventKind::kTensor) events_.push_back(event);
+  }
 
   int64_t num_events() const { return static_cast<int64_t>(events_.size()); }
 

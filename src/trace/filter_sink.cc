@@ -10,9 +10,9 @@ const char* FilterSink::EnvFilter() {
 }
 
 void FilterSink::OnEvent(const Event& e) {
-  if (e.kind != EventKind::kTensor || e.name != filter_) return;
+  if (e.kind != EventKind::kTensor || filter_ != e.name) return;
   ++matches_;
-  std::fprintf(out_, "[runtime-trace] %s %s d%d\n", e.name.c_str(), e.detail,
+  std::fprintf(out_, "[runtime-trace] %s %s d%d\n", e.name, e.detail,
                e.device);
 }
 

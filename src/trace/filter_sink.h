@@ -22,7 +22,6 @@ class FilterSink : public TraceSink {
   /// per process; nullptr when unset.
   static const char* EnvFilter();
 
-  bool WantsDetail() const override { return true; }
   bool WantsTensorEvents() const override { return true; }
 
   void OnEvent(const Event& event) override;

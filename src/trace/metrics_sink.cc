@@ -1,91 +1,18 @@
 #include "trace/metrics_sink.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
-
 namespace harmony::trace {
 
-MetricsSink::MetricsSink(int num_devices)
-    : swap_in_(num_devices, 0),
-      swap_out_(num_devices, 0),
-      p2p_(num_devices, 0),
-      busy_(num_devices, 0.0),
-      open_(num_devices, 0.0),
-      peak_device_(num_devices, 0) {}
-
-void MetricsSink::OnEvent(const Event& e) {
-  switch (e.kind) {
-    case EventKind::kOpBegin:
-      if (e.lane == Lane::kCompute) open_[e.device] = e.time;
-      break;
-    case EventKind::kOpEnd:
-      // Matches the sim::Stream busy-time accumulation op for op, in the
-      // same order, so the folded sum is bit-identical to Stream::busy_time.
-      if (e.lane == Lane::kCompute) busy_[e.device] += e.time - open_[e.device];
-      break;
-    case EventKind::kSwapInIssued:
-      swap_in_[e.device] += e.bytes;
-      break;
-    case EventKind::kSwapOutIssued:
-      swap_out_[e.device] += e.bytes;
-      break;
-    case EventKind::kP2pIssued:
-      p2p_[e.device] += e.bytes;
-      break;
-    case EventKind::kEvict:
-      ++evictions_;
-      break;
-    case EventKind::kCleanDrop:
-      ++clean_drops_;
-      break;
-    case EventKind::kAllocStall:
-      ++alloc_stalls_;
-      break;
-    case EventKind::kFaultInjected:
-      ++faults_injected_;
-      break;
-    case EventKind::kFaultRecovered:
-      ++faults_recovered_;
-      recovery_bytes_ += e.bytes;
-      break;
-    case EventKind::kHostBytes:
-      peak_host_ = std::max(peak_host_, e.bytes);
-      break;
-    case EventKind::kDeviceBytes:
-      peak_device_[e.device] = std::max(peak_device_[e.device], e.bytes);
-      break;
-    case EventKind::kServeAdmit:
-      ++serve_admitted_;
-      break;
-    case EventKind::kServeCacheHit:
-      ++serve_cache_hits_;
-      serve_latency_ns_ += e.bytes;
-      ++serve_completed_;
-      break;
-    case EventKind::kServeSearchBegin:
-      ++serve_searches_;
-      break;
-    case EventKind::kServeComplete:
-      serve_latency_ns_ += e.bytes;
-      ++serve_completed_;
-      break;
-    case EventKind::kServeReject:
-      ++serve_rejected_;
-      break;
-    case EventKind::kFlowBegin:
-    case EventKind::kFlowEnd:
-    case EventKind::kTensor:
-    case EventKind::kServeConnOpen:
-    case EventKind::kServeConnClose:
-    case EventKind::kServeFastPath:
-    case EventKind::kClusterPeerFill:
-    case EventKind::kClusterDiskHit:
-    case EventKind::kReplanTriggered:
-    case EventKind::kReplanApplied:
-    case EventKind::kReplanRejected:
-      break;  // not part of the metrics fold
-  }
+void MetricsSink::Reset(int num_devices) {
+  swap_in_.assign(num_devices, 0);
+  swap_out_.assign(num_devices, 0);
+  p2p_.assign(num_devices, 0);
+  peak_device_.assign(num_devices, 0);
+  peak_host_ = 0;
+  evictions_ = 0;
+  clean_drops_ = 0;
+  faults_injected_ = 0;
+  faults_recovered_ = 0;
+  recovery_bytes_ = 0;
 }
 
 }  // namespace harmony::trace

@@ -1,6 +1,7 @@
 #ifndef HARMONY_TRACE_METRICS_SINK_H_
 #define HARMONY_TRACE_METRICS_SINK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -8,26 +9,57 @@
 
 namespace harmony::trace {
 
-/// Folds the event stream into the byte/time accounting that backs
-/// runtime::RunMetrics — the single source of truth for swap volume (Fig 10),
-/// compute busy time, eviction counts, and memory high-water marks. The
-/// executor no longer keeps any counters of its own; it reads them from here
-/// after the simulation drains.
+/// Folds the byte/time accounting that backs runtime::RunMetrics: swap volume
+/// (Fig 10), eviction counts, memory high-water marks and fault accounting.
+/// The executor keeps no counters of its own; it reads them from here after
+/// the simulation drains.
+///
+/// The emitters fold each accounting event directly (Fold), without building
+/// an Event or dispatching through the bus, whose sinks then see only what an
+/// attached observer asked for. As a TraceSink it folds the same events from
+/// any bus it is attached to.
 class MetricsSink : public TraceSink {
  public:
-  explicit MetricsSink(int num_devices);
+  explicit MetricsSink(int num_devices = 0) { Reset(num_devices); }
 
-  void OnEvent(const Event& event) override;
+  /// Zeroes every counter for a run on `num_devices` devices, keeping the
+  /// storage.
+  void Reset(int num_devices);
+
+  void OnEvent(const Event& event) override {
+    Fold(event.kind, event.device, event.bytes);
+  }
+
+  /// Counts one accounting event; kinds outside the fold are ignored.
+  void Fold(EventKind kind, int device, Bytes bytes) {
+    switch (kind) {
+      case EventKind::kSwapInIssued: swap_in_[device] += bytes; break;
+      case EventKind::kSwapOutIssued: swap_out_[device] += bytes; break;
+      case EventKind::kP2pIssued: p2p_[device] += bytes; break;
+      case EventKind::kEvict: ++evictions_; break;
+      case EventKind::kCleanDrop: ++clean_drops_; break;
+      case EventKind::kFaultInjected: ++faults_injected_; break;
+      case EventKind::kFaultRecovered:
+        ++faults_recovered_;
+        recovery_bytes_ += bytes;
+        break;
+      case EventKind::kHostBytes:
+        peak_host_ = std::max(peak_host_, bytes);
+        break;
+      case EventKind::kDeviceBytes:
+        peak_device_[device] = std::max(peak_device_[device], bytes);
+        break;
+      default: break;  // not part of the metrics fold
+    }
+  }
 
   const std::vector<Bytes>& swap_in_bytes() const { return swap_in_; }
   const std::vector<Bytes>& swap_out_bytes() const { return swap_out_; }
   const std::vector<Bytes>& p2p_bytes() const { return p2p_; }
-  const std::vector<TimeSec>& compute_busy() const { return busy_; }
   const std::vector<Bytes>& peak_device_bytes() const { return peak_device_; }
   Bytes peak_host_bytes() const { return peak_host_; }
   int64_t evictions() const { return evictions_; }
   int64_t clean_drops() const { return clean_drops_; }
-  int64_t alloc_stalls() const { return alloc_stalls_; }
 
   // Fault-injection accounting (kFault* events). Recovery bytes are the
   // transfers recovery performed on top of the plan's semantic work — they
@@ -36,34 +68,15 @@ class MetricsSink : public TraceSink {
   int64_t faults_recovered() const { return faults_recovered_; }
   Bytes recovery_bytes() const { return recovery_bytes_; }
 
-  // Serving-layer request accounting (kServe* events). Latency sums divide
-  // by the matching count for mean served latency; percentile breakdowns
-  // live in ChromeTraceSink / the client, which see each instant.
-  int64_t serve_admitted() const { return serve_admitted_; }
-  int64_t serve_cache_hits() const { return serve_cache_hits_; }
-  int64_t serve_searches() const { return serve_searches_; }
-  int64_t serve_completed() const { return serve_completed_; }
-  int64_t serve_rejected() const { return serve_rejected_; }
-  int64_t serve_latency_ns() const { return serve_latency_ns_; }
-
  private:
   std::vector<Bytes> swap_in_, swap_out_, p2p_;
-  std::vector<TimeSec> busy_;
-  std::vector<TimeSec> open_;  // begin time of the in-flight compute op
   std::vector<Bytes> peak_device_;
   Bytes peak_host_ = 0;
   int64_t evictions_ = 0;
   int64_t clean_drops_ = 0;
-  int64_t alloc_stalls_ = 0;
   int64_t faults_injected_ = 0;
   int64_t faults_recovered_ = 0;
   Bytes recovery_bytes_ = 0;
-  int64_t serve_admitted_ = 0;
-  int64_t serve_cache_hits_ = 0;
-  int64_t serve_searches_ = 0;
-  int64_t serve_completed_ = 0;
-  int64_t serve_rejected_ = 0;
-  int64_t serve_latency_ns_ = 0;
 };
 
 }  // namespace harmony::trace

@@ -51,9 +51,16 @@ const char* LaneName(Lane lane) {
   return "?";
 }
 
+std::string OpLabel(const Event& begin) {
+  if (begin.task < 0) return {};
+  std::string label = "t" + std::to_string(begin.task);
+  if (begin.detail[0] != '\0') label += std::string(" ") + begin.detail;
+  if (begin.index >= 0) label += std::to_string(begin.index);
+  return label;
+}
+
 void TraceBus::AddSink(TraceSink* sink) {
   sinks_.push_back(sink);
-  detailed_ = detailed_ || sink->WantsDetail();
   tensor_events_ = tensor_events_ || sink->WantsTensorEvents();
 }
 

@@ -107,18 +107,30 @@ enum class Lane : uint8_t {
 
 const char* LaneName(Lane lane);
 
-/// One typed trace event. `name` is only populated when some sink asked for
-/// detail (TraceBus::detailed()), keeping the common path allocation-free.
+/// One typed trace event: plain data, so building one costs a few stores.
+/// Strings are borrowed, never owned: `detail` is static, and `name` (a
+/// kTensor event's tensor key) lives in the emitter's buffer and is valid
+/// only during OnEvent, so a sink that keeps events must copy it.
+///
+/// A stream-op span (kOpBegin) carries its label as ids, formatted only by a
+/// sink that prints it (OpLabel): `task`, the static tag in `detail` and
+/// `index`, e.g. task 3, "step", 7 reads "t3 step7".
 struct Event {
   EventKind kind = EventKind::kOpBegin;
   Lane lane = Lane::kCompute;
   int device = -1;  // GPU index (or process index on the kCpu lane); -1 global
   TimeSec time = 0;
   Bytes bytes = 0;
-  int task = -1;        // task id, when the emitter knows it
+  int task = -1;            // task id, when the emitter knows it
   const char* detail = "";  // static transition / annotation string
-  std::string name;     // tensor key or op label (detailed mode only)
+  int index = -1;           // op-label index (see OpLabel); -1 for none
+  const char* name = "";    // kTensor: tensor key (valid during OnEvent)
 };
+
+/// The label of a span's begin event: "t<task>", then " <detail>" when the
+/// tag is non-empty, then the index when it is >= 0. Empty for ops without a
+/// task (transfers, delays), which render under their lane's name.
+std::string OpLabel(const Event& begin);
 
 /// Receives every event emitted on a bus. Implementations must not mutate
 /// simulation state; they observe.
@@ -126,10 +138,6 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void OnEvent(const Event& event) = 0;
-
-  /// True if this sink needs `Event::name` populated (string building on the
-  /// hot path is skipped when no sink wants it).
-  virtual bool WantsDetail() const { return false; }
 
   /// True if this sink wants per-tensor state-machine transitions (kTensor),
   /// which are far more frequent than the transfer/step events.
@@ -141,9 +149,13 @@ class TraceSink {
 class TraceBus {
  public:
   void AddSink(TraceSink* sink);
+  /// Detaches every sink, keeping the storage for the next run.
+  void Clear() {
+    sinks_.clear();
+    tensor_events_ = false;
+  }
 
   bool active() const { return !sinks_.empty(); }
-  bool detailed() const { return detailed_; }
   bool tensor_events() const { return tensor_events_; }
 
   void Emit(const Event& event) {
@@ -152,7 +164,6 @@ class TraceBus {
 
  private:
   std::vector<TraceSink*> sinks_;
-  bool detailed_ = false;
   bool tensor_events_ = false;
 };
 

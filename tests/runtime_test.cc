@@ -4,10 +4,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <future>
 #include <new>
 #include <sstream>
 #include <string_view>
+#include <thread>
+#include <vector>
 
+#include "common/cancel.h"
+#include "common/thread_pool.h"
 #include "core/estimator.h"
 #include "core/packing.h"
 #include "core/scheduler.h"
@@ -70,7 +76,8 @@ TEST(DeviceMemory, LruVictimOrder) {
   mem.AddResident(1, 300);
   mem.AddResident(2, 300);
   mem.Touch(0);  // 0 becomes most recently used
-  const auto victims = mem.PickVictims(400);
+  std::vector<TensorId> victims;
+  mem.PickVictims(400, &victims);
   ASSERT_EQ(victims.size(), 2u);
   EXPECT_EQ(victims[0], 1);
   EXPECT_EQ(victims[1], 2);
@@ -81,7 +88,8 @@ TEST(DeviceMemory, PinnedTensorsNotEvicted) {
   mem.AddResident(0, 500);
   mem.AddResident(1, 500);
   mem.Pin(0);
-  const auto victims = mem.PickVictims(600);
+  std::vector<TensorId> victims;
+  mem.PickVictims(600, &victims);
   ASSERT_EQ(victims.size(), 1u);
   EXPECT_EQ(victims[0], 1);
   EXPECT_EQ(mem.EvictableBytes(), 500);
@@ -301,6 +309,22 @@ TEST(Runtime, SingleGpuWorks) {
   for (Bytes b : m.value().p2p_bytes) EXPECT_EQ(b, 0);
 }
 
+/// Every RunMetrics field, bit for bit.
+void ExpectSameMetrics(const RunMetrics& a, const RunMetrics& b) {
+  EXPECT_EQ(a.iteration_time, b.iteration_time);
+  EXPECT_EQ(a.swap_in_bytes, b.swap_in_bytes);
+  EXPECT_EQ(a.swap_out_bytes, b.swap_out_bytes);
+  EXPECT_EQ(a.p2p_bytes, b.p2p_bytes);
+  EXPECT_EQ(a.compute_busy, b.compute_busy);
+  EXPECT_EQ(a.peak_device_bytes, b.peak_device_bytes);
+  EXPECT_EQ(a.peak_host_bytes, b.peak_host_bytes);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.clean_drops, b.clean_drops);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.faults_recovered, b.faults_recovered);
+  EXPECT_EQ(a.recovery_bytes, b.recovery_bytes);
+}
+
 TEST(Runtime, DeterministicAcrossRuns) {
   const Fixture f;
   const Configuration c = f.Config(2, 2);
@@ -308,8 +332,7 @@ TEST(Runtime, DeterministicAcrossRuns) {
       c, HarmonyMode::kPipelineParallel, 4, 8, OptimizationFlags{}, *f.db);
   const auto a = f.Run(g);
   const auto b = f.Run(g);
-  EXPECT_DOUBLE_EQ(a.iteration_time, b.iteration_time);
-  EXPECT_EQ(a.total_swap(), b.total_swap());
+  ExpectSameMetrics(a, b);
 }
 
 // Property sweep: the runtime must complete (no deadlock, no stall) for all
@@ -400,57 +423,218 @@ TEST(Runtime, ChromeTraceBytesArePinned) {
 }
 
 // ---------------------------------------------------------------------------
+// The per-thread execution context
+// ---------------------------------------------------------------------------
+
+/// Hashes every event a run publishes, in order (FNV-1a over the fields).
+class EventHashSink : public trace::TraceSink {
+ public:
+  void OnEvent(const trace::Event& e) override {
+    ++count_;
+    uint64_t time_bits;
+    std::memcpy(&time_bits, &e.time, sizeof(time_bits));
+    for (const uint64_t v :
+         {static_cast<uint64_t>(e.kind), static_cast<uint64_t>(e.lane),
+          static_cast<uint64_t>(static_cast<int64_t>(e.device)), time_bits,
+          static_cast<uint64_t>(e.bytes),
+          static_cast<uint64_t>(static_cast<int64_t>(e.task)),
+          static_cast<uint64_t>(static_cast<int64_t>(e.index))}) {
+      hash_ ^= v;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  uint64_t hash() const { return hash_; }
+  int64_t count() const { return count_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+  int64_t count_ = 0;
+};
+
+/// One Execute to compare across contexts.
+struct ContextCase {
+  const char* name;
+  const hw::MachineSpec* machine;
+  const model::SequentialModel* model;
+  const TaskGraph* graph;
+  RuntimeOptions options;
+};
+
+struct ContextOutcome {
+  Status status;
+  RunMetrics metrics;
+  uint64_t trace_hash = 0;
+  int64_t trace_events = 0;
+};
+
+ContextOutcome RunCase(const ContextCase& c) {
+  EventHashSink sink;
+  RuntimeOptions options = c.options;
+  options.trace_sinks.push_back(&sink);
+  auto result = Runtime(*c.machine, *c.model).Execute(*c.graph, options);
+  ContextOutcome out;
+  if (result.ok()) {
+    out.metrics = std::move(result).value();
+  } else {
+    out.status = result.status();
+  }
+  out.trace_hash = sink.hash();
+  out.trace_events = sink.count();
+  return out;
+}
+
+/// The outcome of `c` on a thread that never executed before.
+ContextOutcome RunCaseOnFreshThread(const ContextCase& c) {
+  ContextOutcome out;
+  std::thread([&] { out = RunCase(c); }).join();
+  return out;
+}
+
+void ExpectSameOutcome(const ContextOutcome& a, const ContextOutcome& b) {
+  EXPECT_EQ(a.status.code(), b.status.code());
+  EXPECT_EQ(a.status.message(), b.status.message());
+  ExpectSameMetrics(a.metrics, b.metrics);
+  EXPECT_EQ(a.trace_hash, b.trace_hash);
+  EXPECT_EQ(a.trace_events, b.trace_events);
+}
+
+/// A 4-GPU pp run, an 8-GPU dp run, an out-of-memory run, a run cancelled
+/// before it starts, a chaos run, and the first run again.
+class ContextReuse : public ::testing::Test {
+ protected:
+  ContextReuse()
+      : pp4_(model::Gpt2(), HarmonyMode::kPipelineParallel, 8),
+        dp8_(model::Gpt2(), HarmonyMode::kDataParallel, 16,
+             hw::MachineSpec::Commodity8Gpu()),
+        tiny_(16, MiB(512)) {
+    // As in OutOfMemoryWhenWorkingSetTooLarge: packs sized for 512 MiB,
+    // executed with 48.
+    tiny_graph_ = core::GenerateHarmonyTaskGraph(
+        tiny_.Config(2, 2), HarmonyMode::kPipelineParallel, 4, 8,
+        OptimizationFlags{}, *tiny_.db);
+    tiny_.machine.gpu.memory_capacity = MiB(48);
+    cancel_.Cancel();
+
+    cases_.push_back({"pp4", &pp4_.machine, &pp4_.model, &pp4_.graph, {}});
+    cases_.push_back({"dp8", &dp8_.machine, &dp8_.model, &dp8_.graph, {}});
+    cases_.push_back(
+        {"oom", &tiny_.machine, &tiny_.model, &tiny_graph_, {}});
+    ContextCase cancelled{"cancelled", &pp4_.machine, &pp4_.model,
+                          &pp4_.graph, {}};
+    cancelled.options.cancel = &cancel_;
+    cases_.push_back(cancelled);
+    ContextCase chaos{"chaos", &pp4_.machine, &pp4_.model, &pp4_.graph, {}};
+    fault::FaultPlan& p = chaos.options.fault_plan;
+    p.enabled = true;
+    p.seed = 0xC0FFEE;
+    p.transfer_failure_rate = 0.03;
+    p.link_flap_interval = 0.2;
+    p.link_flap_duration = 0.05;
+    p.link_degrade_factor = 0.25;
+    p.mem_pressure_interval = 0.5;
+    p.mem_pressure_duration = 0.1;
+    p.mem_pressure_fraction = 0.2;
+    p.alloc_failure_rate = 0.02;
+    p.stream_stall_rate = 0.02;
+    p.stream_stall_duration = 0.002;
+    cases_.push_back(chaos);
+    cases_.push_back(cases_.front());
+  }
+
+  Workload pp4_, dp8_;
+  Fixture tiny_;
+  TaskGraph tiny_graph_;
+  common::CancelToken cancel_;
+  std::vector<ContextCase> cases_;
+};
+
+TEST_F(ContextReuse, ReuseLeavesNoTrace) {
+  // The sequence on one thread, each run against its own fresh thread.
+  std::thread([&] {
+    for (const ContextCase& c : cases_) {
+      SCOPED_TRACE(c.name);
+      const ContextOutcome reused = RunCase(c);
+      ExpectSameOutcome(reused, RunCaseOnFreshThread(c));
+    }
+  }).join();
+  // The cases really differ in kind.
+  const ContextOutcome oom = RunCaseOnFreshThread(cases_[2]);
+  EXPECT_TRUE(oom.status.code() == StatusCode::kOutOfMemory ||
+              oom.status.code() == StatusCode::kInternal)
+      << oom.status;
+  EXPECT_EQ(RunCaseOnFreshThread(cases_[3]).status.code(),
+            StatusCode::kCancelled);
+  const ContextOutcome chaos = RunCaseOnFreshThread(cases_[4]);
+  ASSERT_TRUE(chaos.status.ok()) << chaos.status;
+  EXPECT_GT(chaos.metrics.faults_injected, 0);
+}
+
+TEST_F(ContextReuse, ConcurrentThreadsMatchSerialRuns) {
+  std::vector<ContextOutcome> serial;
+  for (const ContextCase& c : cases_) serial.push_back(RunCase(c));
+  // Every case three times over four workers, so each worker's context is
+  // reused across kinds while the others run.
+  const size_t n = 3 * cases_.size();
+  std::vector<ContextOutcome> parallel(n);
+  {
+    common::ThreadPool pool(4);
+    std::vector<std::future<void>> done;
+    for (size_t i = 0; i < n; ++i) {
+      done.push_back(pool.Submit([&, i] {
+        parallel[i] = RunCase(cases_[i % cases_.size()]);
+      }));
+    }
+    for (auto& f : done) f.get();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    SCOPED_TRACE(cases_[i % cases_.size()].name);
+    ExpectSameOutcome(parallel[i], serial[i % cases_.size()]);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Allocation budget of one simulated iteration
 // ---------------------------------------------------------------------------
 
 TEST(Runtime, ExecuteAllocationsPerStepAreBounded) {
-  // Global operator new calls over one warm Execute (compile + run) of the
-  // golden workloads, pp, minibatch 16, u4. Before condition waiters, joins,
-  // stream ops and flow completions became engine arena records and steps
-  // became spans into per-program pools, these were 21773 for GPT2 (594
-  // steps, 36.7 per step) and 38065 for BERT96 (1063 steps, 35.8 per step).
-  // With those and the allocation FIFO as a reused vector instead of a
-  // deque, they are 561 and 598. The bound keeps at least a 30x cut.
-  struct Case {
+  // Global operator new calls over one warm Execute of the golden workloads,
+  // pp, minibatch 16, u4, both with a compiled program and compiling. Before
+  // condition waiters, joins, stream ops and flow completions became engine
+  // arena records and steps became spans into per-program pools, a compiling
+  // Execute made 21773 for GPT2 (594 steps) and 38065 for BERT96 (1063
+  // steps); then 561 and 598. Since each thread keeps one execution context
+  // that every Execute resets, a warm one makes none once the thread has
+  // executed the largest program.
+  const Workload gpt2(model::Gpt2(), HarmonyMode::kPipelineParallel, 16);
+  const Workload bert96(model::Bert96(), HarmonyMode::kPipelineParallel, 16);
+  for (const Workload* w : {&bert96, &gpt2}) {
+    ASSERT_TRUE(Runtime(w->machine, w->model).Execute(w->graph).ok());
+  }
+  const struct {
     const char* name;
-    model::LayerGraph layers;
-    int64_t before;
-  };
-  const Case cases[] = {{"GPT2", model::Gpt2(), 21773},
-                        {"BERT96", model::Bert96(), 38065}};
-  const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
-  for (const Case& c : cases) {
+    const Workload& w;
+  } cases[] = {{"GPT2", gpt2}, {"BERT96", bert96}};
+  for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
-    const model::SequentialModel model = model::Sequentialize(c.layers);
-    const profile::ProfileDb db =
-        profile::Profiler(machine.gpu, {}).Profile(model);
-    core::PackingOptions opts;
-    opts.capacity = static_cast<Bytes>(machine.gpu.usable_memory() * 0.85);
-    Configuration config;
-    config.u_fwd = config.u_bwd = 4;
-    config.bwd_packs = core::BackwardPacks(4, db, opts).value();
-    opts.min_packs = 4;
-    config.fwd_packs = core::ForwardPacks(4, config.bwd_packs, db, opts).value();
-    const TaskGraph g = core::GenerateHarmonyTaskGraph(
-        config, HarmonyMode::kPipelineParallel, 4, 16, OptimizationFlags{}, db);
-    const int64_t steps = StepCompiler(machine, model, g).Compile().num_steps();
-    const Runtime rt(machine, model);
-    ASSERT_TRUE(rt.Execute(g).ok());  // warm-up: one-time statics
+    const StepProgram program =
+        StepCompiler(c.w.machine, c.w.model, c.w.graph).Compile();
+    const Runtime rt(c.w.machine, c.w.model);
 
     g_allocs = 0;
     g_count_allocs = true;
-    const auto metrics = rt.Execute(g);
+    const auto with_program = rt.Execute(c.w.graph, program);
     g_count_allocs = false;
-    ASSERT_TRUE(metrics.ok()) << metrics.status();
-    const int64_t allocs = g_allocs.load();
-    std::printf("%s: %lld allocations per Execute over %lld steps: %.2f per "
-                "step (before: %lld, %.2f per step)\n",
-                c.name, static_cast<long long>(allocs),
-                static_cast<long long>(steps),
-                static_cast<double>(allocs) / static_cast<double>(steps),
-                static_cast<long long>(c.before),
-                static_cast<double>(c.before) / static_cast<double>(steps));
-    EXPECT_LE(allocs * 30, c.before);
+    ASSERT_TRUE(with_program.ok()) << with_program.status();
+    EXPECT_EQ(g_allocs.load(), 0) << "Execute(graph, program)";
+
+    g_allocs = 0;
+    g_count_allocs = true;
+    const auto compiling = rt.Execute(c.w.graph);
+    g_count_allocs = false;
+    ASSERT_TRUE(compiling.ok()) << compiling.status();
+    EXPECT_EQ(g_allocs.load(), 0) << "Execute(graph)";
+    std::printf("%s: %lld steps, 0 allocations per warm Execute\n", c.name,
+                static_cast<long long>(program.num_steps()));
   }
 }
 

@@ -76,7 +76,7 @@ TEST(Condition, WhenAllEmptyRunsImmediately) {
 
 TEST(Stream, ExecutesInOrder) {
   Engine e;
-  Stream s(&e, "t");
+  Stream s(&e);
   std::vector<int> order;
   s.Push({}, [&](std::function<void()> done) {
     order.push_back(1);
@@ -95,7 +95,7 @@ TEST(Stream, ExecutesInOrder) {
 
 TEST(Stream, WaitsForDependencies) {
   Engine e;
-  Stream s(&e, "t");
+  Stream s(&e);
   Condition gate(&e);
   double started = -1;
   s.Push({&gate}, [&](std::function<void()> done) {
@@ -109,7 +109,7 @@ TEST(Stream, WaitsForDependencies) {
 
 TEST(Stream, PushDelayOccupiesStream) {
   Engine e;
-  Stream s(&e, "t");
+  Stream s(&e);
   s.PushDelay({}, 1.0);
   Condition* done = s.PushDelay({}, 2.0);
   e.Run();
@@ -451,7 +451,7 @@ TEST(Condition, UnfiredWaitersAreDroppedUnrun) {
     a.OnFire([captured, &ran] { ++ran; });
     WhenAll({&a, &b}, [captured, &ran] { ++ran; });
     b.Fire();  // one arrival lands; a's is dropped with a
-    Stream s(&e, "t");
+    Stream s(&e);
     s.Push({&gate}, [captured, &ran](std::function<void()> done) {
       ++ran;
       done();

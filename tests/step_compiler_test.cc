@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/packing.h"
@@ -169,9 +170,11 @@ TEST(StepCompiler, Bert96PpGoldenSteps) {
   // frees) every pushed gradient's host copy.
   const CpuStep& cpu = p.cpu_steps[0][0];
   EXPECT_EQ(cpu.task, 7);
-  EXPECT_EQ(cpu.wait_tasks, std::vector<int>{4});
+  EXPECT_EQ(std::vector<int>(cpu.wait_tasks.begin(), cpu.wait_tasks.end()),
+            std::vector<int>{4});
   ASSERT_EQ(cpu.host_needs.size(), 34u);
-  EXPECT_EQ(cpu.host_needs, cpu.host_frees);
+  EXPECT_TRUE(std::equal(cpu.host_needs.begin(), cpu.host_needs.end(),
+                         cpu.host_frees.begin(), cpu.host_frees.end()));
   EXPECT_EQ(DebugString(cpu, p.tensors).substr(0, 30), "t7 cpu host_needs=[G[L65,o0] G");
 }
 
@@ -216,9 +219,11 @@ TEST(StepCompiler, Gpt2PpGoldenSteps) {
   EXPECT_EQ(last.move_to_host.size(), 9u);
   const CpuStep& cpu = p.cpu_steps[0][0];
   EXPECT_EQ(cpu.task, 10);
-  EXPECT_EQ(cpu.wait_tasks, std::vector<int>{4});
+  EXPECT_EQ(std::vector<int>(cpu.wait_tasks.begin(), cpu.wait_tasks.end()),
+            std::vector<int>{4});
   EXPECT_EQ(cpu.host_needs.size(), 7u);
-  EXPECT_EQ(cpu.host_needs, cpu.host_frees);
+  EXPECT_TRUE(std::equal(cpu.host_needs.begin(), cpu.host_needs.end(),
+                         cpu.host_frees.begin(), cpu.host_frees.end()));
 }
 
 TEST(StepCompiler, Gpt2PpInvariants) { CheckInvariants(Gpt2Pp()); }

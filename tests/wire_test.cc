@@ -158,6 +158,42 @@ TEST(Wire, MachineSpecIngestValidatesFleetFields) {
       serve::MachineSpecFromJson(serve::MachineSpecToJson(bad_gpu)).ok());
 }
 
+TEST(Wire, DeviceCountsPastTheRuntimeLimitAreRejected) {
+  // The runtime keeps device sets as 32-bit masks and RunMetrics' per-device
+  // values inline, so a machine or a metrics record with more than
+  // hw::kMaxGpus devices is refused at ingest instead of reaching either.
+  hw::MachineSpec wide = hw::MachineSpec::Commodity8Gpu();
+  wide.num_gpus = hw::kMaxGpus + 1;
+  wide.gpu_to_switch.assign(static_cast<size_t>(wide.num_gpus), 0);
+  EXPECT_FALSE(wide.Validate().ok());
+  EXPECT_FALSE(serve::MachineSpecFromJson(serve::MachineSpecToJson(wide)).ok());
+  wide.num_gpus = hw::kMaxGpus;
+  wide.gpu_to_switch.pop_back();
+  EXPECT_TRUE(wide.Validate().ok());
+
+  runtime::RunMetrics m;
+  for (int d = 0; d < hw::kMaxGpus; ++d) {
+    m.swap_in_bytes.push_back(d);
+    m.swap_out_bytes.push_back(d);
+    m.p2p_bytes.push_back(d);
+    m.compute_busy.push_back(0.5 * d);
+    m.peak_device_bytes.push_back(d);
+  }
+  json::Value v = serve::RunMetricsToJson(m);
+  auto full = serve::RunMetricsFromJson(v);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(full.value().compute_busy, m.compute_busy);
+  for (const std::string key : {"swap_in_bytes", "compute_busy"}) {
+    json::Value arr = json::Value::Array();
+    for (int d = 0; d <= hw::kMaxGpus; ++d) arr.Append(json::Value::Int(d));
+    json::Value over = json::Value::Object();
+    for (const auto& [name, value] : v.members()) {
+      over.Set(name, name == key ? arr : value);
+    }
+    EXPECT_FALSE(serve::RunMetricsFromJson(over).ok()) << key;
+  }
+}
+
 TEST(Wire, SearchOptionsAndFlagsRoundTrip) {
   core::SearchOptions options;
   options.u_fwd_max = 16;
