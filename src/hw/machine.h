@@ -47,7 +47,7 @@ struct LinkId {
 };
 
 /// Most GPUs one machine may have: the runtime keeps sets of devices as
-/// 32-bit masks and per-device results inline (runtime::PerDevice).
+/// 32-bit masks.
 inline constexpr int kMaxGpus = 32;
 
 /// A commodity multi-GPU server: GPUs hang off PCIe switches which share

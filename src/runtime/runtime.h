@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/logging.h"
 #include "common/status.h"
 #include "core/task_graph.h"
 #include "fault/fault.h"
@@ -23,38 +22,47 @@ class TraceSink;
 
 namespace harmony::runtime {
 
-/// One value per device, stored inline (at most hw::kMaxGpus), so results
-/// cost no allocation. A vector-like subset: indexing, iteration, push_back.
+/// One value per device: up to kInline stored inline, so the results of a
+/// run on the paper's 4- and 8-GPU servers cost no allocation; more spill to
+/// the heap. A vector-like subset: indexing, iteration, push_back, assign.
 template <typename T>
 class PerDevice {
  public:
   using value_type = T;
   using iterator = T*;
   using const_iterator = const T*;
+  static constexpr size_t kInline = 8;
 
   PerDevice() = default;
   PerDevice(std::initializer_list<T> values) {
-    for (const T& v : values) push_back(v);
+    assign(values.begin(), values.end());
   }
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  T& operator[](size_t d) { return values_[d]; }
-  const T& operator[](size_t d) const { return values_[d]; }
-  T* data() { return values_.data(); }
-  const T* data() const { return values_.data(); }
-  T* begin() { return values_.data(); }
-  T* end() { return values_.data() + size_; }
-  const T* begin() const { return values_.data(); }
-  const T* end() const { return values_.data() + size_; }
+  size_t size() const { return heap_.empty() ? count_ : heap_.size(); }
+  bool empty() const { return size() == 0; }
+  T* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
+  const T* data() const {
+    return heap_.empty() ? inline_.data() : heap_.data();
+  }
+  T& operator[](size_t d) { return data()[d]; }
+  const T& operator[](size_t d) const { return data()[d]; }
+  T* begin() { return data(); }
+  T* end() { return data() + size(); }
+  const T* begin() const { return data(); }
+  const T* end() const { return data() + size(); }
 
   void push_back(const T& v) {
-    HARMONY_CHECK_LT(size_, values_.size()) << "more than hw::kMaxGpus devices";
-    values_[size_++] = v;
+    if (heap_.empty() && count_ < kInline) {
+      inline_[count_++] = v;
+      return;
+    }
+    if (heap_.empty()) heap_.assign(inline_.begin(), inline_.end());
+    heap_.push_back(v);
   }
   template <typename It>
   void assign(It first, It last) {
-    size_ = 0;
+    count_ = 0;
+    heap_.clear();
     for (; first != last; ++first) push_back(*first);
   }
 
@@ -63,8 +71,9 @@ class PerDevice {
   }
 
  private:
-  std::array<T, hw::kMaxGpus> values_{};
-  size_t size_ = 0;
+  std::array<T, kInline> inline_{};
+  size_t count_ = 0;     // values in inline_, while heap_ is empty
+  std::vector<T> heap_;  // every value, once there are more than kInline
 };
 
 /// Measurements from executing one training iteration.

@@ -11,7 +11,17 @@ size_t CachedPlan::ApproxBytes() const {
   bytes += canonical_request.capacity();
   bytes += (config.fwd_packs.capacity() + config.bwd_packs.capacity()) *
            sizeof(core::Pack);
-  return bytes;  // RunMetrics stores its per-device values inline
+  if (has_metrics) {
+    // Per-device values past PerDevice's inline capacity spill to the heap
+    // (Bytes and TimeSec are both 8 bytes).
+    for (const size_t n :
+         {metrics.swap_in_bytes.size(), metrics.swap_out_bytes.size(),
+          metrics.p2p_bytes.size(), metrics.compute_busy.size(),
+          metrics.peak_device_bytes.size()}) {
+      if (n > runtime::PerDevice<Bytes>::kInline) bytes += n * sizeof(Bytes);
+    }
+  }
+  return bytes;
 }
 
 PlanResponse PlanResponseFromCache(const CachedPlan& plan,

@@ -545,7 +545,7 @@ Result<runtime::RunMetrics> RunMetricsFromJson(const json::Value& v) {
   runtime::RunMetrics m;
   HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "iteration_time", &m.iteration_time));
   std::vector<double> tmp;
-  // Per-device arrays hold at most hw::kMaxGpus entries.
+  // Per-device arrays: no machine has more than hw::kMaxGpus devices.
   auto read_array = [&v, &tmp](const char* key) {
     HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, key, &tmp));
     if (tmp.size() > static_cast<size_t>(hw::kMaxGpus)) {

@@ -159,9 +159,9 @@ TEST(Wire, MachineSpecIngestValidatesFleetFields) {
 }
 
 TEST(Wire, DeviceCountsPastTheRuntimeLimitAreRejected) {
-  // The runtime keeps device sets as 32-bit masks and RunMetrics' per-device
-  // values inline, so a machine or a metrics record with more than
-  // hw::kMaxGpus devices is refused at ingest instead of reaching either.
+  // The runtime keeps device sets as 32-bit masks, so a machine or a metrics
+  // record with more than hw::kMaxGpus devices is refused at ingest. A full
+  // record round-trips, past PerDevice's inline capacity.
   hw::MachineSpec wide = hw::MachineSpec::Commodity8Gpu();
   wide.num_gpus = hw::kMaxGpus + 1;
   wide.gpu_to_switch.assign(static_cast<size_t>(wide.num_gpus), 0);
