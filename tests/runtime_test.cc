@@ -569,6 +569,39 @@ TEST_F(ContextReuse, ReuseLeavesNoTrace) {
   EXPECT_GT(chaos.metrics.faults_injected, 0);
 }
 
+/// On its first span event, executes `inner` from inside the run it observes.
+class NestedExecuteSink : public trace::TraceSink {
+ public:
+  explicit NestedExecuteSink(const ContextCase& inner) : inner_(inner) {}
+  void OnEvent(const trace::Event& e) override {
+    if (ran_ || e.kind != trace::EventKind::kOpBegin) return;
+    ran_ = true;
+    result_ = RunCase(inner_);
+  }
+  const ContextOutcome& result() const { return result_; }
+
+ private:
+  const ContextCase& inner_;
+  bool ran_ = false;
+  ContextOutcome result_;
+};
+
+TEST_F(ContextReuse, NestedExecuteRunsOnAFreshContext) {
+  // An Execute started while the thread's context is in use (here, from a
+  // sink of the outer run) runs on a fresh context and leaves the outer run
+  // undisturbed.
+  const ContextCase& outer = cases_[0];
+  const ContextCase& inner = cases_[1];
+  NestedExecuteSink nested(inner);
+  ContextCase observed = outer;
+  observed.options.trace_sinks.push_back(&nested);
+  const ContextOutcome got = RunCase(observed);
+  // The sink nests only once, so this reference run does not nest.
+  ExpectSameOutcome(got, RunCaseOnFreshThread(observed));
+  ExpectSameOutcome(nested.result(), RunCaseOnFreshThread(inner));
+  EXPECT_GT(nested.result().trace_events, 0);
+}
+
 TEST_F(ContextReuse, ConcurrentThreadsMatchSerialRuns) {
   std::vector<ContextOutcome> serial;
   for (const ContextCase& c : cases_) serial.push_back(RunCase(c));
