@@ -10,14 +10,11 @@
 
 namespace harmony::bench {
 
-PreparedModel Prepare(const std::string& name, const hw::MachineSpec& machine) {
-  const serve::ModelSpec spec = serve::ModelSpec::FromName(name).value();
-  model::SequentialModel seq =
-      model::Sequentialize(serve::BuildModel(spec).value());
-  const profile::Profiler profiler(machine.gpu, profile::ProfilerOptions{});
-  profile::ProfileDb db = profiler.Profile(seq);
-  return PreparedModel{name, std::move(seq), std::move(db),
-                       serve::DefaultOptimizer(spec)};
+serve::ProfiledModel Prepare(const std::string& name,
+                             const hw::MachineSpec& machine) {
+  return serve::ProfileModel(serve::ModelSpec::FromName(name).value(),
+                             machine.PlanningGpu())
+      .value();
 }
 
 const char* SchemeName(Scheme scheme) {
@@ -34,7 +31,7 @@ const char* SchemeName(Scheme scheme) {
   return "?";
 }
 
-SchemeResult RunScheme(Scheme scheme, const PreparedModel& pm,
+SchemeResult RunScheme(Scheme scheme, const serve::ProfiledModel& pm,
                        const hw::MachineSpec& machine, int minibatch,
                        const RunSchemeOptions& options) {
   SchemeResult result;

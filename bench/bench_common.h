@@ -8,26 +8,21 @@
 #include <vector>
 
 #include "baselines/baselines.h"
-#include "core/scheduler.h"
+#include "core/search.h"
+#include "core/task_graph.h"
 #include "model/memory.h"
 #include "model/models.h"
 #include "profile/profiler.h"
 #include "runtime/runtime.h"
+#include "serve/profiled_model.h"
 
 namespace harmony::bench {
 
-/// A model prepared for experiments: sequentialized graph, profile database
-/// for the given GPU, and the optimizer the paper trains it with (Sec 5.1).
-struct PreparedModel {
-  std::string name;
-  model::SequentialModel model;
-  profile::ProfileDb profiles;
-  model::Optimizer optimizer;
-};
-
-/// Builds one of the paper's evaluation models by name: "BERT-Large",
-/// "BERT96", "GPT2", "GPT2-Medium", "VGG416", "ResNet1K", or "GPT2-<N>B".
-PreparedModel Prepare(const std::string& name, const hw::MachineSpec& machine);
+/// Builds one of the paper's evaluation models by name ("BERT-Large",
+/// "BERT96", "GPT2", "GPT2-Medium", "VGG416", "ResNet1K", or "GPT2-<N>B")
+/// and profiles it on the machine's planning GPU.
+serve::ProfiledModel Prepare(const std::string& name,
+                             const hw::MachineSpec& machine);
 
 /// The result of running one scheme once.
 struct SchemeResult {
@@ -66,7 +61,7 @@ struct RunSchemeOptions {
 
 /// Schedules (if applicable) and executes one scheme for one iteration on
 /// the machine; OOMs and scheduling failures are reported, not fatal.
-SchemeResult RunScheme(Scheme scheme, const PreparedModel& pm,
+SchemeResult RunScheme(Scheme scheme, const serve::ProfiledModel& pm,
                        const hw::MachineSpec& machine, int minibatch,
                        const RunSchemeOptions& options = {});
 

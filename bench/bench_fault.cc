@@ -31,7 +31,6 @@
 #include "adapt/runner.h"
 #include "bench/bench_common.h"
 #include "core/packing.h"
-#include "core/scheduler.h"
 #include "fault/fault.h"
 #include "runtime/runtime.h"
 #include "serve/wire.h"
@@ -49,7 +48,7 @@ struct Workload {
 
 Workload BuildBert96() {
   Workload w;
-  const bench::PreparedModel pm = bench::Prepare("BERT96", w.machine);
+  const serve::ProfiledModel pm = bench::Prepare("BERT96", w.machine);
   w.model = pm.model;
 
   core::PackingOptions opts;

@@ -21,7 +21,7 @@ void Run() {
             "throughput (samples/s)"});
   for (int n : {1, 2, 4}) {
     const hw::MachineSpec machine = base.WithNumGpus(n);
-    const PreparedModel pm = Prepare("BERT-Large", machine);
+    const serve::ProfiledModel pm = Prepare("BERT-Large", machine);
     const int minibatch = 5 * n;
     RunSchemeOptions opts;
     opts.baseline_u_cap = 5;
@@ -39,7 +39,7 @@ void Run() {
   dp.PrintAscii(&std::cout);
 
   // (c) Pipeline parallelism with per-GPU swapping: per-stage swap loads.
-  const PreparedModel pm = Prepare("BERT-Large", base);
+  const serve::ProfiledModel pm = Prepare("BERT-Large", base);
   RunSchemeOptions opts;
   opts.baseline_u_cap = 5;
   const SchemeResult gp = RunScheme(Scheme::kGpSwap, pm, base, 20, opts);

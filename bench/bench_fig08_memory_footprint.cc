@@ -13,7 +13,7 @@ namespace {
 
 void FootprintTable(const std::string& name, model::Optimizer opt) {
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
-  const PreparedModel pm = Prepare(name, machine);
+  const serve::ProfiledModel pm = Prepare(name, machine);
   Table t({"minibatch", "weights", "grads", "optimizer", "activations",
            "workspace", "total (GiB)"});
   const model::PolicyTable keep_all = model::PolicyTable::Uniform(

@@ -21,7 +21,7 @@ void Run() {
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
 
   for (const std::string name : {"BERT96", "GPT2", "VGG416", "ResNet1K"}) {
-    const PreparedModel pm = Prepare(name, machine);
+    const serve::ProfiledModel pm = Prepare(name, machine);
     Table tput({"scheme", "mb=8", "mb=16", "mb=32", "mb=64"});
     Table norm({"scheme", "mb=8", "mb=16", "mb=32", "mb=64"});
     std::map<std::string, std::vector<std::string>> tput_rows, norm_rows;

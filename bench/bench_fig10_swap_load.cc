@@ -18,7 +18,7 @@ const Scheme kSchemes[] = {Scheme::kDpSwap,   Scheme::kGpSwap,
 void Run() {
   PrintHeader("Swap load for GPT2 on 4 GPUs", "Figure 10 (a) and (b)");
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
-  const PreparedModel pm = Prepare("GPT2", machine);
+  const serve::ProfiledModel pm = Prepare("GPT2", machine);
 
   std::cout << "(a) per-GPU swap load, minibatch 32 (GiB):\n";
   Table per_gpu({"scheme", "GPU0", "GPU1", "GPU2", "GPU3", "global"});

@@ -14,7 +14,7 @@ namespace {
 void Run() {
   PrintHeader("Harmony vs ZeRO-Infinity, GPT2 (1.5B), 4 GPUs", "Figure 11");
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
-  const PreparedModel pm = Prepare("GPT2", machine);
+  const serve::ProfiledModel pm = Prepare("GPT2", machine);
 
   Table t({"minibatch", "scheme", "throughput (samples/s)",
            "global swap (GiB)", "max per-GPU swap (GiB)", "speedup vs ZeRO"});

@@ -35,7 +35,7 @@ void Run() {
   PrintHeader("Efficiency breakdown (ablations), GPT2, 4 GPUs, minibatch 128",
               "Figure 13");
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
-  const PreparedModel pm = Prepare("GPT2", machine);
+  const serve::ProfiledModel pm = Prepare("GPT2", machine);
   const int minibatch = 128;
 
   for (Scheme mode : {Scheme::kHarmonyDp, Scheme::kHarmonyPp}) {

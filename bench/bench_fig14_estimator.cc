@@ -16,7 +16,7 @@ void Run() {
               "Harmony PP, 4 GPUs)",
               "Figure 14");
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
-  const PreparedModel pm = Prepare("BERT-Large", machine);
+  const serve::ProfiledModel pm = Prepare("BERT-Large", machine);
 
   core::SearchOptions opts;
   opts.u_fwd_max = 32;

@@ -19,7 +19,7 @@ void Run() {
   Table f15({"model", "scheme", "throughput (samples/s)", "global swap (GiB)",
              "peak host (GiB)"});
   for (const std::string name : {"GPT2-10B", "GPT2-20B", "GPT2-30B", "GPT2-40B"}) {
-    const PreparedModel pm = Prepare(name, machine);
+    const serve::ProfiledModel pm = Prepare(name, machine);
     for (Scheme s : {Scheme::kZeroInfinity, Scheme::kHarmonyDp, Scheme::kHarmonyPp}) {
       RunSchemeOptions opts;
       opts.u_max = 8;
@@ -42,7 +42,7 @@ void Run() {
       std::vector<std::string> row = {name, SchemeName(s)};
       for (int n : {1, 2, 4, 8}) {
         const hw::MachineSpec sub = machine.WithNumGpus(n);
-        const PreparedModel pm = Prepare(name, sub);
+        const serve::ProfiledModel pm = Prepare(name, sub);
         RunSchemeOptions opts;
         opts.u_max = 8;
         const SchemeResult r = RunScheme(s, pm, sub, 4 * n, opts);

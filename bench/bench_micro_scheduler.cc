@@ -27,15 +27,17 @@
 namespace harmony::bench {
 namespace {
 
-const PreparedModel& Gpt2Model() {
-  static const PreparedModel* pm =
-      new PreparedModel(Prepare("GPT2", hw::MachineSpec::Commodity4Gpu()));
+const serve::ProfiledModel& Gpt2Model() {
+  static const serve::ProfiledModel* pm =
+      new serve::ProfiledModel(
+          Prepare("GPT2", hw::MachineSpec::Commodity4Gpu()));
   return *pm;
 }
 
-const PreparedModel& ResnetModel() {
-  static const PreparedModel* pm =
-      new PreparedModel(Prepare("ResNet1K", hw::MachineSpec::Commodity4Gpu()));
+const serve::ProfiledModel& ResnetModel() {
+  static const serve::ProfiledModel* pm =
+      new serve::ProfiledModel(
+          Prepare("ResNet1K", hw::MachineSpec::Commodity4Gpu()));
   return *pm;
 }
 

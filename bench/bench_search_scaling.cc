@@ -46,7 +46,7 @@ int Run(int argc, char** argv) {
   for (const std::string name :
        {"BERT96", "GPT2", "VGG416", "ResNet1K", "GPT2+policy"}) {
     const bool policy_sweep = name.find("+policy") != std::string::npos;
-    const PreparedModel pm = Prepare(
+    const serve::ProfiledModel pm = Prepare(
         policy_sweep ? name.substr(0, name.find("+policy")) : name, machine);
     core::SearchResult serial;
     double serial_wall = 0.0;

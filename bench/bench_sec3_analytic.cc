@@ -17,7 +17,7 @@ void Run() {
               "Section 3 (Figure 5's intuition)");
   hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
   machine.gpu.memory_capacity = GiB(1);
-  const PreparedModel pm = Prepare("GPT2-Medium", machine);
+  const serve::ProfiledModel pm = Prepare("GPT2-Medium", machine);
   // GPT2-Medium on a 1 GiB GPU: one transformer block's task saturates the
   // device, the regime of the paper's toy example.
   const int minibatch = 32;

@@ -20,7 +20,7 @@ void Run() {
            "configs estimated", "Scheduler time (s)"});
   std::vector<std::pair<std::string, core::Configuration>> details;
   for (const std::string name : {"BERT96", "GPT2", "VGG416", "ResNet1K"}) {
-    const PreparedModel pm = Prepare(name, machine);
+    const serve::ProfiledModel pm = Prepare(name, machine);
     core::SearchOptions opts;
     opts.u_fwd_max = 64;
     opts.u_bwd_max = 64;

@@ -17,7 +17,7 @@ void Run() {
 
   Table t({"Model", "Equi-FB (s)", "Distinct-FB (s)", "Improvement"});
   for (const std::string name : {"BERT96", "GPT2", "VGG416", "ResNet1K"}) {
-    const PreparedModel pm = Prepare(name, machine);
+    const serve::ProfiledModel pm = Prepare(name, machine);
     const runtime::Runtime rt(machine, pm.model);
     runtime::RuntimeOptions ro;
     ro.optimizer = pm.optimizer;

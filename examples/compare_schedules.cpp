@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const int minibatch = argc > 2 ? std::atoi(argv[2]) : 32;
 
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
-  const bench::PreparedModel pm = bench::Prepare(model, machine);
+  const serve::ProfiledModel pm = bench::Prepare(model, machine);
   std::cout << "Model " << model << " ("
             << FormatBytes(pm.model.total_param_bytes())
             << " weights), minibatch " << minibatch << ", "

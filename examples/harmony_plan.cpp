@@ -20,7 +20,6 @@
 #include "bench/bench_common.h"
 #include "common/cancel.h"
 #include "common/table.h"
-#include "core/scheduler.h"
 #include "runtime/runtime.h"
 #include "trace/chrome_trace.h"
 
@@ -228,8 +227,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const bench::PreparedModel pm = bench::Prepare(model_name, machine);
-  std::cout << "Model " << pm.name << ": " << pm.model.num_layers()
+  const serve::ProfiledModel pm = bench::Prepare(model_name, machine);
+  std::cout << "Model " << model_name << ": " << pm.model.num_layers()
             << " layers, " << FormatBytes(pm.model.total_param_bytes())
             << " of weights\n"
             << "Deployment: " << gpus << "x " << machine.gpu.name << " ("

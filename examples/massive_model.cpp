@@ -8,16 +8,20 @@
 #include <iostream>
 
 #include "baselines/baselines.h"
-#include "core/scheduler.h"
+#include "core/search.h"
+#include "core/task_graph.h"
 #include "model/memory.h"
-#include "model/models.h"
 #include "runtime/runtime.h"
+#include "serve/profiled_model.h"
 
 int main() {
   using namespace harmony;
   const hw::MachineSpec machine = hw::MachineSpec::Commodity8Gpu();
-  const model::SequentialModel m =
-      model::Sequentialize(model::Gpt2Custom(40.0));
+  const serve::ProfiledModel pm =
+      serve::ProfileModel(serve::ModelSpec::FromName("GPT2-40B").value(),
+                          machine.PlanningGpu())
+          .value();
+  const model::SequentialModel& m = pm.model;
   const int minibatch = 32;
 
   std::cout << "Model: " << m.model_name << " — "
@@ -27,27 +31,28 @@ int main() {
   std::cout << "Machine: " << machine.name << " ("
             << FormatBytes(machine.host_memory) << " host memory)\n\n";
 
-  const core::Scheduler scheduler(machine);
   core::SearchOptions search;
   search.u_fwd_max = 8;
   search.u_bwd_max = 8;
 
   for (auto mode : {core::HarmonyMode::kPipelineParallel,
                     core::HarmonyMode::kDataParallel}) {
-    const auto outcome = scheduler.Schedule(m, mode, minibatch,
-                                            core::OptimizationFlags{}, search);
-    if (!outcome.ok()) {
-      std::cout << HarmonyModeName(mode) << ": " << outcome.status() << "\n";
+    const auto found = core::SearchConfiguration(pm.profiles, machine, mode,
+                                                 minibatch, {}, search);
+    if (!found.ok()) {
+      std::cout << HarmonyModeName(mode) << ": " << found.status() << "\n";
       continue;
     }
     const runtime::Runtime rt(machine, m);
-    const auto metrics = rt.Execute(outcome.value().graph);
+    const auto metrics = rt.Execute(core::GenerateHarmonyTaskGraph(
+        found.value().best, mode, machine.num_gpus, minibatch, {},
+        pm.profiles));
     if (!metrics.ok()) {
       std::cout << HarmonyModeName(mode) << ": " << metrics.status() << "\n";
       continue;
     }
     std::cout << HarmonyModeName(mode) << ": config "
-              << outcome.value().search.best.ToString() << "\n  "
+              << found.value().best.ToString() << "\n  "
               << metrics.value().Throughput(minibatch) << " samples/s, swap "
               << FormatBytes(metrics.value().total_swap()) << ", peak host "
               << FormatBytes(metrics.value().peak_host_bytes) << "\n";
@@ -56,12 +61,11 @@ int main() {
   // The ZeRO-Infinity-style baseline needs pinned staging buffers on top of
   // the master state — which no longer fits.
   {
-    const profile::Profiler profiler(machine.gpu, {});
-    const profile::ProfileDb db = profiler.Profile(m);
-    const auto dp = scheduler.Schedule(m, core::HarmonyMode::kDataParallel,
-                                       minibatch, {}, search);
+    const auto dp = core::SearchConfiguration(
+        pm.profiles, machine, core::HarmonyMode::kDataParallel, minibatch, {},
+        search);
     if (dp.ok()) {
-      const auto g = baselines::ZeroInfinity(db, dp.value().search.best,
+      const auto g = baselines::ZeroInfinity(pm.profiles, dp.value().best,
                                              machine.num_gpus, minibatch);
       runtime::RuntimeOptions ro;
       ro.host_static_overhead = baselines::ZeroInfinityHostOverhead(m);

@@ -2,18 +2,19 @@
 // with Harmony on a simulated commodity 4-GPU server.
 //
 //   1. Pick a model whose training footprint exceeds all GPU memory combined.
-//   2. Let the Scheduler profile it, search the configuration space
-//      (Algorithm 1) and emit a wrap-around pipeline task graph.
+//   2. Profile it, search the configuration space (Algorithm 1) and emit
+//      a wrap-around pipeline task graph.
 //   3. Execute the graph on the Runtime and inspect throughput + swap load.
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
 
 #include <iostream>
 
-#include "core/scheduler.h"
+#include "core/search.h"
+#include "core/task_graph.h"
 #include "model/memory.h"
-#include "model/models.h"
 #include "runtime/runtime.h"
+#include "serve/profiled_model.h"
 
 int main() {
   using namespace harmony;
@@ -25,7 +26,12 @@ int main() {
   // The workload: GPT-2 (1.5B parameters). Training it with Adam needs
   // weights + gradients + optimizer state + activations -- far more than the
   // 44 GB the four GPUs offer together.
-  const model::SequentialModel m = model::Sequentialize(model::Gpt2());
+  // Profile it on the deployment's GPU (Fig 3's Profiler).
+  const serve::ProfiledModel pm =
+      serve::ProfileModel(serve::ModelSpec::FromName("GPT2").value(),
+                          machine.PlanningGpu())
+          .value();
+  const model::SequentialModel& m = pm.model;
   const auto footprint = model::ComputeFootprint(
       m, /*minibatch=*/32, model::Optimizer::kAdam,
       model::PolicyTable::Uniform(m.num_layers(), model::StashPolicy::kKeep));
@@ -36,25 +42,25 @@ int main() {
             << FormatBytes(4 * machine.gpu.memory_capacity)
             << " of total GPU memory\n\n";
 
-  // Schedule: profile -> configuration search -> task graph (Fig 3).
-  const core::Scheduler scheduler(machine);
-  const auto outcome =
-      scheduler.Schedule(m, core::HarmonyMode::kPipelineParallel,
-                         /*minibatch=*/32);
-  if (!outcome.ok()) {
-    std::cerr << "scheduling failed: " << outcome.status() << "\n";
+  // Schedule: configuration search -> task graph (Fig 3).
+  const auto mode = core::HarmonyMode::kPipelineParallel;
+  const auto found = core::SearchConfiguration(pm.profiles, machine, mode,
+                                               /*minibatch=*/32, {}, {});
+  if (!found.ok()) {
+    std::cerr << "scheduling failed: " << found.status() << "\n";
     return 1;
   }
-  const auto& best = outcome.value().search.best;
+  const auto& best = found.value().best;
   std::cout << "Best configuration " << best.ToString() << " found in "
-            << outcome.value().search.search_wall_seconds << "s ("
-            << outcome.value().search.configs_explored << " configs)\n";
+            << found.value().search_wall_seconds << "s ("
+            << found.value().configs_explored << " configs)\n";
   std::cout << "  P_F: " << core::PackListToString(best.fwd_packs) << "\n";
   std::cout << "  P_B: " << core::PackListToString(best.bwd_packs) << "\n\n";
 
   // Execute one iteration on the simulated deployment.
   const runtime::Runtime rt(machine, m);
-  const auto metrics = rt.Execute(outcome.value().graph);
+  const auto metrics = rt.Execute(core::GenerateHarmonyTaskGraph(
+      best, mode, machine.num_gpus, /*minibatch=*/32, {}, pm.profiles));
   if (!metrics.ok()) {
     std::cerr << "execution failed: " << metrics.status() << "\n";
     return 1;

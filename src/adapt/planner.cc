@@ -4,8 +4,7 @@
 #include <utility>
 
 #include "common/cancel.h"
-#include "core/scheduler.h"
-#include "model/layer.h"
+#include "core/search.h"
 
 namespace harmony::adapt {
 
@@ -22,9 +21,8 @@ PlanOutcome FromResponse(const serve::PlanResponse& r) {
 }  // namespace
 
 Result<PlanOutcome> LocalSearchPlanner::Plan(const serve::PlanRequest& request) {
-  auto graph = serve::BuildModel(request.model);
-  HARMONY_RETURN_IF_ERROR(graph.status());
-  const model::SequentialModel model = model::Sequentialize(graph.value());
+  auto resolved = memo_->Resolve(request.model, request.machine.PlanningGpu());
+  HARMONY_RETURN_IF_ERROR(resolved.status());
 
   common::CancelToken deadline;
   core::SearchOptions options = request.options;
@@ -34,14 +32,15 @@ Result<PlanOutcome> LocalSearchPlanner::Plan(const serve::PlanRequest& request) 
     options.cancel = &deadline;
   }
 
-  const core::Scheduler scheduler(request.machine);
-  auto outcome = scheduler.Schedule(model, request.mode, request.minibatch,
-                                    request.flags, options);
-  HARMONY_RETURN_IF_ERROR(outcome.status());
+  auto found = core::SearchConfiguration(resolved.value()->profiles,
+                                         request.machine, request.mode,
+                                         request.minibatch, request.flags,
+                                         options);
+  HARMONY_RETURN_IF_ERROR(found.status());
   PlanOutcome out;
-  out.config = outcome.value().search.best;
-  out.estimate = outcome.value().search.best_estimate;
-  out.search_seconds = outcome.value().search.search_wall_seconds;
+  out.config = found.value().best;
+  out.estimate = found.value().best_estimate;
+  out.search_seconds = found.value().search_wall_seconds;
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include "core/config.h"
 #include "core/estimator.h"
 #include "serve/client.h"
+#include "serve/profiled_model.h"
 #include "serve/wire.h"
 
 namespace harmony::adapt {
@@ -35,16 +36,18 @@ class Planner {
 
 /// Bounded in-process Algorithm 1 — the fallback that needs no daemon. The
 /// deadline arms a CancelToken shared with the search, so a re-plan can
-/// never wedge the training loop it is trying to rescue.
+/// never wedge the training loop it is trying to rescue. Profiles come from
+/// the borrowed memo (the adaptive runner's), which must outlive the planner.
 class LocalSearchPlanner : public Planner {
  public:
-  explicit LocalSearchPlanner(TimeSec deadline_seconds = 0)
-      : deadline_seconds_(deadline_seconds) {}
+  LocalSearchPlanner(serve::ProfileMemo* memo, TimeSec deadline_seconds)
+      : memo_(memo), deadline_seconds_(deadline_seconds) {}
 
   Result<PlanOutcome> Plan(const serve::PlanRequest& request) override;
   const char* name() const override { return "local-search"; }
 
  private:
+  serve::ProfileMemo* memo_;
   TimeSec deadline_seconds_;
 };
 

@@ -6,12 +6,12 @@
 #include <utility>
 
 #include "core/estimator.h"
-#include "core/scheduler.h"
-#include "model/layer.h"
-#include "profile/profiler.h"
+#include "core/search.h"
+#include "core/task_graph.h"
 #include "runtime/step.h"
 #include "runtime/step_compiler.h"
 #include "runtime/tensor.h"
+#include "serve/profiled_model.h"
 
 namespace harmony::adapt {
 
@@ -75,21 +75,27 @@ void AdaptiveRunner::EmitReplanEvent(trace::EventKind kind, int iteration,
 
 Result<AdaptResult> AdaptiveRunner::Run() {
   HARMONY_RETURN_IF_ERROR(machine_.Validate());
-  auto layer_graph = serve::BuildModel(model_spec_);
-  HARMONY_RETURN_IF_ERROR(layer_graph.status());
-  const model::SequentialModel model = model::Sequentialize(layer_graph.value());
-  const model::Optimizer optimizer = serve::DefaultOptimizer(model_spec_);
+  // One profile memo for the run, shared by the initial plan, the local
+  // replan and the re-estimate: a link fault profiles nothing again.
+  serve::ProfileMemo memo;
+  const auto nominal = memo.Resolve(model_spec_, machine_.PlanningGpu());
+  HARMONY_RETURN_IF_ERROR(nominal.status());
+  const serve::ProfiledModel& pm = *nominal.value();
+  const model::SequentialModel& model = pm.model;
+  const model::Optimizer optimizer = pm.optimizer;
 
   // Initial plan on the nominal machine.
-  auto initial = core::Scheduler(machine_).Schedule(model, mode_, minibatch_,
-                                                    flags_, search_);
+  auto initial = core::SearchConfiguration(pm.profiles, machine_, mode_,
+                                           minibatch_, flags_, search_);
   HARMONY_RETURN_IF_ERROR(initial.status());
 
   AdaptResult result;
   result.machine = machine_;
-  result.config = initial.value().search.best;
-  core::TaskGraph graph = std::move(initial.value().graph);
-  double current_estimate = initial.value().search.best_estimate.iteration_time;
+  result.config = initial.value().best;
+  core::TaskGraph graph =
+      core::GenerateHarmonyTaskGraph(result.config, mode_, machine_.num_gpus,
+                                     minibatch_, flags_, pm.profiles);
+  double current_estimate = initial.value().best_estimate.iteration_time;
   fault::FaultPlan active_faults = options_.fault_plan;
 
   HealthOptions health = options_.health;
@@ -154,7 +160,7 @@ Result<AdaptResult> AdaptiveRunner::Run() {
     request.minibatch = minibatch_;
     request.flags = flags_;
     request.options = search_;
-    LocalSearchPlanner local(options_.replan_deadline_seconds);
+    LocalSearchPlanner local(&memo, options_.replan_deadline_seconds);
     Planner* planner = options_.planner != nullptr ? options_.planner : &local;
     auto candidate = planner->Plan(request);
     if (!candidate.ok() && planner != &local) {
@@ -174,12 +180,13 @@ Result<AdaptResult> AdaptiveRunner::Run() {
 
     // Honest comparison: the *old* configuration re-estimated on the
     // *degraded* machine — its nominal estimate undersells the damage.
-    const profile::Profiler profiler(degraded.PlanningGpu(),
-                                     profile::ProfilerOptions{});
-    profile::ProfileDb degraded_profiles = profiler.Profile(model);
-    const core::Scheduler degraded_scheduler(degraded);
-    const core::TaskGraph old_graph_on_degraded = degraded_scheduler.BuildGraph(
-        degraded_profiles, result.config, mode_, minibatch_, flags_);
+    // A memo hit when the planning GPU is unchanged or the local replan ran.
+    auto on_degraded = memo.Resolve(model_spec_, degraded.PlanningGpu());
+    HARMONY_RETURN_IF_ERROR(on_degraded.status());
+    const profile::ProfileDb& degraded_profiles = on_degraded.value()->profiles;
+    const core::TaskGraph old_graph_on_degraded =
+        core::GenerateHarmonyTaskGraph(result.config, mode_, degraded.num_gpus,
+                                       minibatch_, flags_, degraded_profiles);
     const core::RuntimeEstimator estimator(degraded_profiles, degraded);
     decision.old_estimate_seconds =
         estimator.EstimateIteration(old_graph_on_degraded).iteration_time;
@@ -201,8 +208,9 @@ Result<AdaptResult> AdaptiveRunner::Run() {
     // of the old program against the new one. Orphans drain to host, new
     // placements prefetch back in; both ride the degraded swap path, which
     // is the modeled downtime of the switch.
-    core::TaskGraph new_graph = degraded_scheduler.BuildGraph(
-        degraded_profiles, candidate.value().config, mode_, minibatch_, flags_);
+    core::TaskGraph new_graph = core::GenerateHarmonyTaskGraph(
+        candidate.value().config, mode_, degraded.num_gpus, minibatch_, flags_,
+        degraded_profiles);
     runtime::StepProgram new_program =
         runtime::StepCompiler(degraded, model, new_graph, optimizer).Compile();
     const PlacementMap old_placement = PersistentPlacements(program);

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "core/task_graph.h"
-#include "model/layer.h"
 #include "runtime/runtime.h"
 
 namespace harmony::serve {
@@ -172,46 +171,14 @@ void PlanService::SubmitAsync(const PlanRequest& request, PlanCallback done) {
   });
 }
 
-Result<std::shared_ptr<const PlanService::ProfiledModel>>
-PlanService::ResolveModel(const ModelSpec& spec, const hw::GpuSpec& gpu) {
-  // Key the memo by the canonical spec bytes: the profile is a pure function
-  // of (model builder inputs, GPU), so two requests that hash alike share one
-  // profiling run — and two that differ (even by usable_fraction) never mix.
-  std::string key;
-  json::Writer w(&key);
-  w.BeginObject();
-  w.Key("model");
-  WriteModelSpec(spec, &w);
-  w.Key("gpu");
-  WriteGpuSpec(gpu, &w);
-  w.EndObject();
-  const uint64_t fp = json::Fnv1a(key);
-
-  {
-    std::lock_guard<std::mutex> lock(profile_mu_);
-    auto it = profiles_.find(fp);
-    if (it != profiles_.end()) return it->second;
-  }
-  auto graph = BuildModel(spec);
-  HARMONY_RETURN_IF_ERROR(graph.status());
-  model::SequentialModel seq = model::Sequentialize(graph.value());
-  const profile::Profiler profiler(gpu, profile::ProfilerOptions{});
-  profile::ProfileDb db = profiler.Profile(seq);
-  auto entry = std::make_shared<const ProfiledModel>(
-      std::move(seq), std::move(db), DefaultOptimizer(spec));
-  std::lock_guard<std::mutex> lock(profile_mu_);
-  // A racing resolver may have inserted first; keep the existing entry so
-  // outstanding references stay unique per key.
-  return profiles_.emplace(fp, std::move(entry)).first->second;
-}
-
 PlanResponse PlanService::ComputePlan(const PlanRequest& request,
                                       uint64_t fingerprint,
                                       const common::CancelToken* cancel) {
   PlanResponse response;
   response.fingerprint = fingerprint;
 
-  auto resolved = ResolveModel(request.model, request.machine.PlanningGpu());
+  auto resolved =
+      profiles_.Resolve(request.model, request.machine.PlanningGpu());
   if (!resolved.ok()) {
     response.status = resolved.status();
     return response;

@@ -14,8 +14,8 @@
 
 #include "common/cancel.h"
 #include "common/thread_pool.h"
-#include "profile/profiler.h"
 #include "serve/plan_cache.h"
+#include "serve/profiled_model.h"
 #include "serve/wire.h"
 #include "trace/trace.h"
 
@@ -165,21 +165,6 @@ class PlanService {
     std::string canonical;
   };
 
-  /// Profiles are pure functions of (model spec, GPU spec) and expensive
-  /// enough to amortize across requests — the profile-DB sharing that vDNN
-  /// observes pays off across runs. Entries are immutable once built.
-  struct ProfiledModel {
-    model::SequentialModel model;
-    profile::ProfileDb profiles;
-    model::Optimizer optimizer;
-    ProfiledModel(model::SequentialModel m, profile::ProfileDb p,
-                  model::Optimizer o)
-        : model(std::move(m)), profiles(std::move(p)), optimizer(o) {}
-  };
-
-  Result<std::shared_ptr<const ProfiledModel>> ResolveModel(
-      const ModelSpec& spec, const hw::GpuSpec& gpu);
-
   /// Runs on a pool worker: search (+ optional iteration), cache insert,
   /// bookkeeping, promise fulfilment.
   void RunRequest(PlanRequest request, uint64_t fingerprint, int request_id,
@@ -205,8 +190,7 @@ class PlanService {
   int next_request_id_ = 0;
   ServiceStats stats_;
 
-  std::mutex profile_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const ProfiledModel>> profiles_;
+  ProfileMemo profiles_;  // profiles amortized across requests
 
   std::mutex trace_mu_;  // serializes bus emissions from worker threads
 };

@@ -23,10 +23,10 @@
 #include "adapt/health.h"
 #include "adapt/planner.h"
 #include "adapt/runner.h"
-#include "core/scheduler.h"
 #include "fault/fault.h"
 #include "hw/machine.h"
 #include "model/models.h"
+#include "reference_plan.h"
 #include "runtime/runtime.h"
 #include "serve/wire.h"
 #include "trace/trace.h"
@@ -335,8 +335,8 @@ TEST(AdaptEndToEnd, PersistentLinkFailureConvergesToDegradedPlan) {
 
   // The chosen plan is bit-identical to Algorithm 1 on the degraded machine.
   const model::SequentialModel model = ModelFor(spec.value());
-  const auto fresh = core::Scheduler(degraded).Schedule(
-      model, HarmonyMode::kPipelineParallel, 8, {}, {});
+  const auto fresh = reference::PlanFresh(
+      model, degraded, HarmonyMode::kPipelineParallel, 8, {}, {});
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   EXPECT_EQ(serve::ConfigurationToJson(ar.config).Dump(),
             serve::ConfigurationToJson(fresh.value().search.best).Dump());
@@ -377,8 +377,8 @@ TEST(AdaptEndToEnd, ReplanOffReproducesThePlainLoopBitForBit) {
   // Hand-rolled equivalent: plan once on the nominal machine, execute the
   // same fault schedule twice.
   const model::SequentialModel model = ModelFor(spec.value());
-  const auto plan = core::Scheduler(machine).Schedule(
-      model, HarmonyMode::kPipelineParallel, 8, {}, {});
+  const auto plan = reference::PlanFresh(
+      model, machine, HarmonyMode::kPipelineParallel, 8, {}, {});
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(serve::ConfigurationToJson(run.value().config).Dump(),
             serve::ConfigurationToJson(plan.value().search.best).Dump());
@@ -432,52 +432,66 @@ TEST(AdaptEndToEnd, MemShrinkReplansOntoSmallerDevice) {
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
   const auto spec = serve::ModelSpec::FromName("BERT96");
   ASSERT_TRUE(spec.ok());
-  fault::FaultPlan fp;
-  fp.enabled = true;
-  fp.seed = 11;
-  fp.mem_shrink_at = 0.005;
-  fp.mem_shrink_device = 1;
-  fp.mem_shrink_fraction = 0.3;
-
-  AdaptOptions ao;
-  ao.iterations = 4;
-  ao.replan_margin = -1.0;
-  ao.fault_plan = fp;
-  AdaptiveRunner runner(machine, spec.value(), HarmonyMode::kPipelineParallel,
-                        8, {}, {}, ao);
-  const auto run = runner.Run();
-  ASSERT_TRUE(run.ok()) << run.status();
-  const AdaptResult& ar = run.value();
-
-  ASSERT_EQ(ar.decisions.size(), 1u);
-  EXPECT_TRUE(ar.decisions[0].applied);
-  EXPECT_STREQ(ar.decisions[0].reason, "mem-shrink");
-  ASSERT_TRUE(ar.switched);
-
-  // The synthesized fleet is heterogeneous: device 1 shrank, others did not.
-  EXPECT_LT(ar.machine.GpuAt(1).usable_memory(),
-            machine.GpuAt(1).usable_memory());
-  EXPECT_EQ(ar.machine.GpuAt(1).usable_fraction, 1.0);
-  EXPECT_EQ(ar.machine.GpuAt(0).usable_memory(),
-            machine.GpuAt(0).usable_memory());
-  EXPECT_EQ(ar.machine.MinUsableMemory(), ar.machine.GpuAt(1).usable_memory());
-
-  // Plan and post-switchover accounting both match a fresh pipeline on the
-  // synthesized descriptor.
   const model::SequentialModel model = ModelFor(spec.value());
-  const auto fresh = core::Scheduler(ar.machine).Schedule(
-      model, HarmonyMode::kPipelineParallel, 8, {}, {});
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  EXPECT_EQ(serve::ConfigurationToJson(ar.config).Dump(),
-            serve::ConfigurationToJson(fresh.value().search.best).Dump());
-  const runtime::Runtime rt(ar.machine, model);
-  runtime::RuntimeOptions ro;
-  ro.optimizer = serve::DefaultOptimizer(spec.value());
-  ro.fault_plan = fp.WithoutPersistent();
-  const auto fresh_metrics = rt.Execute(fresh.value().graph, ro);
-  ASSERT_TRUE(fresh_metrics.ok()) << fresh_metrics.status();
-  EXPECT_EQ(serve::RunMetricsToJson(ar.iterations[3]).Dump(),
-            serve::RunMetricsToJson(fresh_metrics.value()).Dump());
+
+  // Device 1 keeps the planning GPU (PlanningGpu() picks per_gpu[0] when
+  // every device has the same peak_flops), so the replan reuses the nominal
+  // profile. Shrinking device 0 changes the planning GPU: the run's profile
+  // memo must miss and profile the shrunk device.
+  for (const int device : {1, 0}) {
+    SCOPED_TRACE("shrunk device " + std::to_string(device));
+    fault::FaultPlan fp;
+    fp.enabled = true;
+    fp.seed = 11;
+    fp.mem_shrink_at = 0.005;
+    fp.mem_shrink_device = device;
+    fp.mem_shrink_fraction = 0.3;
+
+    AdaptOptions ao;
+    ao.iterations = 4;
+    ao.replan_margin = -1.0;
+    ao.fault_plan = fp;
+    AdaptiveRunner runner(machine, spec.value(),
+                          HarmonyMode::kPipelineParallel, 8, {}, {}, ao);
+    const auto run = runner.Run();
+    ASSERT_TRUE(run.ok()) << run.status();
+    const AdaptResult& ar = run.value();
+
+    ASSERT_EQ(ar.decisions.size(), 1u);
+    EXPECT_TRUE(ar.decisions[0].applied);
+    EXPECT_STREQ(ar.decisions[0].reason, "mem-shrink");
+    ASSERT_TRUE(ar.switched);
+
+    // The synthesized fleet is heterogeneous: the device shrank, the others
+    // did not.
+    const int other = device == 0 ? 1 : 0;
+    EXPECT_LT(ar.machine.GpuAt(device).usable_memory(),
+              machine.GpuAt(device).usable_memory());
+    EXPECT_EQ(ar.machine.GpuAt(device).usable_fraction, 1.0);
+    EXPECT_EQ(ar.machine.GpuAt(other).usable_memory(),
+              machine.GpuAt(other).usable_memory());
+    EXPECT_EQ(ar.machine.MinUsableMemory(),
+              ar.machine.GpuAt(device).usable_memory());
+    EXPECT_EQ(ar.machine.PlanningGpu().memory_capacity ==
+                  machine.PlanningGpu().memory_capacity,
+              device != 0);
+
+    // Plan and post-switchover accounting both match a fresh pipeline on the
+    // synthesized descriptor.
+    const auto fresh = reference::PlanFresh(
+        model, ar.machine, HarmonyMode::kPipelineParallel, 8, {}, {});
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(serve::ConfigurationToJson(ar.config).Dump(),
+              serve::ConfigurationToJson(fresh.value().search.best).Dump());
+    const runtime::Runtime rt(ar.machine, model);
+    runtime::RuntimeOptions ro;
+    ro.optimizer = serve::DefaultOptimizer(spec.value());
+    ro.fault_plan = fp.WithoutPersistent();
+    const auto fresh_metrics = rt.Execute(fresh.value().graph, ro);
+    ASSERT_TRUE(fresh_metrics.ok()) << fresh_metrics.status();
+    EXPECT_EQ(serve::RunMetricsToJson(ar.iterations[3]).Dump(),
+              serve::RunMetricsToJson(fresh_metrics.value()).Dump());
+  }
 }
 
 TEST(AdaptEndToEnd, Gpt2LinkFailureAlsoConverges) {
@@ -502,8 +516,8 @@ TEST(AdaptEndToEnd, Gpt2LinkFailureAlsoConverges) {
   const hw::MachineSpec degraded =
       machine.WithLinkScale(fp.link_fail_link, fp.link_fail_factor);
   const model::SequentialModel model = ModelFor(spec.value());
-  const auto fresh = core::Scheduler(degraded).Schedule(
-      model, HarmonyMode::kPipelineParallel, 8, {}, {});
+  const auto fresh = reference::PlanFresh(
+      model, degraded, HarmonyMode::kPipelineParallel, 8, {}, {});
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   EXPECT_EQ(serve::ConfigurationToJson(ar.config).Dump(),
             serve::ConfigurationToJson(fresh.value().search.best).Dump());

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
-#include "core/scheduler.h"
 #include "model/models.h"
 #include "profile/profiler.h"
 #include "runtime/runtime.h"
+#include "reference_plan.h"
 
 namespace harmony::baselines {
 namespace {
@@ -161,20 +161,19 @@ class ComparisonTest : public ::testing::Test {
     f_->machine.gpu.memory_capacity = MiB(384);
     f_->db = std::make_unique<profile::ProfileDb>(
         profile::Profiler(f_->machine.gpu, {}).Profile(f_->model));
-    const core::Scheduler scheduler(f_->machine);
     core::SearchOptions s;
     s.u_fwd_max = 4;
     s.u_bwd_max = 4;
     pp_ = new runtime::RunMetrics(f_->Run(
-        scheduler
-            .Schedule(f_->model, core::HarmonyMode::kPipelineParallel, 32,
-                      core::OptimizationFlags{}, s)
+        reference::PlanFresh(f_->model, f_->machine,
+                             core::HarmonyMode::kPipelineParallel, 32,
+                             core::OptimizationFlags{}, s)
             .value()
             .graph));
-    dp_outcome_ = new core::ScheduleOutcome(
-        scheduler
-            .Schedule(f_->model, core::HarmonyMode::kDataParallel, 32,
-                      core::OptimizationFlags{}, s)
+    dp_outcome_ = new reference::ReferencePlan(
+        reference::PlanFresh(f_->model, f_->machine,
+                             core::HarmonyMode::kDataParallel, 32,
+                             core::OptimizationFlags{}, s)
             .value());
     dp_ = new runtime::RunMetrics(f_->Run(dp_outcome_->graph));
     const int u = MaxFeasibleMicrobatch(*f_->db, f_->machine, 4);
@@ -191,7 +190,7 @@ class ComparisonTest : public ::testing::Test {
 
   static Fixture* f_;
   static runtime::RunMetrics *pp_, *dp_, *dp_swap_, *gp_swap_, *gp_swap_r_, *zero_;
-  static core::ScheduleOutcome* dp_outcome_;
+  static reference::ReferencePlan* dp_outcome_;
 };
 
 Fixture* ComparisonTest::f_ = nullptr;
@@ -201,7 +200,7 @@ runtime::RunMetrics* ComparisonTest::dp_swap_ = nullptr;
 runtime::RunMetrics* ComparisonTest::gp_swap_ = nullptr;
 runtime::RunMetrics* ComparisonTest::gp_swap_r_ = nullptr;
 runtime::RunMetrics* ComparisonTest::zero_ = nullptr;
-core::ScheduleOutcome* ComparisonTest::dp_outcome_ = nullptr;
+reference::ReferencePlan* ComparisonTest::dp_outcome_ = nullptr;
 
 TEST_F(ComparisonTest, HarmonySwapsOrdersOfMagnitudeLess) {
   // Fig 10: baseline swap volumes dwarf Harmony's.

@@ -30,7 +30,6 @@
 #include "common/cancel.h"
 #include "common/thread_pool.h"
 #include "core/packing.h"
-#include "core/scheduler.h"
 #include "fault/fault.h"
 #include "model/models.h"
 #include "profile/profiler.h"

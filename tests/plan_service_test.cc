@@ -8,12 +8,14 @@
 
 #include <unistd.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/client.h"
 #include "serve/plan_service.h"
+#include "serve/profiled_model.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 
@@ -271,6 +273,103 @@ TEST(PlanService, SubByteGpuCapacityIsRejectedNotFatal) {
 // ---------------------------------------------------------------------------
 // End-to-end over a Unix-domain socket
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// The profile memo behind the service (and behind adaptive runs)
+// ---------------------------------------------------------------------------
+
+void ExpectSameProfiles(const profile::ProfileDb& a,
+                        const profile::ProfileDb& b) {
+  ASSERT_EQ(a.num_layers(), b.num_layers());
+  EXPECT_EQ(a.model_name(), b.model_name());
+  for (int l = 0; l < a.num_layers(); ++l) {
+    SCOPED_TRACE("layer " + std::to_string(l));
+    const profile::LayerProfile& x = a.layer(l);
+    const profile::LayerProfile& y = b.layer(l);
+    EXPECT_EQ(x.fwd_time.slope(), y.fwd_time.slope());
+    EXPECT_EQ(x.fwd_time.intercept(), y.fwd_time.intercept());
+    EXPECT_EQ(x.fwd_time.r_squared(), y.fwd_time.r_squared());
+    EXPECT_EQ(x.bwd_time.slope(), y.bwd_time.slope());
+    EXPECT_EQ(x.bwd_time.intercept(), y.bwd_time.intercept());
+    EXPECT_EQ(x.bwd_time.r_squared(), y.bwd_time.r_squared());
+    EXPECT_EQ(x.param_bytes, y.param_bytes);
+    EXPECT_EQ(x.input_bytes_per_sample, y.input_bytes_per_sample);
+    EXPECT_EQ(x.output_bytes_per_sample, y.output_bytes_per_sample);
+    EXPECT_EQ(x.stash_bytes_per_sample, y.stash_bytes_per_sample);
+    EXPECT_EQ(x.workspace_bytes, y.workspace_bytes);
+    EXPECT_EQ(x.gpu_update_time, y.gpu_update_time);
+  }
+}
+
+TEST(ProfileMemo, KeysByEveryByteOfTheGpuSpec) {
+  serve::ProfileMemo memo;
+  const ModelSpec spec = TinyRequest().model;
+  const hw::GpuSpec gpu = hw::MachineSpec::Commodity4Gpu().gpu;
+  hw::GpuSpec fraction = gpu;
+  fraction.usable_fraction = 0.5;
+  hw::GpuSpec renamed = gpu;
+  renamed.name += "-shrunk";
+  hw::GpuSpec capacity = gpu;
+  capacity.memory_capacity -= MiB(1);
+
+  std::vector<const serve::ProfiledModel*> entries;
+  for (const hw::GpuSpec& g : {gpu, fraction, renamed, capacity}) {
+    const auto resolved = memo.Resolve(spec, g);
+    ASSERT_TRUE(resolved.ok()) << resolved.status();
+    for (const serve::ProfiledModel* other : entries) {
+      EXPECT_NE(resolved.value().get(), other);
+    }
+    entries.push_back(resolved.value().get());
+  }
+  EXPECT_EQ(memo.size(), 4u);
+
+  // Equal keys return the entry already built.
+  EXPECT_EQ(memo.Resolve(spec, gpu).value().get(), entries[0]);
+  EXPECT_EQ(memo.Resolve(spec, renamed).value().get(), entries[2]);
+  EXPECT_EQ(memo.size(), 4u);
+}
+
+TEST(ProfileMemo, ResolvedProfileEqualsAFreshProfilerRun) {
+  serve::ProfileMemo memo;
+  const ModelSpec spec = TinyRequest().model;
+  const hw::GpuSpec gpu = hw::MachineSpec::Commodity4Gpu().gpu;
+  const auto resolved = memo.Resolve(spec, gpu);
+  ASSERT_TRUE(resolved.ok()) << resolved.status();
+
+  const model::SequentialModel fresh_model =
+      model::Sequentialize(serve::BuildModel(spec).value());
+  const profile::ProfileDb fresh =
+      profile::Profiler(gpu, {}).Profile(fresh_model);
+  EXPECT_EQ(resolved.value()->model.num_layers(), fresh_model.num_layers());
+  EXPECT_EQ(resolved.value()->optimizer, serve::DefaultOptimizer(spec));
+  ExpectSameProfiles(resolved.value()->profiles, fresh);
+}
+
+TEST(ProfileMemo, EvictsTheOldestPastItsCapacity) {
+  serve::ProfileMemo memo;
+  const ModelSpec spec = TinyRequest().model;
+  const hw::GpuSpec gpu = hw::MachineSpec::Commodity4Gpu().gpu;
+  const auto first = memo.Resolve(spec, gpu);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const std::shared_ptr<const serve::ProfiledModel> held = first.value();
+
+  // One distinct GPU more than the memo keeps: the first entry is evicted.
+  for (size_t i = 1; i <= serve::ProfileMemo::kCapacity; ++i) {
+    hw::GpuSpec g = gpu;
+    g.memory_capacity += static_cast<Bytes>(i);
+    ASSERT_TRUE(memo.Resolve(spec, g).ok());
+    ASSERT_LE(memo.size(), serve::ProfileMemo::kCapacity);
+  }
+  EXPECT_EQ(memo.size(), serve::ProfileMemo::kCapacity);
+
+  // Resolving the evicted key profiles afresh; the pointer handed out before
+  // the eviction still reads the same profile.
+  const auto again = memo.Resolve(spec, gpu);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_NE(again.value().get(), held.get());
+  EXPECT_EQ(memo.size(), serve::ProfileMemo::kCapacity);
+  ExpectSameProfiles(held->profiles, again.value()->profiles);
+}
 
 TEST(ServeE2e, PlanPingStatsShutdownOverUnixSocket) {
   const std::string socket_path =

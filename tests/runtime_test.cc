@@ -16,7 +16,6 @@
 #include "common/thread_pool.h"
 #include "core/estimator.h"
 #include "core/packing.h"
-#include "core/scheduler.h"
 #include "model/models.h"
 #include "profile/profiler.h"
 #include "runtime/memory_manager.h"

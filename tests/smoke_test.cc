@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "core/scheduler.h"
 #include "model/models.h"
 #include "runtime/runtime.h"
+#include "reference_plan.h"
 
 namespace harmony {
 namespace {
@@ -13,13 +13,12 @@ TEST(Smoke, TinyTransformerEndToEnd) {
   machine.gpu.memory_capacity = MiB(512);
   const model::SequentialModel m = model::Sequentialize(model::TinyTransformer(16, 512, 128));
 
-  const core::Scheduler scheduler(machine);
   core::SearchOptions search;
   search.u_fwd_max = 2;
   search.u_bwd_max = 2;
-  auto outcome = scheduler.Schedule(m, core::HarmonyMode::kPipelineParallel,
-                                    /*minibatch=*/8, core::OptimizationFlags{},
-                                    search);
+  auto outcome = reference::PlanFresh(
+      m, machine, core::HarmonyMode::kPipelineParallel, /*minibatch=*/8,
+      core::OptimizationFlags{}, search);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   const auto& best = outcome.value().search.best;
   EXPECT_GE(best.bwd_packs.size(), 1u);
@@ -37,13 +36,12 @@ TEST(Smoke, HarmonyDpEndToEnd) {
   machine.gpu.memory_capacity = MiB(512);
   const model::SequentialModel m = model::Sequentialize(model::TinyTransformer(16, 512, 128));
 
-  const core::Scheduler scheduler(machine);
   core::SearchOptions search;
   search.u_fwd_max = 2;
   search.u_bwd_max = 2;
-  auto outcome = scheduler.Schedule(m, core::HarmonyMode::kDataParallel,
-                                    /*minibatch=*/8, core::OptimizationFlags{},
-                                    search);
+  auto outcome = reference::PlanFresh(
+      m, machine, core::HarmonyMode::kDataParallel, /*minibatch=*/8,
+      core::OptimizationFlags{}, search);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
   const runtime::Runtime rt(machine, m);
