@@ -104,237 +104,291 @@ std::string Value::Dump() const {
   return out;
 }
 
+Status Reader::Error(const char* what) const {
+  return Status::InvalidArgument("json: " + std::string(what) + " at offset " +
+                                 std::to_string(p_ - begin_));
+}
+
+Status Reader::ReadNull() {
+  HARMONY_RETURN_IF_ERROR(StartValue());
+  if (end_ - p_ >= 4 && std::string_view(p_, 4) == "null") {
+    p_ += 4;
+    first_ = false;
+    return Status::Ok();
+  }
+  return Error("bad literal");
+}
+
+Status Reader::ReadBool(bool* out) {
+  HARMONY_RETURN_IF_ERROR(StartValue());
+  for (const bool b : {true, false}) {
+    const std::string_view word = b ? "true" : "false";
+    if (static_cast<size_t>(end_ - p_) >= word.size() &&
+        std::string_view(p_, word.size()) == word) {
+      p_ += word.size();
+      *out = b;
+      first_ = false;
+      return Status::Ok();
+    }
+  }
+  return Error("bad literal");
+}
+
+Status Reader::NumberToken(std::string_view* token) {
+  HARMONY_RETURN_IF_ERROR(StartValue());
+  const char* const start = p_;
+  if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
+  bool digits = false;
+  auto eat_digits = [&]() {
+    bool any = false;
+    while (p_ != end_ && *p_ >= '0' && *p_ <= '9') {
+      ++p_;
+      any = true;
+    }
+    return any;
+  };
+  digits = eat_digits();
+  if (p_ != end_ && *p_ == '.') {
+    ++p_;
+    digits = eat_digits() || digits;
+  }
+  if (!digits) return Error("expected value");
+  if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
+    ++p_;
+    if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
+    // The only token of this grammar that strtod does not consume whole.
+    if (!eat_digits()) return Error("bad number");
+  }
+  *token = std::string_view(start, static_cast<size_t>(p_ - start));
+  first_ = false;
+  return Status::Ok();
+}
+
+Status Reader::ReadNumber(double* out) {
+  std::string_view token;
+  HARMONY_RETURN_IF_ERROR(NumberToken(&token));
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  if (ec != std::errc() || ptr != end) {
+    // from_chars refuses a leading '+' and reports underflow or overflow
+    // without a value, where strtod accepts the token and rounds (to 0 or
+    // inf). Both round correctly, so the slow path changes no value.
+    const std::string copy(token);
+    char* parsed_end = nullptr;
+    *out = std::strtod(copy.c_str(), &parsed_end);
+    if (parsed_end != copy.c_str() + copy.size()) return Error("bad number");
+  }
+  return Status::Ok();
+}
+
+Status Reader::EscapedString(const char* run, std::string* buf,
+                             std::string_view* out) {
+  buf->assign(run, p_);
+  for (;;) {
+    if (p_ == end_) break;
+    if (*p_++ == '"') {
+      *out = *buf;
+      return Status::Ok();
+    }
+    if (p_ == end_) break;
+    const char e = *p_++;
+    switch (e) {
+      case '"': buf->push_back('"'); break;
+      case '\\': buf->push_back('\\'); break;
+      case '/': buf->push_back('/'); break;
+      case 'n': buf->push_back('\n'); break;
+      case 't': buf->push_back('\t'); break;
+      case 'r': buf->push_back('\r'); break;
+      case 'b': buf->push_back('\b'); break;
+      case 'f': buf->push_back('\f'); break;
+      case 'u': {
+        if (end_ - p_ < 4) return Error("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = *p_++;
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else return Error("bad \\u escape");
+        }
+        if (code > 0x7f) return Error("non-ASCII \\u escape unsupported");
+        buf->push_back(static_cast<char>(code));
+        break;
+      }
+      default:
+        return Error("bad escape");
+    }
+    // Copy the run up to the next quote or escape in one append.
+    run = p_;
+    while (p_ != end_ && *p_ != '"' && *p_ != '\\') ++p_;
+    buf->append(run, p_);
+  }
+  return Error("unterminated string");
+}
+
+Status Reader::ReadString(std::string* out) {
+  HARMONY_RETURN_IF_ERROR(StartValue());
+  std::string_view s;
+  HARMONY_RETURN_IF_ERROR(StringBody(out, &s));
+  if (s.data() != out->data()) out->assign(s);
+  first_ = false;
+  return Status::Ok();
+}
+
+Status Reader::BeginObject() {
+  HARMONY_RETURN_IF_ERROR(StartValue());
+  if (!Consume('{')) return Error("expected '{'");
+  ++depth_;
+  first_ = true;
+  return Status::Ok();
+}
+
+Status Reader::BeginArray() {
+  HARMONY_RETURN_IF_ERROR(StartValue());
+  if (!Consume('[')) return Error("expected '['");
+  ++depth_;
+  first_ = true;
+  return Status::Ok();
+}
+
+Status Reader::NextMember(std::string* key, bool* more) {
+  HARMONY_RETURN_IF_ERROR(Separate('}', "expected ',' or '}'", more));
+  if (!*more) return Status::Ok();
+  std::string_view k;
+  HARMONY_RETURN_IF_ERROR(Key(key, &k));
+  if (k.data() != key->data()) key->assign(k);
+  return Status::Ok();
+}
+
+Status Reader::Skip() {
+  bool more = false;
+  switch (Peek()) {
+    case Value::Type::kObject: {
+      HARMONY_RETURN_IF_ERROR(BeginObject());
+      std::string_view key;
+      for (;;) {
+        HARMONY_RETURN_IF_ERROR(NextMember(&key, &more));
+        if (!more) return Status::Ok();
+        HARMONY_RETURN_IF_ERROR(Skip());
+      }
+    }
+    case Value::Type::kArray: {
+      HARMONY_RETURN_IF_ERROR(BeginArray());
+      for (;;) {
+        HARMONY_RETURN_IF_ERROR(NextItem(&more));
+        if (!more) return Status::Ok();
+        HARMONY_RETURN_IF_ERROR(Skip());
+      }
+    }
+    case Value::Type::kString: {
+      std::string_view s;
+      return ReadString(&s);
+    }
+    case Value::Type::kBool: {
+      bool b;
+      return ReadBool(&b);
+    }
+    case Value::Type::kNull:
+      return ReadNull();
+    case Value::Type::kNumber: {
+      std::string_view token;
+      return NumberToken(&token);
+    }
+  }
+  return Status::Ok();
+}
+
+Status Reader::Finish() {
+  SkipWs();
+  if (p_ != end_) return Error("trailing characters");
+  return Status::Ok();
+}
+
 namespace {
 
-/// Recursive-descent parser over the raw byte range. Depth-capped so hostile
-/// input can't blow the stack of a daemon thread.
+/// Builds a Value from a Reader. Objects and arrays collect their entries
+/// on a stack shared by the whole parse, then move them into a vector sized
+/// exactly once: no regrowth per member and no over-reserved capacity left
+/// in the document.
 class Parser {
  public:
-  explicit Parser(std::string_view text)
-      : begin_(text.data()), p_(text.data()), end_(text.data() + text.size()) {}
+  explicit Parser(std::string_view text) : reader_(text) {}
 
   Result<Value> Run() {
-    SkipWs();
     Value v;
-    HARMONY_RETURN_IF_ERROR(ParseValue(&v, 0));
-    SkipWs();
-    if (p_ != end_) {
-      return Status::InvalidArgument(Context("trailing characters"));
-    }
+    HARMONY_RETURN_IF_ERROR(ParseValue(&v));
+    HARMONY_RETURN_IF_ERROR(reader_.Finish());
     return v;
   }
 
  private:
-  static constexpr int kMaxDepth = 64;
-
-  std::string Context(const std::string& what) const {
-    return "json: " + what + " at offset " + std::to_string(p_ - begin_);
-  }
-
-  void SkipWs() {
-    while (p_ != end_ &&
-           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
-      ++p_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (p_ != end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeWord(std::string_view w) {
-    if (static_cast<size_t>(end_ - p_) >= w.size() &&
-        std::string_view(p_, w.size()) == w) {
-      p_ += w.size();
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseValue(Value* out, int depth) {
-    if (depth > kMaxDepth) return Status::InvalidArgument(Context("nesting too deep"));
-    if (p_ == end_) return Status::InvalidArgument(Context("unexpected end"));
-    switch (*p_) {
-      case '{': return ParseObject(out, depth);
-      case '[': return ParseArray(out, depth);
-      case '"': {
+  Status ParseValue(Value* out) {
+    bool more = false;
+    switch (reader_.Peek()) {
+      case Value::Type::kObject: {
+        HARMONY_RETURN_IF_ERROR(reader_.BeginObject());
+        *out = Value::Object();
+        const size_t base = members_.size();
+        for (;;) {
+          std::string key;
+          HARMONY_RETURN_IF_ERROR(reader_.NextMember(&key, &more));
+          if (!more) break;
+          Value v;
+          HARMONY_RETURN_IF_ERROR(ParseValue(&v));
+          members_.emplace_back(std::move(key), std::move(v));
+        }
+        out->Reserve(members_.size() - base);
+        for (size_t i = base; i < members_.size(); ++i) {
+          out->Set(std::move(members_[i].first), std::move(members_[i].second));
+        }
+        members_.resize(base);
+        return Status::Ok();
+      }
+      case Value::Type::kArray: {
+        HARMONY_RETURN_IF_ERROR(reader_.BeginArray());
+        *out = Value::Array();
+        const size_t base = items_.size();
+        for (;;) {
+          HARMONY_RETURN_IF_ERROR(reader_.NextItem(&more));
+          if (!more) break;
+          Value v;
+          HARMONY_RETURN_IF_ERROR(ParseValue(&v));
+          items_.push_back(std::move(v));
+        }
+        out->Reserve(items_.size() - base);
+        for (size_t i = base; i < items_.size(); ++i) {
+          out->Append(std::move(items_[i]));
+        }
+        items_.resize(base);
+        return Status::Ok();
+      }
+      case Value::Type::kString: {
         std::string s;
-        HARMONY_RETURN_IF_ERROR(ParseString(&s));
+        HARMONY_RETURN_IF_ERROR(reader_.ReadString(&s));
         *out = Value::Str(std::move(s));
         return Status::Ok();
       }
-      case 't':
-        if (ConsumeWord("true")) {
-          *out = Value::Bool(true);
-          return Status::Ok();
-        }
-        return Status::InvalidArgument(Context("bad literal"));
-      case 'f':
-        if (ConsumeWord("false")) {
-          *out = Value::Bool(false);
-          return Status::Ok();
-        }
-        return Status::InvalidArgument(Context("bad literal"));
-      case 'n':
-        if (ConsumeWord("null")) {
-          *out = Value::Null();
-          return Status::Ok();
-        }
-        return Status::InvalidArgument(Context("bad literal"));
-      default:
-        return ParseNumber(out);
+      case Value::Type::kBool: {
+        bool b = false;
+        HARMONY_RETURN_IF_ERROR(reader_.ReadBool(&b));
+        *out = Value::Bool(b);
+        return Status::Ok();
+      }
+      case Value::Type::kNull:
+        *out = Value::Null();
+        return reader_.ReadNull();
+      case Value::Type::kNumber: {
+        double d = 0;
+        HARMONY_RETURN_IF_ERROR(reader_.ReadNumber(&d));
+        *out = Value::Number(d);
+        return Status::Ok();
+      }
     }
-  }
-
-  // Objects and arrays collect their entries on a stack shared by the whole
-  // parse, then move them into a vector sized exactly once: no regrowth per
-  // member and no over-reserved capacity left in the document.
-  Status ParseObject(Value* out, int depth) {
-    ++p_;  // '{'
-    *out = Value::Object();
-    SkipWs();
-    if (Consume('}')) return Status::Ok();
-    const size_t base = members_.size();
-    for (;;) {
-      SkipWs();
-      std::string key;
-      HARMONY_RETURN_IF_ERROR(ParseString(&key));
-      SkipWs();
-      if (!Consume(':')) return Status::InvalidArgument(Context("expected ':'"));
-      SkipWs();
-      Value v;
-      HARMONY_RETURN_IF_ERROR(ParseValue(&v, depth + 1));
-      members_.emplace_back(std::move(key), std::move(v));
-      SkipWs();
-      if (Consume(',')) continue;
-      if (Consume('}')) break;
-      return Status::InvalidArgument(Context("expected ',' or '}'"));
-    }
-    out->Reserve(members_.size() - base);
-    for (size_t i = base; i < members_.size(); ++i) {
-      out->Set(std::move(members_[i].first), std::move(members_[i].second));
-    }
-    members_.resize(base);
     return Status::Ok();
   }
 
-  Status ParseArray(Value* out, int depth) {
-    ++p_;  // '['
-    *out = Value::Array();
-    SkipWs();
-    if (Consume(']')) return Status::Ok();
-    const size_t base = items_.size();
-    for (;;) {
-      SkipWs();
-      Value v;
-      HARMONY_RETURN_IF_ERROR(ParseValue(&v, depth + 1));
-      items_.push_back(std::move(v));
-      SkipWs();
-      if (Consume(',')) continue;
-      if (Consume(']')) break;
-      return Status::InvalidArgument(Context("expected ',' or ']'"));
-    }
-    out->Reserve(items_.size() - base);
-    for (size_t i = base; i < items_.size(); ++i) {
-      out->Append(std::move(items_[i]));
-    }
-    items_.resize(base);
-    return Status::Ok();
-  }
-
-  Status ParseString(std::string* out) {
-    if (!Consume('"')) return Status::InvalidArgument(Context("expected string"));
-    out->clear();
-    for (;;) {
-      // Copy the run up to the next quote or escape in one append.
-      const char* run = p_;
-      while (p_ != end_ && *p_ != '"' && *p_ != '\\') ++p_;
-      out->append(run, p_);
-      if (p_ == end_) break;
-      if (*p_++ == '"') return Status::Ok();
-      if (p_ == end_) break;
-      const char e = *p_++;
-      switch (e) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'u': {
-          if (end_ - p_ < 4) {
-            return Status::InvalidArgument(Context("truncated \\u escape"));
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = *p_++;
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return Status::InvalidArgument(Context("bad \\u escape"));
-          }
-          if (code > 0x7f) {
-            return Status::InvalidArgument(
-                Context("non-ASCII \\u escape unsupported"));
-          }
-          out->push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          return Status::InvalidArgument(Context("bad escape"));
-      }
-    }
-    return Status::InvalidArgument(Context("unterminated string"));
-  }
-
-  Status ParseNumber(Value* out) {
-    const char* const start = p_;
-    if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
-    bool digits = false;
-    auto eat_digits = [&]() {
-      while (p_ != end_ && *p_ >= '0' && *p_ <= '9') {
-        ++p_;
-        digits = true;
-      }
-    };
-    eat_digits();
-    if (p_ != end_ && *p_ == '.') {
-      ++p_;
-      eat_digits();
-    }
-    if (digits && p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
-      ++p_;
-      if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
-      eat_digits();
-    }
-    if (!digits) return Status::InvalidArgument(Context("expected value"));
-    double d = 0;
-    const auto [ptr, ec] = std::from_chars(start, p_, d);
-    if (ec != std::errc() || ptr != p_) {
-      // from_chars refuses a leading '+' and reports underflow or overflow
-      // without a value, where strtod accepts the token and rounds (to 0 or
-      // inf). Both round correctly, so the slow path changes no value.
-      const std::string token(start, p_);
-      char* end = nullptr;
-      d = std::strtod(token.c_str(), &end);
-      if (end != token.c_str() + token.size()) {
-        return Status::InvalidArgument(Context("bad number"));
-      }
-    }
-    *out = Value::Number(d);
-    return Status::Ok();
-  }
-
-  const char* const begin_;
-  const char* p_;
-  const char* const end_;
+  Reader reader_;
   std::vector<std::pair<std::string, Value>> members_;  // open objects
   std::vector<Value> items_;                            // open arrays
 };
@@ -377,12 +431,43 @@ bool IsIntegerIn(double d, int64_t lo, int64_t hi) {
          d == std::trunc(d);
 }
 
-namespace {
 Status MissingOrMistyped(std::string_view key, const char* want) {
+  const bool vowel = want[0] == 'a' || want[0] == 'o';
   return Status::InvalidArgument("json: field '" + std::string(key) +
-                                 "' missing or not a " + want);
+                                 "' missing or not " + (vowel ? "an " : "a ") +
+                                 want);
+}
+
+namespace {
+template <typename Int>
+Status ToIntegerImpl(std::string_view key, double d, Int* out) {
+  constexpr int64_t lo = std::numeric_limits<Int>::min();
+  constexpr int64_t hi = std::numeric_limits<Int>::max();
+  if (!IsIntegerIn(d, lo, hi)) {
+    return Status::InvalidArgument("json: field '" + std::string(key) +
+                                   "' is not an integer in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+  }
+  *out = static_cast<Int>(d);
+  return Status::Ok();
+}
+
+template <typename Int>
+Status ReadInteger(const Value& obj, std::string_view key, Int* out) {
+  const Value* v = obj.Find(key);
+  if (v == nullptr || !v->is_number()) return MissingOrMistyped(key, "number");
+  return ToIntegerImpl(key, v->AsDouble(), out);
 }
 }  // namespace
+
+Status ToInteger(std::string_view key, double d, int* out) {
+  return ToIntegerImpl(key, d, out);
+}
+
+Status ToInteger(std::string_view key, double d, int64_t* out) {
+  return ToIntegerImpl(key, d, out);
+}
 
 Status ReadBool(const Value& obj, std::string_view key, bool* out) {
   const Value* v = obj.Find(key);
@@ -390,24 +475,6 @@ Status ReadBool(const Value& obj, std::string_view key, bool* out) {
   *out = v->AsBool();
   return Status::Ok();
 }
-
-namespace {
-template <typename Int>
-Status ReadInteger(const Value& obj, std::string_view key, Int* out) {
-  const Value* v = obj.Find(key);
-  if (v == nullptr || !v->is_number()) return MissingOrMistyped(key, "number");
-  constexpr int64_t lo = std::numeric_limits<Int>::min();
-  constexpr int64_t hi = std::numeric_limits<Int>::max();
-  if (!IsIntegerIn(v->AsDouble(), lo, hi)) {
-    return Status::InvalidArgument("json: field '" + std::string(key) +
-                                   "' is not an integer in [" +
-                                   std::to_string(lo) + ", " +
-                                   std::to_string(hi) + "]");
-  }
-  *out = static_cast<Int>(v->AsDouble());
-  return Status::Ok();
-}
-}  // namespace
 
 Status ReadInt(const Value& obj, std::string_view key, int* out) {
   return ReadInteger(obj, key, out);

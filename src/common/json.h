@@ -210,7 +210,183 @@ class Writer {
   bool first_ = true;  // no comma before the next value
 };
 
-/// Parses a JSON document (UTF-8 passed through uncheck-ed; \uXXXX escapes
+/// Pulls one JSON document straight from its bytes, building no Value: the
+/// caller asks for the value it expects next. Parse builds its Value
+/// through this reader, so both accept the same documents, read
+/// bit-identical numbers and strings, cap nesting at the same depth and
+/// fail with the same messages at the same offsets.
+///
+/// Each read skips the whitespace before its token. A copy of a reader is
+/// a bookmark: assigning it back rewinds to where the copy was taken. Objects and arrays are
+/// walked with Begin* then Next* until `*more` comes back false:
+///
+///   HARMONY_RETURN_IF_ERROR(r.BeginObject());
+///   for (;;) {
+///     HARMONY_RETURN_IF_ERROR(r.NextMember(&key, &more));
+///     if (!more) break;
+///     ... read or Skip() the member's value ...
+///   }
+class Reader {
+ public:
+  /// The deepest nesting a document may have: the top-level value is at
+  /// depth 0, a member or item of a container one deeper than it.
+  static constexpr int kMaxDepth = 64;
+
+  explicit Reader(std::string_view text)
+      : begin_(text.data()), p_(text.data()), end_(text.data() + text.size()) {}
+
+  /// The type of the next value, judged by its first byte. A byte that
+  /// starts no other type reports kNumber and the end of the input kNull,
+  /// so the matching read then fails with the parser's message.
+  Value::Type Peek();
+
+  Status ReadNull();
+  Status ReadBool(bool* out);
+  Status ReadNumber(double* out);
+  /// Unescapes the next string into `*out`.
+  Status ReadString(std::string* out);
+  /// Reads the next string without copying it when it holds no escapes:
+  /// `*out` then views the input; otherwise it views an unescaped copy the
+  /// reader keeps until its next string read.
+  Status ReadString(std::string_view* out);
+
+  /// Opens the object (array) whose '{' ('[') is next.
+  Status BeginObject();
+  Status BeginArray();
+  /// Steps to the next member of the innermost open object: sets `*key`
+  /// (as ReadString does) and consumes the ':' before the value, or, at the
+  /// closing '}', consumes it and sets `*more` to false.
+  Status NextMember(std::string_view* key, bool* more);
+  Status NextMember(std::string* key, bool* more);
+  /// Steps to the next item of the innermost open array, or past its ']'.
+  Status NextItem(bool* more);
+
+  /// Reads the next value of any type, validating it, and discards it.
+  Status Skip();
+  /// Succeeds when only whitespace remains.
+  Status Finish();
+
+  /// Bytes consumed so far.
+  size_t offset() const { return static_cast<size_t>(p_ - begin_); }
+
+ private:
+  Status Error(const char* what) const;
+  void SkipWs();
+  bool Consume(char c);
+  /// Skips whitespace and checks the depth cap and the end of the input.
+  Status StartValue();
+  /// Scans the next number's token: the grammar json::Parse accepts,
+  /// which std::strtod consumes whole.
+  Status NumberToken(std::string_view* token);
+  /// The separator before the next member or item: true when one follows.
+  Status Separate(char close, const char* expected, bool* more);
+  /// Reads a string body; see ReadString(std::string_view*). When it holds
+  /// escapes they are unescaped into `*buf`.
+  Status StringBody(std::string* buf, std::string_view* out);
+  /// StringBody past its first escape; `run` starts the unescaped prefix.
+  Status EscapedString(const char* run, std::string* buf, std::string_view* out);
+  Status Key(std::string* buf, std::string_view* key);
+
+  const char* begin_;
+  const char* p_;
+  const char* end_;
+  int depth_ = 0;      // open containers
+  bool first_ = true;  // no member or item read yet in the innermost one
+  std::string scratch_;  // unescaped strings read as views
+};
+
+// The reader's per-token steps, inline: a plan frame takes a few hundred.
+
+inline void Reader::SkipWs() {
+  while (p_ != end_ &&
+         (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
+    ++p_;
+  }
+}
+
+inline bool Reader::Consume(char c) {
+  if (p_ != end_ && *p_ == c) {
+    ++p_;
+    return true;
+  }
+  return false;
+}
+
+inline Status Reader::StartValue() {
+  SkipWs();
+  // Depth-capped so hostile input can't blow the stack of a daemon thread.
+  if (depth_ > kMaxDepth) return Error("nesting too deep");
+  if (p_ == end_) return Error("unexpected end");
+  return Status::Ok();
+}
+
+inline Value::Type Reader::Peek() {
+  SkipWs();
+  if (p_ == end_) return Value::Type::kNull;
+  switch (*p_) {
+    case '{': return Value::Type::kObject;
+    case '[': return Value::Type::kArray;
+    case '"': return Value::Type::kString;
+    case 't':
+    case 'f': return Value::Type::kBool;
+    case 'n': return Value::Type::kNull;
+    default: return Value::Type::kNumber;
+  }
+}
+
+inline Status Reader::StringBody(std::string* buf, std::string_view* out) {
+  if (!Consume('"')) return Error("expected string");
+  // Fast path: a string without escapes is a view of the input.
+  const char* run = p_;
+  while (p_ != end_ && *p_ != '"' && *p_ != '\\') ++p_;
+  if (p_ != end_ && *p_ == '"') {
+    *out = std::string_view(run, static_cast<size_t>(p_ - run));
+    ++p_;
+    return Status::Ok();
+  }
+  return EscapedString(run, buf, out);
+}
+
+inline Status Reader::ReadString(std::string_view* out) {
+  HARMONY_RETURN_IF_ERROR(StartValue());
+  HARMONY_RETURN_IF_ERROR(StringBody(&scratch_, out));
+  first_ = false;
+  return Status::Ok();
+}
+
+inline Status Reader::Separate(char close, const char* expected, bool* more) {
+  SkipWs();
+  const bool first = first_;
+  first_ = false;
+  if (Consume(close)) {
+    // Closing a container completes a value of the one around it.
+    --depth_;
+    *more = false;
+    return Status::Ok();
+  }
+  if (!first && !Consume(',')) return Error(expected);
+  *more = true;
+  return Status::Ok();
+}
+
+inline Status Reader::Key(std::string* buf, std::string_view* key) {
+  SkipWs();
+  HARMONY_RETURN_IF_ERROR(StringBody(buf, key));
+  SkipWs();
+  if (!Consume(':')) return Error("expected ':'");
+  return Status::Ok();
+}
+
+inline Status Reader::NextMember(std::string_view* key, bool* more) {
+  HARMONY_RETURN_IF_ERROR(Separate('}', "expected ',' or '}'", more));
+  return *more ? Key(&scratch_, key) : Status::Ok();
+}
+
+inline Status Reader::NextItem(bool* more) {
+  return Separate(']', "expected ',' or ']'", more);
+}
+
+/// Parses a JSON document (UTF-8 passed through unchecked; \uXXXX escapes
 /// outside ASCII are rejected rather than decoded — the wire format never
 /// produces them). Trailing garbage after the document is an error.
 Result<Value> Parse(std::string_view text);
@@ -228,6 +404,15 @@ Result<uint64_t> ParseFingerprintHex(std::string_view hex);
 /// True when `d` is an integer in [lo, hi], i.e. converts to int64_t
 /// without truncating, wrapping or undefined behaviour.
 bool IsIntegerIn(double d, int64_t lo, int64_t hi);
+
+/// The InvalidArgument for an object member `key` that is absent or is not
+/// a `want` ("number", "string", "bool", "object", "array").
+Status MissingOrMistyped(std::string_view key, const char* want);
+
+/// `d` as the integer type of `out`, or an InvalidArgument naming `key`
+/// when `d` is not an integer that fits it.
+Status ToInteger(std::string_view key, double d, int* out);
+Status ToInteger(std::string_view key, double d, int64_t* out);
 
 // Typed field accessors: read `key` from object `obj` into `out`, failing
 // with a descriptive InvalidArgument when the key is missing or mistyped.

@@ -321,20 +321,20 @@ void PlanServer::DispatchFrame(Loop* loop, Conn* conn, std::string payload) {
     return;
   }
 
-  auto parsed = json::Parse(payload);
-  if (!parsed.ok()) {
+  // One validating pass over the bytes finds the type and decodes the
+  // request straight into a PlanRequest, with no json::Value.
+  auto envelope = ScanEnvelope(payload);
+  if (!envelope.ok()) {
     // The framing is intact — only this payload is garbage. Answer with an
     // error frame and keep the connection usable.
-    DeliverError(loop, conn, seq, "bad frame: " + parsed.status().ToString());
+    DeliverError(loop, conn, seq, "bad frame: " + envelope.status().ToString());
     return;
   }
-  const json::Value& envelope = parsed.value();
-  std::string type;
-  if (!envelope.is_object() ||
-      !json::ReadString(envelope, "type", &type).ok()) {
+  if (!envelope.value().has_type) {
     DeliverError(loop, conn, seq, "envelope missing \"type\"");
     return;
   }
+  const std::string& type = envelope.value().type;
 
   if (type == "ping") {
     json::Value reply = json::Value::Object();
@@ -363,15 +363,14 @@ void PlanServer::DispatchFrame(Loop* loop, Conn* conn, std::string payload) {
   }
 
   if (type == "plan") {
-    const json::Value* req = envelope.Find("request");
-    if (req == nullptr) {
+    if (!envelope.value().has_request) {
       DeliverError(loop, conn, seq, "plan envelope missing \"request\"");
       return;
     }
-    auto request = PlanRequestFromJson(*req);
-    if (!request.ok()) {
+    if (!envelope.value().request_status.ok()) {
       DeliverError(loop, conn, seq,
-                   "bad plan request: " + request.status().ToString());
+                   "bad plan request: " +
+                       envelope.value().request_status.ToString());
       return;
     }
     conn->service_inflight++;
@@ -382,7 +381,7 @@ void PlanServer::DispatchFrame(Loop* loop, Conn* conn, std::string payload) {
     // thread; searches run it on a PlanService worker, which serializes the
     // envelope off-loop and posts the bytes through the completion queue.
     service_->SubmitAsync(
-        request.value(),
+        envelope.value().request,
         [this, loop, conn_fd, conn_gen, seq,
          request_bytes = std::move(payload)](PlanResponse response) mutable {
           Completion c;
@@ -408,7 +407,13 @@ void PlanServer::DispatchFrame(Loop* loop, Conn* conn, std::string payload) {
   // handlers answer inline on the loop thread; an empty reply means the
   // type is unknown to the extension too.
   if (options_.extension) {
-    std::string reply = options_.extension(type, envelope);
+    // Extensions take the envelope as a json::Value.
+    auto parsed = json::Parse(payload);
+    if (!parsed.ok()) {
+      DeliverError(loop, conn, seq, "bad frame: " + parsed.status().ToString());
+      return;
+    }
+    std::string reply = options_.extension(type, parsed.value());
     if (!reply.empty()) {
       DeliverResponse(loop, conn, seq, std::move(reply));
       return;

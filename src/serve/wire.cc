@@ -1,5 +1,6 @@
 #include "serve/wire.h"
 
+#include <array>
 #include <cstdlib>
 #include <limits>
 #include <string_view>
@@ -95,22 +96,119 @@ json::Value TimesArrayToJson(const runtime::PerDevice<TimeSec>& xs) {
   return arr;
 }
 
-Status NumberArrayFromJson(const json::Value& obj, std::string_view key,
-                           std::vector<double>* out) {
-  const json::Value* v = obj.Find(key);
-  if (v == nullptr || !v->is_array()) {
-    return Status::InvalidArgument("field '" + std::string(key) +
-                                   "' missing or not an array");
+/// One member a byte decoder reads, with the JSON type a missing or
+/// mistyped occurrence is reported as.
+struct Member {
+  std::string_view key;
+  const char* want;
+};
+
+template <size_t N>
+constexpr uint32_t AllOf(const std::array<Member, N>&) {
+  return (uint32_t{1} << N) - 1;
+}
+
+/// Walks the object at `r`: calls `read(i)`, with the reader at the value,
+/// for the first occurrence of each key in `members`, and skips (still
+/// validating) every other member, unknown or repeated. So the first
+/// occurrence wins, as with json::Value::Find.
+template <size_t N, typename ReadFn>
+Status ReadMembers(json::Reader* r, std::string_view what,
+                   const std::array<Member, N>& members, ReadFn read) {
+  static_assert(N <= 32);
+  if (r->Peek() != json::Value::Type::kObject) {
+    return Status::InvalidArgument(std::string(what) + ": not an object");
   }
-  out->clear();
-  for (const json::Value& item : v->items()) {
-    if (!item.is_number()) {
-      return Status::InvalidArgument("field '" + std::string(key) +
-                                     "' has a non-numeric element");
+  HARMONY_RETURN_IF_ERROR(r->BeginObject());
+  uint32_t seen = 0;
+  std::string_view key;
+  bool more = false;
+  for (;;) {
+    HARMONY_RETURN_IF_ERROR(r->NextMember(&key, &more));
+    if (!more) return Status::Ok();
+    size_t i = 0;
+    // Member keys are never empty; the first byte settles most mismatches.
+    while (i < N && ((seen >> i & 1) != 0 || members[i].key.size() != key.size() ||
+                     members[i].key[0] != key[0] || members[i].key != key)) {
+      ++i;
     }
-    out->push_back(item.AsDouble());
+    if (i == N) {
+      HARMONY_RETURN_IF_ERROR(r->Skip());
+      continue;
+    }
+    seen |= uint32_t{1} << i;
+    HARMONY_RETURN_IF_ERROR(read(i));
+  }
+}
+
+/// The first of the `required` members (a bit mask) missing from `got`.
+template <size_t N>
+Status Require(const std::array<Member, N>& members, uint32_t got,
+               uint32_t required) {
+  for (size_t i = 0; i < N; ++i) {
+    if ((required >> i & 1) != 0 && (got >> i & 1) == 0) {
+      return json::MissingOrMistyped(members[i].key, members[i].want);
+    }
   }
   return Status::Ok();
+}
+
+// Take: reads member `i`'s value into `*out` and sets bit `i` of `*got`
+// when the value has out's JSON type; skips any other value, validating it,
+// so Require reports the member as missing or mistyped.
+
+Status Take(json::Reader* r, size_t i, uint32_t* got, bool* out) {
+  if (r->Peek() != json::Value::Type::kBool) return r->Skip();
+  *got |= uint32_t{1} << i;
+  return r->ReadBool(out);
+}
+
+Status Take(json::Reader* r, size_t i, uint32_t* got, double* out) {
+  if (r->Peek() != json::Value::Type::kNumber) return r->Skip();
+  *got |= uint32_t{1} << i;
+  return r->ReadNumber(out);
+}
+
+Status Take(json::Reader* r, size_t i, uint32_t* got, std::string* out) {
+  if (r->Peek() != json::Value::Type::kString) return r->Skip();
+  *got |= uint32_t{1} << i;
+  return r->ReadString(out);
+}
+
+/// Integers travel as numbers; one that is not an integer of out's type is
+/// an error naming `key`.
+template <typename Int>
+Status TakeInteger(json::Reader* r, std::string_view key, size_t i,
+                   uint32_t* got, Int* out) {
+  if (r->Peek() != json::Value::Type::kNumber) return r->Skip();
+  *got |= uint32_t{1} << i;
+  double d = 0;
+  HARMONY_RETURN_IF_ERROR(r->ReadNumber(&d));
+  return json::ToInteger(key, d, out);
+}
+
+/// Reads the array at `r`, calling `item()` with the reader at each item.
+template <typename ItemFn>
+Status ReadArray(json::Reader* r, std::string_view key, ItemFn item) {
+  if (r->Peek() != json::Value::Type::kArray) {
+    return json::MissingOrMistyped(key, "array");
+  }
+  HARMONY_RETURN_IF_ERROR(r->BeginArray());
+  bool more = false;
+  for (;;) {
+    HARMONY_RETURN_IF_ERROR(r->NextItem(&more));
+    if (!more) return Status::Ok();
+    HARMONY_RETURN_IF_ERROR(item());
+  }
+}
+
+/// An array item that must be a number.
+Status ReadNumberItem(json::Reader* r, std::string_view key, double* out) {
+  if (r->Peek() != json::Value::Type::kNumber) {
+    return Status::InvalidArgument("field '" + std::string(key) +
+                                   "' has a non-numeric element");
+  }
+  return r->ReadNumber(out);
 }
 
 }  // namespace
@@ -206,32 +304,65 @@ json::Value ModelSpecToJson(const ModelSpec& spec) {
   return Reparse([&spec](json::Writer* w) { WriteModelSpec(spec, w); });
 }
 
-Result<ModelSpec> ModelSpecFromJson(const json::Value& v) {
-  if (!v.is_object()) return Status::InvalidArgument("model: not an object");
+namespace {
+
+enum ModelMember { kKind, kName, kBillions, kBlocks, kHidden, kSeqLen, kHeads,
+                   kVocab, kIsBert };
+constexpr std::array<Member, 9> kModelMembers = {{
+    {"kind", "string"}, {"name", "string"}, {"billions", "number"},
+    {"blocks", "number"}, {"hidden", "number"}, {"seq_len", "number"},
+    {"heads", "number"}, {"vocab", "number"}, {"is_bert", "bool"}}};
+
+constexpr uint32_t Bit(int member) { return uint32_t{1} << member; }
+
+}  // namespace
+
+Status Decode(json::Reader* r, ModelSpec* out) {
+  // Which members a spec needs depends on its kind, which may come last:
+  // read every member of the right type, then require the kind's.
+  uint32_t got = 0;
   std::string kind;
-  HARMONY_RETURN_IF_ERROR(json::ReadString(v, "kind", &kind));
-  ModelSpec spec;
+  double billions = 0;
+  double dims[5] = {};  // blocks, hidden, seq_len, heads, vocab
+  bool is_bert = false;
+  HARMONY_RETURN_IF_ERROR(ReadMembers(r, "model", kModelMembers, [&](size_t i) {
+    switch (i) {
+      case kKind: return Take(r, i, &got, &kind);
+      case kName: return Take(r, i, &got, &out->name);
+      case kBillions: return Take(r, i, &got, &billions);
+      case kIsBert: return Take(r, i, &got, &is_bert);
+      default: return Take(r, i, &got, &dims[i - kBlocks]);
+    }
+  }));
+  HARMONY_RETURN_IF_ERROR(Require(kModelMembers, got, Bit(kKind)));
   if (kind == "builtin") {
-    spec.kind = ModelSpec::Kind::kBuiltin;
-    HARMONY_RETURN_IF_ERROR(json::ReadString(v, "name", &spec.name));
-  } else if (kind == "gpt2-custom") {
-    spec.kind = ModelSpec::Kind::kGpt2Custom;
-    HARMONY_RETURN_IF_ERROR(json::ReadString(v, "name", &spec.name));
-    HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "billions", &spec.billions));
-  } else if (kind == "transformer") {
-    spec.kind = ModelSpec::Kind::kTransformer;
-    HARMONY_RETURN_IF_ERROR(json::ReadString(v, "name", &spec.transformer.name));
-    spec.name = spec.transformer.name;
-    HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "blocks", &spec.transformer.num_blocks));
-    HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "hidden", &spec.transformer.hidden));
-    HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "seq_len", &spec.transformer.seq_len));
-    HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "heads", &spec.transformer.heads));
-    HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "vocab", &spec.transformer.vocab));
-    HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "is_bert", &spec.transformer.is_bert));
-  } else {
-    return Status::InvalidArgument("model: unknown kind '" + kind + "'");
+    out->kind = ModelSpec::Kind::kBuiltin;
+    return Require(kModelMembers, got, Bit(kName));
   }
-  return spec;
+  if (kind == "gpt2-custom") {
+    out->kind = ModelSpec::Kind::kGpt2Custom;
+    HARMONY_RETURN_IF_ERROR(
+        Require(kModelMembers, got, Bit(kName) | Bit(kBillions)));
+    out->billions = billions;
+    return Status::Ok();
+  }
+  if (kind == "transformer") {
+    out->kind = ModelSpec::Kind::kTransformer;
+    HARMONY_RETURN_IF_ERROR(Require(kModelMembers, got,
+                                    AllOf(kModelMembers) & ~Bit(kKind) &
+                                        ~Bit(kBillions)));
+    model::TransformerConfig& t = out->transformer;
+    t.name = out->name;
+    int* const fields[] = {&t.num_blocks, &t.hidden, &t.seq_len, &t.heads,
+                           &t.vocab};
+    for (int d = 0; d < 5; ++d) {
+      HARMONY_RETURN_IF_ERROR(
+          json::ToInteger(kModelMembers[kBlocks + d].key, dims[d], fields[d]));
+    }
+    t.is_bert = is_bert;
+    return Status::Ok();
+  }
+  return Status::InvalidArgument("model: unknown kind '" + kind + "'");
 }
 
 // ---------------------------------------------------------------------------
@@ -289,66 +420,86 @@ json::Value MachineSpecToJson(const hw::MachineSpec& machine) {
   return Reparse([&machine](json::Writer* w) { WriteMachineSpec(machine, w); });
 }
 
-Result<hw::MachineSpec> MachineSpecFromJson(const json::Value& v) {
-  if (!v.is_object()) return Status::InvalidArgument("machine: not an object");
-  hw::MachineSpec m;
-  HARMONY_RETURN_IF_ERROR(json::ReadString(v, "name", &m.name));
-  const json::Value* gpu = v.Find("gpu");
-  if (gpu == nullptr || !gpu->is_object()) {
-    return Status::InvalidArgument("machine: 'gpu' missing or not an object");
-  }
-  HARMONY_RETURN_IF_ERROR(json::ReadString(*gpu, "name", &m.gpu.name));
-  HARMONY_RETURN_IF_ERROR(json::ReadInt64(*gpu, "memory_capacity", &m.gpu.memory_capacity));
-  HARMONY_RETURN_IF_ERROR(json::ReadDouble(*gpu, "peak_flops", &m.gpu.peak_flops));
-  HARMONY_RETURN_IF_ERROR(json::ReadDouble(*gpu, "usable_fraction", &m.gpu.usable_fraction));
-  HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "num_gpus", &m.num_gpus));
-  HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "num_switches", &m.num_switches));
-  std::vector<double> topo;
-  HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, "gpu_to_switch", &topo));
-  for (double s : topo) {
-    if (!json::IsIntegerIn(s, std::numeric_limits<int>::min(),
-                           std::numeric_limits<int>::max())) {
-      return Status::InvalidArgument(
-          "machine: gpu_to_switch holds a non-integer");
+namespace {
+
+constexpr std::array<Member, 4> kGpuMembers = {{{"name", "string"},
+                                                {"memory_capacity", "number"},
+                                                {"peak_flops", "number"},
+                                                {"usable_fraction", "number"}}};
+
+enum MachineMember { kMachineName, kGpu, kNumGpus, kNumSwitches, kGpuToSwitch,
+                     kPcieBw, kUplinkBw, kHostMemBw, kNvlinkBw, kHostMemory,
+                     kCpuUpdateBw, kPerGpu, kLinkBwScale };
+constexpr std::array<Member, 13> kMachineMembers = {{
+    {"name", "string"}, {"gpu", "object"}, {"num_gpus", "number"},
+    {"num_switches", "number"}, {"gpu_to_switch", "array"},
+    {"pcie_bw", "number"}, {"uplink_bw", "number"},
+    {"host_mem_bw", "number"}, {"nvlink_bw", "number"},
+    {"host_memory", "number"}, {"cpu_update_bw", "number"},
+    {"per_gpu", "array"}, {"link_bw_scale", "array"}}};
+
+}  // namespace
+
+Status Decode(json::Reader* r, hw::GpuSpec* out) {
+  uint32_t got = 0;
+  HARMONY_RETURN_IF_ERROR(ReadMembers(r, "gpu", kGpuMembers, [&](size_t i) {
+    switch (i) {
+      case 0: return Take(r, i, &got, &out->name);
+      case 1: return TakeInteger(r, "memory_capacity", i, &got,
+                                 &out->memory_capacity);
+      case 2: return Take(r, i, &got, &out->peak_flops);
+      default: return Take(r, i, &got, &out->usable_fraction);
     }
-    m.gpu_to_switch.push_back(static_cast<int>(s));
-  }
-  if (static_cast<int>(m.gpu_to_switch.size()) != m.num_gpus) {
-    return Status::InvalidArgument("machine: gpu_to_switch size != num_gpus");
-  }
-  HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "pcie_bw", &m.pcie_bw));
-  HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "uplink_bw", &m.uplink_bw));
-  HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "host_mem_bw", &m.host_mem_bw));
-  HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "nvlink_bw", &m.nvlink_bw));
-  HARMONY_RETURN_IF_ERROR(json::ReadInt64(v, "host_memory", &m.host_memory));
-  HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "cpu_update_bw", &m.cpu_update_bw));
-  if (m.num_gpus < 1) return Status::InvalidArgument("machine: num_gpus < 1");
-  // Optional heterogeneous-fleet fields (absent from homogeneous peers).
-  if (const json::Value* per = v.Find("per_gpu"); per != nullptr) {
-    if (!per->is_array()) {
-      return Status::InvalidArgument("machine: per_gpu is not an array");
+  }));
+  return Require(kGpuMembers, got, AllOf(kGpuMembers));
+}
+
+Status Decode(json::Reader* r, hw::MachineSpec* out) {
+  // The heterogeneous-fleet members are optional: homogeneous peers omit them.
+  out->gpu_to_switch.clear();
+  out->per_gpu.clear();
+  out->link_bw_scale.clear();
+  uint32_t got = 0;
+  HARMONY_RETURN_IF_ERROR(ReadMembers(r, "machine", kMachineMembers, [&](size_t i) {
+    switch (i) {
+      case kMachineName: return Take(r, i, &got, &out->name);
+      case kGpu:
+        got |= Bit(kGpu);
+        return Decode(r, &out->gpu);
+      case kNumGpus: return TakeInteger(r, "num_gpus", i, &got, &out->num_gpus);
+      case kNumSwitches:
+        return TakeInteger(r, "num_switches", i, &got, &out->num_switches);
+      case kGpuToSwitch:
+        got |= Bit(kGpuToSwitch);
+        return ReadArray(r, "gpu_to_switch", [&] {
+          double d = 0;
+          int s = 0;
+          HARMONY_RETURN_IF_ERROR(ReadNumberItem(r, "gpu_to_switch", &d));
+          HARMONY_RETURN_IF_ERROR(json::ToInteger("gpu_to_switch", d, &s));
+          out->gpu_to_switch.push_back(s);
+          return Status::Ok();
+        });
+      case kPcieBw: return Take(r, i, &got, &out->pcie_bw);
+      case kUplinkBw: return Take(r, i, &got, &out->uplink_bw);
+      case kHostMemBw: return Take(r, i, &got, &out->host_mem_bw);
+      case kNvlinkBw: return Take(r, i, &got, &out->nvlink_bw);
+      case kHostMemory:
+        return TakeInteger(r, "host_memory", i, &got, &out->host_memory);
+      case kCpuUpdateBw: return Take(r, i, &got, &out->cpu_update_bw);
+      case kPerGpu:
+        return ReadArray(r, "per_gpu", [&] {
+          return Decode(r, &out->per_gpu.emplace_back());
+        });
+      default:
+        return ReadArray(r, "link_bw_scale", [&] {
+          return ReadNumberItem(r, "link_bw_scale",
+                                &out->link_bw_scale.emplace_back());
+        });
     }
-    for (size_t i = 0; i < per->size(); ++i) {
-      const json::Value& pg = per->at(i);
-      if (!pg.is_object()) {
-        return Status::InvalidArgument("machine: per_gpu entry not an object");
-      }
-      hw::GpuSpec g;
-      HARMONY_RETURN_IF_ERROR(json::ReadString(pg, "name", &g.name));
-      HARMONY_RETURN_IF_ERROR(
-          json::ReadInt64(pg, "memory_capacity", &g.memory_capacity));
-      HARMONY_RETURN_IF_ERROR(json::ReadDouble(pg, "peak_flops", &g.peak_flops));
-      HARMONY_RETURN_IF_ERROR(
-          json::ReadDouble(pg, "usable_fraction", &g.usable_fraction));
-      m.per_gpu.push_back(std::move(g));
-    }
-  }
-  if (v.Find("link_bw_scale") != nullptr) {
-    HARMONY_RETURN_IF_ERROR(
-        NumberArrayFromJson(v, "link_bw_scale", &m.link_bw_scale));
-  }
-  HARMONY_RETURN_IF_ERROR(m.Validate());
-  return m;
+  }));
+  HARMONY_RETURN_IF_ERROR(Require(kMachineMembers, got,
+                                  Bit(kPerGpu) - 1));
+  return out->Validate();
 }
 
 // ---------------------------------------------------------------------------
@@ -383,43 +534,61 @@ json::Value SearchOptionsToJson(const core::SearchOptions& options) {
   });
 }
 
-Result<core::SearchOptions> SearchOptionsFromJson(const json::Value& v) {
-  if (!v.is_object()) return Status::InvalidArgument("options: not an object");
-  core::SearchOptions o;
-  HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "u_fwd_max", &o.u_fwd_max));
-  HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "u_bwd_max", &o.u_bwd_max));
-  HARMONY_RETURN_IF_ERROR(json::ReadDouble(v, "capacity_fraction", &o.capacity_fraction));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "equi_fb", &o.equi_fb));
-  HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "num_threads", &o.num_threads));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "keep_explored", &o.keep_explored));
+namespace {
+
+enum OptionsMember { kUFwdMax, kUBwdMax, kCapacityFraction, kEquiFb,
+                     kNumThreads, kKeepExplored, kPolicyMode };
+constexpr std::array<Member, 7> kOptionsMembers = {{
+    {"u_fwd_max", "number"}, {"u_bwd_max", "number"},
+    {"capacity_fraction", "number"}, {"equi_fb", "bool"},
+    {"num_threads", "number"}, {"keep_explored", "bool"},
+    {"policy_mode", "string"}}};
+
+}  // namespace
+
+Status Decode(json::Reader* r, core::SearchOptions* out) {
+  uint32_t got = 0;
+  std::string policy_mode;
+  HARMONY_RETURN_IF_ERROR(ReadMembers(r, "options", kOptionsMembers, [&](size_t i) {
+    switch (i) {
+      case kUFwdMax: return TakeInteger(r, "u_fwd_max", i, &got, &out->u_fwd_max);
+      case kUBwdMax: return TakeInteger(r, "u_bwd_max", i, &got, &out->u_bwd_max);
+      case kCapacityFraction: return Take(r, i, &got, &out->capacity_fraction);
+      case kEquiFb: return Take(r, i, &got, &out->equi_fb);
+      case kNumThreads:
+        return TakeInteger(r, "num_threads", i, &got, &out->num_threads);
+      case kKeepExplored: return Take(r, i, &got, &out->keep_explored);
+      default: return Take(r, i, &got, &policy_mode);
+    }
+  }));
+  HARMONY_RETURN_IF_ERROR(Require(kOptionsMembers, got, Bit(kPolicyMode) - 1));
   // Out-of-range values would trip CHECKs deep in the search (a non-positive
   // packing capacity aborts the process), so reject them at the boundary.
-  if (!(o.capacity_fraction > 0.0 && o.capacity_fraction <= 1.0)) {
+  if (!(out->capacity_fraction > 0.0 && out->capacity_fraction <= 1.0)) {
     return Status::InvalidArgument("options: capacity_fraction must be in (0, 1]");
   }
-  if (o.u_fwd_max < 1 || o.u_bwd_max < 1) {
+  if (out->u_fwd_max < 1 || out->u_bwd_max < 1) {
     return Status::InvalidArgument("options: u_fwd_max and u_bwd_max must be >= 1");
   }
-  for (const auto& [name, value] :
-       {std::pair{"u_fwd_max", o.u_fwd_max}, std::pair{"u_bwd_max", o.u_bwd_max}}) {
+  for (const auto& [name, value] : {std::pair{"u_fwd_max", out->u_fwd_max},
+                                    std::pair{"u_bwd_max", out->u_bwd_max}}) {
     if (value > kMaxRequestMicrobatch) {
       return Status::InvalidArgument(
           "options: " + std::string(name) + " " + std::to_string(value) +
           " exceeds " + std::to_string(kMaxRequestMicrobatch));
     }
   }
-  if (o.num_threads > kMaxRequestThreads) {
+  if (out->num_threads > kMaxRequestThreads) {
     return Status::InvalidArgument(
-        "options: num_threads " + std::to_string(o.num_threads) +
+        "options: num_threads " + std::to_string(out->num_threads) +
         " exceeds " + std::to_string(kMaxRequestThreads));
   }
   // Residency-policy knob: absent from pre-policy peers, so default to legacy.
-  std::string policy_mode = "legacy";
-  (void)json::ReadString(v, "policy_mode", &policy_mode);
+  if ((got & Bit(kPolicyMode)) == 0) policy_mode = "legacy";
   auto pm = core::PolicyModeFromName(policy_mode);
   HARMONY_RETURN_IF_ERROR(pm.status());
-  o.policy_mode = pm.value();
-  return o;
+  out->policy_mode = pm.value();
+  return Status::Ok();
 }
 
 namespace {
@@ -447,24 +616,33 @@ json::Value OptimizationFlagsToJson(const core::OptimizationFlags& flags) {
       [&flags](json::Writer* w) { WriteOptimizationFlags(flags, w); });
 }
 
-Result<core::OptimizationFlags> OptimizationFlagsFromJson(const json::Value& v) {
-  if (!v.is_object()) return Status::InvalidArgument("flags: not an object");
-  core::OptimizationFlags f;
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "input_batch_grouping", &f.input_batch_grouping));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "jit_update", &f.jit_update));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "jit_compute", &f.jit_compute));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "p2p_transfers", &f.p2p_transfers));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "prefetch", &f.prefetch));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "cpu_optimizer", &f.cpu_optimizer));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "smart_eviction", &f.smart_eviction));
+namespace {
+
+constexpr std::array<Member, 8> kFlagsMembers = {{
+    {"input_batch_grouping", "bool"}, {"jit_update", "bool"},
+    {"jit_compute", "bool"}, {"p2p_transfers", "bool"}, {"prefetch", "bool"},
+    {"cpu_optimizer", "bool"}, {"smart_eviction", "bool"},
+    {"use_recompute", "bool"}}};
+
+}  // namespace
+
+Status Decode(json::Reader* r, core::OptimizationFlags* out) {
+  uint32_t got = 0;
   bool use_recompute = true;
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "use_recompute", &use_recompute));
+  bool* const fields[] = {&out->input_batch_grouping, &out->jit_update,
+                          &out->jit_compute,          &out->p2p_transfers,
+                          &out->prefetch,             &out->cpu_optimizer,
+                          &out->smart_eviction,       &use_recompute};
+  HARMONY_RETURN_IF_ERROR(ReadMembers(r, "flags", kFlagsMembers, [&](size_t i) {
+    return Take(r, i, &got, fields[i]);
+  }));
+  HARMONY_RETURN_IF_ERROR(Require(kFlagsMembers, got, AllOf(kFlagsMembers)));
   if (!use_recompute) {
     return Status::InvalidArgument(
         "flags: use_recompute must be true; select a keep-all stash with "
         "policy_mode=keep");
   }
-  return f;
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +725,18 @@ Result<runtime::RunMetrics> RunMetricsFromJson(const json::Value& v) {
   std::vector<double> tmp;
   // Per-device arrays: no machine has more than hw::kMaxGpus devices.
   auto read_array = [&v, &tmp](const char* key) {
-    HARMONY_RETURN_IF_ERROR(NumberArrayFromJson(v, key, &tmp));
+    const json::Value* arr = v.Find(key);
+    if (arr == nullptr || !arr->is_array()) {
+      return json::MissingOrMistyped(key, "array");
+    }
+    tmp.clear();
+    for (const json::Value& item : arr->items()) {
+      if (!item.is_number()) {
+        return Status::InvalidArgument("field '" + std::string(key) +
+                                       "' has a non-numeric element");
+      }
+      tmp.push_back(item.AsDouble());
+    }
     if (tmp.size() > static_cast<size_t>(hw::kMaxGpus)) {
       return Status::InvalidArgument("metrics: field '" + std::string(key) +
                                      "' has more than " +
@@ -620,45 +809,95 @@ json::Value PlanRequestToJson(const PlanRequest& request) {
   });
 }
 
-Result<PlanRequest> PlanRequestFromJson(const json::Value& v) {
-  if (!v.is_object()) return Status::InvalidArgument("request: not an object");
-  PlanRequest r;
-  const json::Value* model = v.Find("model");
-  if (model == nullptr) return Status::InvalidArgument("request: missing 'model'");
-  auto m = ModelSpecFromJson(*model);
-  HARMONY_RETURN_IF_ERROR(m.status());
-  r.model = std::move(m).value();
-  const json::Value* machine = v.Find("machine");
-  if (machine == nullptr) return Status::InvalidArgument("request: missing 'machine'");
-  auto mach = MachineSpecFromJson(*machine);
-  HARMONY_RETURN_IF_ERROR(mach.status());
-  r.machine = std::move(mach).value();
+namespace {
+
+enum RequestMember { kModel, kMachine, kMode, kMinibatch, kFlags, kOptions,
+                     kRunIteration, kDeadlineMs, kBypassCache };
+constexpr std::array<Member, 9> kRequestMembers = {{
+    {"model", "object"}, {"machine", "object"}, {"mode", "string"},
+    {"minibatch", "number"}, {"flags", "object"}, {"options", "object"},
+    {"run_iteration", "bool"}, {"deadline_ms", "number"},
+    {"bypass_cache", "bool"}}};
+
+}  // namespace
+
+Status Decode(json::Reader* r, PlanRequest* out) {
+  uint32_t got = 0;
   std::string mode;
-  HARMONY_RETURN_IF_ERROR(json::ReadString(v, "mode", &mode));
+  HARMONY_RETURN_IF_ERROR(ReadMembers(r, "request", kRequestMembers, [&](size_t i) {
+    switch (i) {
+      case kModel:
+        got |= Bit(kModel);
+        return Decode(r, &out->model);
+      case kMachine:
+        got |= Bit(kMachine);
+        return Decode(r, &out->machine);
+      case kMode: return Take(r, i, &got, &mode);
+      case kMinibatch: return TakeInteger(r, "minibatch", i, &got, &out->minibatch);
+      case kFlags:
+        got |= Bit(kFlags);
+        return Decode(r, &out->flags);
+      case kOptions:
+        got |= Bit(kOptions);
+        return Decode(r, &out->options);
+      case kRunIteration: return Take(r, i, &got, &out->run_iteration);
+      case kDeadlineMs:
+        return TakeInteger(r, "deadline_ms", i, &got, &out->deadline_ms);
+      default: return Take(r, i, &got, &out->bypass_cache);
+    }
+  }));
+  HARMONY_RETURN_IF_ERROR(Require(kRequestMembers, got, AllOf(kRequestMembers)));
   auto md = ModeFromWireName(mode);
   HARMONY_RETURN_IF_ERROR(md.status());
-  r.mode = md.value();
-  HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "minibatch", &r.minibatch));
-  if (r.minibatch < 1) return Status::InvalidArgument("request: minibatch < 1");
-  if (r.minibatch > kMaxRequestMinibatch) {
+  out->mode = md.value();
+  if (out->minibatch < 1) return Status::InvalidArgument("request: minibatch < 1");
+  if (out->minibatch > kMaxRequestMinibatch) {
     return Status::InvalidArgument(
-        "request: minibatch " + std::to_string(r.minibatch) + " exceeds " +
+        "request: minibatch " + std::to_string(out->minibatch) + " exceeds " +
         std::to_string(kMaxRequestMinibatch));
   }
-  const json::Value* flags = v.Find("flags");
-  if (flags == nullptr) return Status::InvalidArgument("request: missing 'flags'");
-  auto f = OptimizationFlagsFromJson(*flags);
-  HARMONY_RETURN_IF_ERROR(f.status());
-  r.flags = f.value();
-  const json::Value* options = v.Find("options");
-  if (options == nullptr) return Status::InvalidArgument("request: missing 'options'");
-  auto o = SearchOptionsFromJson(*options);
-  HARMONY_RETURN_IF_ERROR(o.status());
-  r.options = o.value();
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "run_iteration", &r.run_iteration));
-  HARMONY_RETURN_IF_ERROR(json::ReadInt(v, "deadline_ms", &r.deadline_ms));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "bypass_cache", &r.bypass_cache));
-  return r;
+  return Status::Ok();
+}
+
+Result<PlanRequest> PlanRequestFromJson(const json::Value& v) {
+  return DecodeBytes<PlanRequest>(v.Dump());
+}
+
+Result<Envelope> ScanEnvelope(std::string_view frame) {
+  json::Reader r(frame);
+  Envelope envelope;
+  if (r.Peek() != json::Value::Type::kObject) {
+    HARMONY_RETURN_IF_ERROR(r.Skip());
+    HARMONY_RETURN_IF_ERROR(r.Finish());
+    return envelope;
+  }
+  HARMONY_RETURN_IF_ERROR(r.BeginObject());
+  bool type_seen = false;
+  std::string_view key;
+  bool more = false;
+  for (;;) {
+    HARMONY_RETURN_IF_ERROR(r.NextMember(&key, &more));
+    if (!more) break;
+    if (key == "type" && !type_seen) {
+      type_seen = true;
+      if (r.Peek() == json::Value::Type::kString) {
+        envelope.has_type = true;
+        HARMONY_RETURN_IF_ERROR(r.ReadString(&envelope.type));
+        continue;
+      }
+    } else if (key == "request" && !envelope.has_request) {
+      envelope.has_request = true;
+      const json::Reader at_request = r;
+      envelope.request_status = Decode(&r, &envelope.request);
+      if (envelope.request_status.ok()) continue;
+      // A frame that is not JSON is a bad frame, whatever its request
+      // lacks: re-read the request as bare JSON.
+      r = at_request;
+    }
+    HARMONY_RETURN_IF_ERROR(r.Skip());
+  }
+  HARMONY_RETURN_IF_ERROR(r.Finish());
+  return envelope;
 }
 
 json::Value PlanResponseToJson(const PlanResponse& response) {

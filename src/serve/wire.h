@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/json.h"
 #include "common/status.h"
@@ -29,9 +30,11 @@ namespace harmony::serve {
 /// cache.
 ///
 /// The request types (ModelSpec, GpuSpec, MachineSpec, flags, options,
-/// PlanRequest) each have one field list, a `Write*` routine on a
-/// json::Writer: the fingerprint is written straight from the struct, and
-/// their `*ToJson` Values are parsed from the same bytes.
+/// PlanRequest) each have one writer, a `Write*` routine on a json::Writer
+/// (the fingerprint is written straight from the struct, and their
+/// `*ToJson` Values are parsed from the same bytes), and one reader, a
+/// `Decode` overload on a json::Reader that fills the struct straight from
+/// the frame bytes, building no json::Value.
 
 /// What model to plan for. Models are described by *specs* (builder
 /// parameters), not serialized layer graphs: a spec is a few bytes, fully
@@ -139,16 +142,9 @@ void WriteModelSpec(const ModelSpec& spec, json::Writer* w);
 void WriteGpuSpec(const hw::GpuSpec& gpu, json::Writer* w);
 
 json::Value ModelSpecToJson(const ModelSpec& spec);
-Result<ModelSpec> ModelSpecFromJson(const json::Value& v);
-
 json::Value MachineSpecToJson(const hw::MachineSpec& machine);
-Result<hw::MachineSpec> MachineSpecFromJson(const json::Value& v);
-
 json::Value SearchOptionsToJson(const core::SearchOptions& options);
-Result<core::SearchOptions> SearchOptionsFromJson(const json::Value& v);
-
 json::Value OptimizationFlagsToJson(const core::OptimizationFlags& flags);
-Result<core::OptimizationFlags> OptimizationFlagsFromJson(const json::Value& v);
 
 json::Value ConfigurationToJson(const core::Configuration& config);
 Result<core::Configuration> ConfigurationFromJson(const json::Value& v);
@@ -160,10 +156,54 @@ json::Value RunMetricsToJson(const runtime::RunMetrics& metrics);
 Result<runtime::RunMetrics> RunMetricsFromJson(const json::Value& v);
 
 json::Value PlanRequestToJson(const PlanRequest& request);
+/// Decodes `v` through its bytes: `DecodeBytes<PlanRequest>(v.Dump())`.
 Result<PlanRequest> PlanRequestFromJson(const json::Value& v);
 
 json::Value PlanResponseToJson(const PlanResponse& response);
 Result<PlanResponse> PlanResponseFromJson(const json::Value& v);
+
+// --- byte decoders of the request types ------------------------------------
+// Each reads one JSON object from `r` into `*out`, which starts as a
+// default-constructed value. Members may come in any order; unknown members
+// are skipped (still syntax-checked); of a repeated key the first
+// occurrence wins; keys match after unescaping. A missing or mistyped
+// member is an InvalidArgument naming it, and so is a value outside the
+// kMaxRequest* caps or MachineSpec::Validate.
+Status Decode(json::Reader* r, ModelSpec* out);
+Status Decode(json::Reader* r, hw::GpuSpec* out);
+Status Decode(json::Reader* r, hw::MachineSpec* out);
+Status Decode(json::Reader* r, core::OptimizationFlags* out);
+Status Decode(json::Reader* r, core::SearchOptions* out);
+Status Decode(json::Reader* r, PlanRequest* out);
+
+/// One whole document of type T: its Decode, then nothing but whitespace.
+template <typename T>
+Result<T> DecodeBytes(std::string_view bytes) {
+  json::Reader r(bytes);
+  T out;
+  HARMONY_RETURN_IF_ERROR(Decode(&r, &out));
+  HARMONY_RETURN_IF_ERROR(r.Finish());
+  return out;
+}
+
+/// A frame as the daemon dispatches it, read from its bytes in one pass.
+struct Envelope {
+  /// The first "type" member is a string: `type` holds it.
+  bool has_type = false;
+  std::string type;
+  /// The frame has a "request" member. The first one is decoded in place
+  /// as a PlanRequest, whatever the type, since plan frames are the common
+  /// case: `request` holds it when `request_status` is OK.
+  bool has_request = false;
+  Status request_status;
+  PlanRequest request;
+};
+
+/// Scans a frame's top-level value once, validating all of it: a frame
+/// json::Parse rejects is rejected with the same message, even where the
+/// request failed to decode first. A value that is not an object yields an
+/// Envelope with neither member.
+Result<Envelope> ScanEnvelope(std::string_view frame);
 
 /// The cluster tier's peer-fill probe (DESIGN.md §13): a daemon that missed
 /// its PlanCache asks the fingerprint's owner whether *it* holds the plan.

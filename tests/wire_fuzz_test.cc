@@ -34,23 +34,36 @@ namespace {
 
 using serve::PlanRequest;
 
-/// The daemon's decode of one frame up to the PlanRequest it would plan.
-/// Every frame the daemon answers with an error frame, or that is not a
-/// plan envelope, is an InvalidArgument here.
+/// The daemon's decode of one frame up to the PlanRequest it would plan
+/// (PlanServer::DispatchFrame). Every frame the daemon answers with an
+/// error frame, or that is not a plan envelope, is an InvalidArgument here.
 Result<PlanRequest> DecodeFrame(std::string_view frame) {
-  auto parsed = json::Parse(frame);
-  if (!parsed.ok()) return parsed.status();
-  const json::Value& envelope = parsed.value();
-  std::string type;
-  if (!envelope.is_object() || !json::ReadString(envelope, "type", &type).ok()) {
+  auto envelope = serve::ScanEnvelope(frame);
+  if (!envelope.ok()) return envelope.status();
+  if (!envelope.value().has_type) {
     return Status::InvalidArgument("envelope missing \"type\"");
   }
-  if (type != "plan") return Status::InvalidArgument("not a plan envelope");
-  const json::Value* request = envelope.Find("request");
-  if (request == nullptr) {
+  if (envelope.value().type != "plan") {
+    return Status::InvalidArgument("not a plan envelope");
+  }
+  if (!envelope.value().has_request) {
     return Status::InvalidArgument("plan envelope missing \"request\"");
   }
-  return serve::PlanRequestFromJson(*request);
+  if (!envelope.value().request_status.ok()) {
+    return envelope.value().request_status;
+  }
+  return envelope.value().request;
+}
+
+/// The envelope scan accepts exactly the frames json::Parse accepts, and
+/// rejects the others with the same message.
+void ExpectSameAsDom(std::string_view frame) {
+  const auto scanned = serve::ScanEnvelope(frame);
+  const auto parsed = json::Parse(frame);
+  ASSERT_EQ(scanned.ok(), parsed.ok()) << frame;
+  if (!parsed.ok()) {
+    EXPECT_EQ(scanned.status().message(), parsed.status().message()) << frame;
+  }
 }
 
 /// One outcome as bytes: the canonical request plus the four fields the
@@ -316,6 +329,7 @@ TEST(WireFuzz, PlanFrameOutcomesArePinned) {
   int ok = 0;
   for (size_t i = 0; i < frames.size(); ++i) {
     const auto decoded = DecodeFrame(frames[i]);
+    ExpectSameAsDom(frames[i]);
     if (decoded.ok()) {
       ++ok;
     } else {
@@ -357,6 +371,7 @@ TEST(WireFuzz, RandomSeedOutcomesAreValid) {
       }
     }
     const auto decoded = DecodeFrame(f);
+    ExpectSameAsDom(f);
     if (!decoded.ok()) {
       ASSERT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
           << "seed " << seed << " frame " << k << ": " << decoded.status();

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <memory>
 #include <set>
 #include <string>
@@ -16,6 +20,28 @@
 #include "common/rng.h"
 #include "serve/wire.h"
 #include "wire_corpus.h"
+
+// Counts global operator new calls while armed, so a test can bound how much
+// a code path allocates.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<int64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Every delete funnels through one out-of-line release, so the compiler never
+// pairs an inlined free() with a new-expression at a call site.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace harmony {
 namespace {
@@ -86,12 +112,29 @@ void ExpectRoundTrip(const T& value, ToJson to_json, FromJson from_json) {
   EXPECT_EQ(to_json(back.value()).Dump(), first);
 }
 
+/// The request types decode from bytes (serve::Decode), as the daemon reads
+/// them from a frame.
+template <typename T, typename ToJson>
+void ExpectRoundTrip(const T& value, ToJson to_json) {
+  const std::string first = to_json(value).Dump();
+  const auto parsed = json::Parse(first);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const auto back = serve::DecodeBytes<T>(first);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(to_json(back.value()).Dump(), first);
+}
+
+/// Decodes T from the bytes of `v`.
+template <typename T>
+Result<T> FromBytes(const json::Value& v) {
+  return serve::DecodeBytes<T>(v.Dump());
+}
+
 TEST(Wire, ModelSpecRoundTrips) {
   for (const char* name : {"BERT96", "GPT2", "GPT2-20B", "VGG416"}) {
     const auto spec = ModelSpec::FromName(name);
     ASSERT_TRUE(spec.ok()) << spec.status();
-    ExpectRoundTrip(spec.value(), serve::ModelSpecToJson,
-                    serve::ModelSpecFromJson);
+    ExpectRoundTrip(spec.value(), serve::ModelSpecToJson);
   }
   ModelSpec custom;
   custom.kind = ModelSpec::Kind::kTransformer;
@@ -101,14 +144,13 @@ TEST(Wire, ModelSpecRoundTrips) {
   custom.transformer.seq_len = 128;
   custom.transformer.heads = 4;
   custom.transformer.vocab = 1000;
-  ExpectRoundTrip(custom, serve::ModelSpecToJson, serve::ModelSpecFromJson);
+  ExpectRoundTrip(custom, serve::ModelSpecToJson);
 }
 
 TEST(Wire, MachineSpecRoundTrips) {
-  ExpectRoundTrip(hw::MachineSpec::Commodity4Gpu(), serve::MachineSpecToJson,
-                  serve::MachineSpecFromJson);
+  ExpectRoundTrip(hw::MachineSpec::Commodity4Gpu(), serve::MachineSpecToJson);
   ExpectRoundTrip(hw::MachineSpec::Commodity8Gpu().WithNumGpus(8),
-                  serve::MachineSpecToJson, serve::MachineSpecFromJson);
+                  serve::MachineSpecToJson);
 }
 
 TEST(Wire, HeterogeneousMachineSpecRoundTrips) {
@@ -118,9 +160,9 @@ TEST(Wire, HeterogeneousMachineSpecRoundTrips) {
   shrunk.memory_capacity = shrunk.usable_memory() - GiB(2.0);
   shrunk.usable_fraction = 1.0;
   m = m.WithGpuOverride(1, shrunk).WithLinkScale(m.LinkSwitchUp(0), 0.25);
-  ExpectRoundTrip(m, serve::MachineSpecToJson, serve::MachineSpecFromJson);
+  ExpectRoundTrip(m, serve::MachineSpecToJson);
   // A degraded daemon-side ingest sees exactly the synthesized fleet.
-  const auto parsed = serve::MachineSpecFromJson(serve::MachineSpecToJson(m));
+  const auto parsed = FromBytes<hw::MachineSpec>(serve::MachineSpecToJson(m));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().GpuAt(1).usable_memory(), shrunk.usable_memory());
   EXPECT_EQ(parsed.value().LinkScaleAt(m.LinkSwitchUp(0)), 0.25);
@@ -144,19 +186,19 @@ TEST(Wire, MachineSpecIngestValidatesFleetFields) {
   hw::MachineSpec short_vec = hw::MachineSpec::Commodity4Gpu();
   short_vec.link_bw_scale.assign(1, 0.5);
   EXPECT_FALSE(
-      serve::MachineSpecFromJson(serve::MachineSpecToJson(short_vec)).ok());
+      FromBytes<hw::MachineSpec>(serve::MachineSpecToJson(short_vec)).ok());
 
   hw::MachineSpec negative = hw::MachineSpec::Commodity4Gpu();
   negative.link_bw_scale.assign(static_cast<size_t>(negative.NumLinks()), 1.0);
   negative.link_bw_scale[0] = -0.5;
   EXPECT_FALSE(
-      serve::MachineSpecFromJson(serve::MachineSpecToJson(negative)).ok());
+      FromBytes<hw::MachineSpec>(serve::MachineSpecToJson(negative)).ok());
 
   hw::MachineSpec bad_gpu = hw::MachineSpec::Commodity4Gpu();
   bad_gpu.per_gpu.assign(static_cast<size_t>(bad_gpu.num_gpus), bad_gpu.gpu);
   bad_gpu.per_gpu[2].memory_capacity = 0;
   EXPECT_FALSE(
-      serve::MachineSpecFromJson(serve::MachineSpecToJson(bad_gpu)).ok());
+      FromBytes<hw::MachineSpec>(serve::MachineSpecToJson(bad_gpu)).ok());
 }
 
 TEST(Wire, DeviceCountsPastTheRuntimeLimitAreRejected) {
@@ -167,7 +209,7 @@ TEST(Wire, DeviceCountsPastTheRuntimeLimitAreRejected) {
   wide.num_gpus = hw::kMaxGpus + 1;
   wide.gpu_to_switch.assign(static_cast<size_t>(wide.num_gpus), 0);
   EXPECT_FALSE(wide.Validate().ok());
-  EXPECT_FALSE(serve::MachineSpecFromJson(serve::MachineSpecToJson(wide)).ok());
+  EXPECT_FALSE(FromBytes<hw::MachineSpec>(serve::MachineSpecToJson(wide)).ok());
   wide.num_gpus = hw::kMaxGpus;
   wide.gpu_to_switch.pop_back();
   EXPECT_TRUE(wide.Validate().ok());
@@ -202,20 +244,18 @@ TEST(Wire, SearchOptionsAndFlagsRoundTrip) {
   options.equi_fb = true;
   options.num_threads = 4;
   options.policy_mode = core::PolicyMode::kSweep;
-  ExpectRoundTrip(options, serve::SearchOptionsToJson,
-                  serve::SearchOptionsFromJson);
+  ExpectRoundTrip(options, serve::SearchOptionsToJson);
   // A pre-policy peer omits the knob entirely: it must default to legacy.
   const auto parsed = json::Parse(
       "{\"u_fwd_max\":32,\"u_bwd_max\":32,\"capacity_fraction\":0.85,"
       "\"equi_fb\":false,\"num_threads\":1,\"keep_explored\":false}");
   ASSERT_TRUE(parsed.ok());
-  const auto legacy = serve::SearchOptionsFromJson(parsed.value());
+  const auto legacy = FromBytes<core::SearchOptions>(parsed.value());
   ASSERT_TRUE(legacy.ok()) << legacy.status();
   EXPECT_EQ(legacy.value().policy_mode, core::PolicyMode::kLegacy);
   core::OptimizationFlags flags;
   flags.jit_compute = false;
-  ExpectRoundTrip(flags, serve::OptimizationFlagsToJson,
-                  serve::OptimizationFlagsFromJson);
+  ExpectRoundTrip(flags, serve::OptimizationFlagsToJson);
 }
 
 TEST(Wire, OutOfRangeSearchOptionsAreRejected) {
@@ -228,7 +268,7 @@ TEST(Wire, OutOfRangeSearchOptionsAreRejected) {
   bad[3].u_bwd_max = 0;
   for (const core::SearchOptions& options : bad) {
     const json::Value v = serve::SearchOptionsToJson(options);
-    const auto decoded = serve::SearchOptionsFromJson(v);
+    const auto decoded = FromBytes<core::SearchOptions>(v);
     ASSERT_FALSE(decoded.ok()) << v.Dump();
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
         << v.Dump();
@@ -239,12 +279,11 @@ TEST(Wire, OutOfRangeSearchOptionsAreRejected) {
   request.model = ModelSpec::FromName("GPT2").value();
   request.options.capacity_fraction = 1.0;
   request.options.u_bwd_max = 1;
-  ExpectRoundTrip(request, serve::PlanRequestToJson,
-                  serve::PlanRequestFromJson);
+  ExpectRoundTrip(request, serve::PlanRequestToJson);
   // ...and a bad one is refused on the daemon's decode path.
   request.options.capacity_fraction = 0.0;
   const auto rejected =
-      serve::PlanRequestFromJson(serve::PlanRequestToJson(request));
+      FromBytes<PlanRequest>(serve::PlanRequestToJson(request));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
@@ -258,12 +297,11 @@ TEST(Wire, OversizedMinibatchAndMicrobatchCapsAreRejected) {
   request.options.u_fwd_max = serve::kMaxRequestMicrobatch;
   request.options.u_bwd_max = serve::kMaxRequestMicrobatch;
   // At the caps a request still round-trips byte-identically.
-  ExpectRoundTrip(request, serve::PlanRequestToJson,
-                  serve::PlanRequestFromJson);
+  ExpectRoundTrip(request, serve::PlanRequestToJson);
 
   auto expect_rejected = [](const PlanRequest& r, const std::string& field) {
     const auto decoded =
-        serve::PlanRequestFromJson(serve::PlanRequestToJson(r));
+        FromBytes<PlanRequest>(serve::PlanRequestToJson(r));
     ASSERT_FALSE(decoded.ok()) << field;
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << field;
     EXPECT_NE(decoded.status().message().find(field), std::string::npos)
@@ -289,12 +327,11 @@ TEST(Wire, OversizedNumThreadsIsRejected) {
   PlanRequest request;
   request.model = ModelSpec::FromName("GPT2").value();
   request.options.num_threads = serve::kMaxRequestThreads;
-  ExpectRoundTrip(request, serve::PlanRequestToJson,
-                  serve::PlanRequestFromJson);
+  ExpectRoundTrip(request, serve::PlanRequestToJson);
   for (int threads : {serve::kMaxRequestThreads + 1, 8191, 1 << 30}) {
     request.options.num_threads = threads;
     const auto decoded =
-        serve::PlanRequestFromJson(serve::PlanRequestToJson(request));
+        FromBytes<PlanRequest>(serve::PlanRequestToJson(request));
     ASSERT_FALSE(decoded.ok()) << threads;
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(decoded.status().message().find("num_threads"),
@@ -312,13 +349,14 @@ TEST(Wire, UseRecomputeFalseIsRejected) {
       "\"cpu_optimizer\":true,\"smart_eviction\":true,\"use_recompute\":";
   const auto on = json::Parse(flags + "true}");
   ASSERT_TRUE(on.ok());
-  EXPECT_TRUE(serve::OptimizationFlagsFromJson(on.value()).ok());
+  EXPECT_TRUE(serve::DecodeBytes<core::OptimizationFlags>(flags + "true}").ok());
   EXPECT_EQ(serve::OptimizationFlagsToJson(core::OptimizationFlags{}).Dump(),
             on.value().Dump());
 
   const auto off = json::Parse(flags + "false}");
   ASSERT_TRUE(off.ok());
-  const auto decoded = serve::OptimizationFlagsFromJson(off.value());
+  const auto decoded =
+      serve::DecodeBytes<core::OptimizationFlags>(flags + "false}");
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(decoded.status().message().find("policy_mode=keep"),
@@ -348,8 +386,7 @@ TEST(Wire, PlanRequestRoundTrips) {
   request.minibatch = 8;
   request.deadline_ms = 250;
   request.bypass_cache = true;
-  ExpectRoundTrip(request, serve::PlanRequestToJson,
-                  serve::PlanRequestFromJson);
+  ExpectRoundTrip(request, serve::PlanRequestToJson);
 }
 
 TEST(Wire, PlanResponseRoundTrips) {
@@ -470,8 +507,7 @@ TEST(Wire, IntegerFieldsRejectNonIntegralAndOutOfRange) {
   request.model.transformer.name = "tiny";
   request.model.name = "tiny";
   request.model.transformer.num_blocks = 7;
-  ExpectRoundTrip(request, serve::PlanRequestToJson,
-                  serve::PlanRequestFromJson);
+  ExpectRoundTrip(request, serve::PlanRequestToJson);
 
   const std::string valid = serve::PlanRequestToJson(request).Dump();
   auto with = [&valid](const std::string& field, const std::string& number) {
@@ -489,7 +525,7 @@ TEST(Wire, IntegerFieldsRejectNonIntegralAndOutOfRange) {
       }
       const auto parsed = json::Parse(with(field, number));
       ASSERT_TRUE(parsed.ok()) << parsed.status();
-      const auto decoded = serve::PlanRequestFromJson(parsed.value());
+      const auto decoded = serve::DecodeBytes<PlanRequest>(with(field, number));
       ASSERT_FALSE(decoded.ok()) << field << "=" << number;
       EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
       EXPECT_NE(decoded.status().message().find(field), std::string::npos)
@@ -774,7 +810,7 @@ TEST(Fingerprint, SeededCorpusIsPinned) {
     // Every generated request survives the daemon's decode path unchanged.
     const auto parsed = json::Parse(w);
     ASSERT_TRUE(parsed.ok()) << parsed.status();
-    const auto back = serve::PlanRequestFromJson(parsed.value());
+    const auto back = serve::DecodeBytes<PlanRequest>(w);
     ASSERT_TRUE(back.ok()) << i << ": " << back.status() << "\n" << w;
     EXPECT_EQ(serve::PlanRequestToJson(back.value()).Dump(), w);
     wire += w;
@@ -782,6 +818,48 @@ TEST(Fingerprint, SeededCorpusIsPinned) {
   }
   EXPECT_EQ(json::FingerprintHex(json::Fnv1a(canonical)), "27c43ec1aabce8c6");
   EXPECT_EQ(json::FingerprintHex(json::Fnv1a(wire)), "8d014d12d94c6afc");
+}
+
+// ---------------------------------------------------------------------------
+// The daemon's plan-frame decode allocates only the request's own heap
+// ---------------------------------------------------------------------------
+
+TEST(Wire, PlanFrameDecodeAllocationsAreBounded) {
+  // A serve_mixed-shape frame: a generated transformer on the 4-GPU server,
+  // "type" after "request". The DOM decode (json::Parse, then a walk of the
+  // Value) made 162 allocations for it.
+  PlanRequest r;
+  r.model.kind = ModelSpec::Kind::kTransformer;
+  r.model.name = "gen-b17-h768-s128";
+  r.model.transformer.name = r.model.name;
+  r.model.transformer.num_blocks = 17;
+  r.model.transformer.hidden = 768;
+  r.model.transformer.seq_len = 128;
+  r.model.transformer.heads = 16;
+  r.model.transformer.vocab = 32000;
+  r.minibatch = 16;
+  r.options.u_fwd_max = 3;
+  r.options.u_bwd_max = 4;
+  r.options.policy_mode = core::PolicyMode::kSweep;
+  r.options.num_threads = 1;
+  r.deadline_ms = 60123;
+  const std::string body = serve::PlanRequestToJson(r).Dump();
+  const std::string frame = "{\"request\":" + body + ",\"type\":\"plan\"}";
+
+  g_allocs = 0;
+  g_count_allocs = true;
+  const auto envelope = serve::ScanEnvelope(frame);
+  g_count_allocs = false;
+  ASSERT_TRUE(envelope.ok()) << envelope.status();
+  ASSERT_TRUE(envelope.value().request_status.ok())
+      << envelope.value().request_status;
+  EXPECT_EQ(envelope.value().type, "plan");
+  EXPECT_EQ(serve::PlanRequestToJson(envelope.value().request).Dump(), body);
+  // The model's and the transformer's names, the machine's name and its
+  // gpu_to_switch: the strings past the small-string buffer and the vector.
+  EXPECT_LE(g_allocs.load(), 4);
+  std::printf("%lld allocations to decode a %zu-byte plan frame\n",
+              static_cast<long long>(g_allocs.load()), frame.size());
 }
 
 }  // namespace
