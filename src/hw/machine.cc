@@ -1,6 +1,7 @@
 #include "hw/machine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 
@@ -156,9 +157,13 @@ Status MachineSpec::Validate() const {
           " outside [0, " + std::to_string(num_switches) + ")");
     }
   }
-  if (pcie_bw <= 0 || uplink_bw <= 0 || host_mem_bw <= 0 ||
-      cpu_update_bw <= 0 || nvlink_bw < 0) {
-    return Status::InvalidArgument("machine: non-positive bandwidth");
+  // Written so that NaN fails too; a non-finite rate prices every transfer
+  // at zero or NaN seconds.
+  auto positive = [](double x) { return x > 0 && std::isfinite(x); };
+  if (!positive(pcie_bw) || !positive(uplink_bw) || !positive(host_mem_bw) ||
+      !positive(cpu_update_bw) || !(nvlink_bw >= 0 && std::isfinite(nvlink_bw))) {
+    return Status::InvalidArgument(
+        "machine: bandwidth not positive and finite");
   }
   if (host_memory <= 0) {
     return Status::InvalidArgument("machine: non-positive host memory");
@@ -168,11 +173,11 @@ Status MachineSpec::Validate() const {
       return Status::InvalidArgument("machine: " + which +
                                      " has non-positive memory capacity");
     }
-    if (g.peak_flops <= 0) {
+    if (!(g.peak_flops > 0) || !std::isfinite(g.peak_flops)) {
       return Status::InvalidArgument("machine: " + which +
-                                     " has non-positive peak flops");
+                                     " peak flops not positive and finite");
     }
-    if (g.usable_fraction <= 0.0 || g.usable_fraction > 1.0) {
+    if (!(g.usable_fraction > 0.0 && g.usable_fraction <= 1.0)) {
       return Status::InvalidArgument("machine: " + which +
                                      " usable_fraction outside (0, 1]");
     }

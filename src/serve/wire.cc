@@ -1,6 +1,7 @@
 #include "serve/wire.h"
 
 #include <array>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <string_view>
@@ -163,10 +164,18 @@ Status Take(json::Reader* r, size_t i, uint32_t* got, bool* out) {
   return r->ReadBool(out);
 }
 
-Status Take(json::Reader* r, size_t i, uint32_t* got, double* out) {
+/// A double member must be finite: the parser maps 1e999 to inf, which the
+/// canonical bytes would render as null.
+Status Take(json::Reader* r, std::string_view key, size_t i, uint32_t* got,
+            double* out) {
   if (r->Peek() != json::Value::Type::kNumber) return r->Skip();
   *got |= uint32_t{1} << i;
-  return r->ReadNumber(out);
+  HARMONY_RETURN_IF_ERROR(r->ReadNumber(out));
+  if (!std::isfinite(*out)) {
+    return Status::InvalidArgument("json: field '" + std::string(key) +
+                                   "' is not finite");
+  }
+  return Status::Ok();
 }
 
 Status Take(json::Reader* r, size_t i, uint32_t* got, std::string* out) {
@@ -202,13 +211,18 @@ Status ReadArray(json::Reader* r, std::string_view key, ItemFn item) {
   }
 }
 
-/// An array item that must be a number.
+/// An array item that must be a finite number.
 Status ReadNumberItem(json::Reader* r, std::string_view key, double* out) {
   if (r->Peek() != json::Value::Type::kNumber) {
     return Status::InvalidArgument("field '" + std::string(key) +
                                    "' has a non-numeric element");
   }
-  return r->ReadNumber(out);
+  HARMONY_RETURN_IF_ERROR(r->ReadNumber(out));
+  if (!std::isfinite(*out)) {
+    return Status::InvalidArgument("field '" + std::string(key) +
+                                   "' has a non-finite element");
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -329,9 +343,12 @@ Status Decode(json::Reader* r, ModelSpec* out) {
     switch (i) {
       case kKind: return Take(r, i, &got, &kind);
       case kName: return Take(r, i, &got, &out->name);
-      case kBillions: return Take(r, i, &got, &billions);
+      case kBillions: return Take(r, "billions", i, &got, &billions);
       case kIsBert: return Take(r, i, &got, &is_bert);
-      default: return Take(r, i, &got, &dims[i - kBlocks]);
+      default:  // an integer, converted once the kind says it is needed
+        if (r->Peek() != json::Value::Type::kNumber) return r->Skip();
+        got |= Bit(static_cast<int>(i));
+        return r->ReadNumber(&dims[i - kBlocks]);
     }
   }));
   HARMONY_RETURN_IF_ERROR(Require(kModelMembers, got, Bit(kKind)));
@@ -447,8 +464,9 @@ Status Decode(json::Reader* r, hw::GpuSpec* out) {
       case 0: return Take(r, i, &got, &out->name);
       case 1: return TakeInteger(r, "memory_capacity", i, &got,
                                  &out->memory_capacity);
-      case 2: return Take(r, i, &got, &out->peak_flops);
-      default: return Take(r, i, &got, &out->usable_fraction);
+      case 2: return Take(r, "peak_flops", i, &got, &out->peak_flops);
+      default:
+        return Take(r, "usable_fraction", i, &got, &out->usable_fraction);
     }
   }));
   return Require(kGpuMembers, got, AllOf(kGpuMembers));
@@ -479,13 +497,15 @@ Status Decode(json::Reader* r, hw::MachineSpec* out) {
           out->gpu_to_switch.push_back(s);
           return Status::Ok();
         });
-      case kPcieBw: return Take(r, i, &got, &out->pcie_bw);
-      case kUplinkBw: return Take(r, i, &got, &out->uplink_bw);
-      case kHostMemBw: return Take(r, i, &got, &out->host_mem_bw);
-      case kNvlinkBw: return Take(r, i, &got, &out->nvlink_bw);
+      case kPcieBw: return Take(r, "pcie_bw", i, &got, &out->pcie_bw);
+      case kUplinkBw: return Take(r, "uplink_bw", i, &got, &out->uplink_bw);
+      case kHostMemBw:
+        return Take(r, "host_mem_bw", i, &got, &out->host_mem_bw);
+      case kNvlinkBw: return Take(r, "nvlink_bw", i, &got, &out->nvlink_bw);
       case kHostMemory:
         return TakeInteger(r, "host_memory", i, &got, &out->host_memory);
-      case kCpuUpdateBw: return Take(r, i, &got, &out->cpu_update_bw);
+      case kCpuUpdateBw:
+        return Take(r, "cpu_update_bw", i, &got, &out->cpu_update_bw);
       case kPerGpu:
         return ReadArray(r, "per_gpu", [&] {
           return Decode(r, &out->per_gpu.emplace_back());
@@ -553,12 +573,19 @@ Status Decode(json::Reader* r, core::SearchOptions* out) {
     switch (i) {
       case kUFwdMax: return TakeInteger(r, "u_fwd_max", i, &got, &out->u_fwd_max);
       case kUBwdMax: return TakeInteger(r, "u_bwd_max", i, &got, &out->u_bwd_max);
-      case kCapacityFraction: return Take(r, i, &got, &out->capacity_fraction);
+      case kCapacityFraction:
+        return Take(r, "capacity_fraction", i, &got, &out->capacity_fraction);
       case kEquiFb: return Take(r, i, &got, &out->equi_fb);
       case kNumThreads:
         return TakeInteger(r, "num_threads", i, &got, &out->num_threads);
       case kKeepExplored: return Take(r, i, &got, &out->keep_explored);
-      default: return Take(r, i, &got, &policy_mode);
+      default:
+        // Absent from pre-policy peers; when present, it names a mode.
+        if (r->Peek() != json::Value::Type::kString) {
+          return json::MissingOrMistyped("policy_mode", "string");
+        }
+        got |= Bit(kPolicyMode);
+        return r->ReadString(&policy_mode);
     }
   }));
   HARMONY_RETURN_IF_ERROR(Require(kOptionsMembers, got, Bit(kPolicyMode) - 1));
@@ -583,7 +610,6 @@ Status Decode(json::Reader* r, core::SearchOptions* out) {
         "options: num_threads " + std::to_string(out->num_threads) +
         " exceeds " + std::to_string(kMaxRequestThreads));
   }
-  // Residency-policy knob: absent from pre-policy peers, so default to legacy.
   if ((got & Bit(kPolicyMode)) == 0) policy_mode = "legacy";
   auto pm = core::PolicyModeFromName(policy_mode);
   HARMONY_RETURN_IF_ERROR(pm.status());

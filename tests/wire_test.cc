@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <memory>
 #include <set>
@@ -531,6 +532,92 @@ TEST(Wire, IntegerFieldsRejectNonIntegralAndOutOfRange) {
       EXPECT_NE(decoded.status().message().find(field), std::string::npos)
           << decoded.status();
     }
+  }
+}
+
+/// `valid` with the first value of member `field` replaced by `value`.
+std::string WithValue(const std::string& valid, const std::string& field,
+                      const std::string& value) {
+  const std::string key = "\"" + field + "\":";
+  const size_t at = valid.find(key);
+  EXPECT_NE(at, std::string::npos) << field;
+  const size_t start = at + key.size();
+  const size_t end = valid[start] == '['
+                         ? valid.find_first_of(",]", start + 1)
+                         : valid.find_first_of(",}", start);
+  const size_t from = valid[start] == '[' ? start + 1 : start;
+  return valid.substr(0, from) + value + valid.substr(end);
+}
+
+// The parser maps 1e999 to inf. A double field must be finite: a request
+// that planned with an infinite bandwidth would fingerprint through
+// canonical bytes that render it as null, which decode to nothing.
+TEST(Wire, NonFiniteDoublesAreRejected) {
+  PlanRequest request;
+  request.model = ModelSpec::FromName("GPT2-8B").value();
+  request.machine = request.machine.WithLinkScale(request.machine.LinkSwitchUp(0), 0.5);
+  request.machine.per_gpu.assign(static_cast<size_t>(request.machine.num_gpus),
+                                 request.machine.gpu);
+  const std::string valid = serve::PlanRequestToJson(request).Dump();
+  ASSERT_TRUE(serve::DecodeBytes<PlanRequest>(valid).ok());
+  for (const char* field :
+       {"billions", "peak_flops", "usable_fraction", "pcie_bw", "uplink_bw",
+        "host_mem_bw", "nvlink_bw", "cpu_update_bw", "link_bw_scale",
+        "capacity_fraction"}) {
+    for (const char* number : {"1e999", "-1e999"}) {
+      const std::string bytes = WithValue(valid, field, number);
+      ASSERT_TRUE(json::Parse(bytes).ok()) << bytes;
+      const auto decoded = serve::DecodeBytes<PlanRequest>(bytes);
+      ASSERT_FALSE(decoded.ok()) << field << "=" << number;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(decoded.status().message().find(field), std::string::npos)
+          << decoded.status();
+    }
+  }
+  // The per-GPU specs are the second and later "peak_flops" members.
+  const std::string per_gpu =
+      valid.substr(0, valid.find("\"per_gpu\"")) +
+      WithValue(valid.substr(valid.find("\"per_gpu\"")), "peak_flops", "1e999");
+  EXPECT_FALSE(serve::DecodeBytes<PlanRequest>(per_gpu).ok());
+
+  // In-process callers build a MachineSpec without decoding one.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {kInf, -kInf, kNan}) {
+    for (double hw::MachineSpec::*bw :
+         {&hw::MachineSpec::pcie_bw, &hw::MachineSpec::uplink_bw,
+          &hw::MachineSpec::host_mem_bw, &hw::MachineSpec::nvlink_bw,
+          &hw::MachineSpec::cpu_update_bw}) {
+      hw::MachineSpec m = hw::MachineSpec::Commodity4Gpu();
+      m.*bw = bad;
+      EXPECT_FALSE(m.Validate().ok()) << bad;
+    }
+    hw::MachineSpec flops = hw::MachineSpec::Commodity4Gpu();
+    flops.gpu.peak_flops = bad;
+    EXPECT_FALSE(flops.Validate().ok()) << bad;
+    hw::MachineSpec scale = hw::MachineSpec::Commodity4Gpu();
+    scale.link_bw_scale.assign(static_cast<size_t>(scale.NumLinks()), 1.0);
+    scale.link_bw_scale[1] = bad;
+    EXPECT_FALSE(scale.Validate().ok()) << bad;
+  }
+}
+
+// policy_mode is optional for pre-policy peers, but one that is present
+// names a mode: a number is not read as the legacy default.
+TEST(Wire, PolicyModeMustBeAModeName) {
+  core::SearchOptions options;
+  options.policy_mode = core::PolicyMode::kSweep;
+  const std::string valid = serve::SearchOptionsToJson(options).Dump();
+  const auto sweep = serve::DecodeBytes<core::SearchOptions>(valid);
+  ASSERT_TRUE(sweep.ok()) << sweep.status();
+  EXPECT_EQ(sweep.value().policy_mode, core::PolicyMode::kSweep);
+  for (const char* value : {"3", "null", "true", "[]", "{}", "\"fastest\""}) {
+    const auto decoded =
+        serve::DecodeBytes<core::SearchOptions>(WithValue(valid, "policy_mode", value));
+    ASSERT_FALSE(decoded.ok()) << value;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("policy"), std::string::npos)
+        << decoded.status();
   }
 }
 
