@@ -253,7 +253,32 @@ Result<ModelSpec> ModelSpec::FromName(const std::string& name) {
       "' (want BERT-Large|BERT96|GPT2|GPT2-Medium|VGG416|ResNet1K|GPT2-<N>B)");
 }
 
+Status ModelSpec::Validate() const {
+  if (kind == Kind::kGpt2Custom &&
+      !(billions > 0 && billions <= kMaxModelBillions)) {
+    return Status::InvalidArgument("gpt2-custom: billions must be in (0, " +
+                                   std::to_string(static_cast<int>(kMaxModelBillions)) + "]");
+  }
+  if (kind != Kind::kTransformer) return Status::Ok();
+  const std::pair<const char*, std::pair<int, int>> dims[] = {
+      {"blocks", {transformer.num_blocks, kMaxModelBlocks}},
+      {"hidden", {transformer.hidden, kMaxModelHidden}},
+      {"seq_len", {transformer.seq_len, kMaxModelSeqLen}},
+      {"heads", {transformer.heads, kMaxModelHeads}},
+      {"vocab", {transformer.vocab, kMaxModelVocab}}};
+  for (const auto& [name, value_max] : dims) {
+    const auto [value, max] = value_max;
+    if (value < 1 || value > max) {
+      return Status::InvalidArgument(
+          "transformer: " + std::string(name) + " " + std::to_string(value) +
+          " outside [1, " + std::to_string(max) + "]");
+    }
+  }
+  return Status::Ok();
+}
+
 Result<model::LayerGraph> BuildModel(const ModelSpec& spec) {
+  HARMONY_RETURN_IF_ERROR(spec.Validate());
   switch (spec.kind) {
     case ModelSpec::Kind::kBuiltin:
       if (spec.name == "BERT-Large") return model::BertLarge();
@@ -264,18 +289,9 @@ Result<model::LayerGraph> BuildModel(const ModelSpec& spec) {
       if (spec.name == "ResNet1K") return model::ResNet1K();
       return Status::InvalidArgument("unknown builtin model '" + spec.name + "'");
     case ModelSpec::Kind::kGpt2Custom:
-      if (spec.billions <= 0) {
-        return Status::InvalidArgument("gpt2-custom: billions must be > 0");
-      }
       return model::Gpt2Custom(spec.billions);
-    case ModelSpec::Kind::kTransformer: {
-      if (spec.transformer.num_blocks < 1 || spec.transformer.hidden < 1 ||
-          spec.transformer.seq_len < 1 || spec.transformer.heads < 1 ||
-          spec.transformer.vocab < 1) {
-        return Status::InvalidArgument("transformer: all dimensions must be >= 1");
-      }
+    case ModelSpec::Kind::kTransformer:
       return model::BuildTransformer(spec.transformer);
-    }
   }
   return Status::Internal("corrupt ModelSpec kind");
 }
@@ -361,7 +377,7 @@ Status Decode(json::Reader* r, ModelSpec* out) {
     HARMONY_RETURN_IF_ERROR(
         Require(kModelMembers, got, Bit(kName) | Bit(kBillions)));
     out->billions = billions;
-    return Status::Ok();
+    return out->Validate();
   }
   if (kind == "transformer") {
     out->kind = ModelSpec::Kind::kTransformer;
@@ -377,7 +393,7 @@ Status Decode(json::Reader* r, ModelSpec* out) {
           json::ToInteger(kModelMembers[kBlocks + d].key, dims[d], fields[d]));
     }
     t.is_bert = is_bert;
-    return Status::Ok();
+    return out->Validate();
   }
   return Status::InvalidArgument("model: unknown kind '" + kind + "'");
 }

@@ -36,6 +36,19 @@ namespace harmony::serve {
 /// `Decode` overload on a json::Reader that fills the struct straight from
 /// the frame bytes, building no json::Value.
 
+/// Bounds on a requested model's dimensions. A transformer's memory grows
+/// linearly in its blocks and quadratically in hidden and seq_len, so an
+/// unbounded request claims hundreds of GB; the bounds admit every model
+/// this repo plans (the largest: 96 blocks, hidden 8192, seq_len 2048,
+/// 64 heads, a 60,000-token vocabulary, GPT2 at 40B parameters).
+inline constexpr int kMaxModelBlocks = 4096;
+inline constexpr int kMaxModelHidden = 65536;
+inline constexpr int kMaxModelSeqLen = 65536;
+inline constexpr int kMaxModelHeads = 1024;
+inline constexpr int kMaxModelVocab = 1 << 20;
+/// Cap on a gpt2-custom spec's parameter count, in billions.
+inline constexpr double kMaxModelBillions = 10000;
+
 /// What model to plan for. Models are described by *specs* (builder
 /// parameters), not serialized layer graphs: a spec is a few bytes, fully
 /// determines the LayerGraph (builders are deterministic), and is therefore
@@ -55,6 +68,12 @@ struct ModelSpec {
   /// Parses the CLI model grammar shared with harmony_plan: builtin names
   /// plus "GPT2-<N>B".
   static Result<ModelSpec> FromName(const std::string& name);
+
+  /// InvalidArgument unless the kind's dimensions are within the bounds
+  /// above: a transformer's each in [1, kMaxModel*], a gpt2-custom's
+  /// billions finite in (0, kMaxModelBillions]. BuildModel checks builtin
+  /// names.
+  Status Validate() const;
 };
 
 /// Materializes the spec's layer graph (InvalidArgument for unknown names).

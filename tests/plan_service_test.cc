@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -268,6 +269,38 @@ TEST(PlanService, SubByteGpuCapacityIsRejectedNotFatal) {
 
   const PlanResponse ok = service.Plan(TinyRequest());
   EXPECT_TRUE(ok.status.ok()) << ok.status;
+}
+
+// A request with every model dimension at its bound decodes, and planning
+// it answers with a plan or a Status: no overflow, no abort (CI runs this
+// file in the Debug + UBSan tree too).
+TEST(PlanService, ModelsAtTheirBoundsAnswerWithAPlanOrAStatus) {
+  PlanService service(ServeOptions{});
+  PlanRequest transformer = TinyRequest();
+  transformer.model.name = transformer.model.transformer.name = "bounds";
+  model::TransformerConfig& t = transformer.model.transformer;
+  t.num_blocks = serve::kMaxModelBlocks;
+  t.hidden = serve::kMaxModelHidden;
+  t.seq_len = serve::kMaxModelSeqLen;
+  t.heads = serve::kMaxModelHeads;
+  t.vocab = serve::kMaxModelVocab;
+  PlanRequest deep = TinyRequest();
+  deep.model.name = deep.model.transformer.name = "deep";
+  deep.model.transformer.num_blocks = serve::kMaxModelBlocks;
+  PlanRequest gpt2 = TinyRequest();
+  gpt2.model = ModelSpec::FromName("GPT2-10000B").value();
+  for (const PlanRequest& request : {transformer, deep, gpt2}) {
+    const auto decoded = serve::DecodeBytes<PlanRequest>(
+        serve::PlanRequestToJson(request).Dump());
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    const PlanResponse response = service.Plan(decoded.value());
+    std::printf("%s: %s\n", request.model.name.c_str(),
+                response.status.ToString().c_str());
+    if (response.status.ok()) {
+      EXPECT_GT(response.estimate.iteration_time, 0);
+    }
+  }
+  EXPECT_TRUE(service.Plan(TinyRequest()).status.ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -602,6 +602,60 @@ TEST(Wire, NonFiniteDoublesAreRejected) {
   }
 }
 
+// A model's dimensions are bounded: memory grows with each, and a
+// gpt2-custom's billions feed an int hidden size. One past a bound is
+// refused at decode, naming the field, and by BuildModel for in-process
+// callers; every bound itself decodes.
+TEST(Wire, ModelDimensionsAreBounded) {
+  PlanRequest request;
+  request.model.kind = ModelSpec::Kind::kTransformer;
+  request.model.name = request.model.transformer.name = "bounded";
+  model::TransformerConfig& t = request.model.transformer;
+  t.num_blocks = serve::kMaxModelBlocks;
+  t.hidden = serve::kMaxModelHidden;
+  t.seq_len = serve::kMaxModelSeqLen;
+  t.heads = serve::kMaxModelHeads;
+  t.vocab = serve::kMaxModelVocab;
+  ExpectRoundTrip(request, serve::PlanRequestToJson);
+  const std::string valid = serve::PlanRequestToJson(request).Dump();
+  for (const auto& [field, over] :
+       {std::pair{"blocks", serve::kMaxModelBlocks + 1},
+        std::pair{"hidden", serve::kMaxModelHidden + 1},
+        std::pair{"seq_len", serve::kMaxModelSeqLen + 1},
+        std::pair{"heads", serve::kMaxModelHeads + 1},
+        std::pair{"vocab", serve::kMaxModelVocab + 1}, std::pair{"blocks", 0},
+        std::pair{"vocab", -1}}) {
+    const auto decoded = serve::DecodeBytes<PlanRequest>(
+        WithValue(valid, field, std::to_string(over)));
+    ASSERT_FALSE(decoded.ok()) << field << "=" << over;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find(field), std::string::npos)
+        << decoded.status();
+  }
+  ModelSpec too_deep = request.model;
+  too_deep.transformer.num_blocks = 2000000000;
+  EXPECT_EQ(serve::BuildModel(too_deep).status().code(),
+            StatusCode::kInvalidArgument);
+
+  PlanRequest gpt2;
+  gpt2.model.kind = ModelSpec::Kind::kGpt2Custom;
+  gpt2.model.name = "GPT2-custom";
+  gpt2.model.billions = serve::kMaxModelBillions;
+  ExpectRoundTrip(gpt2, serve::PlanRequestToJson);
+  const std::string gpt2_bytes = serve::PlanRequestToJson(gpt2).Dump();
+  for (const char* billions : {"10000.5", "1e15", "0", "-3"}) {
+    const auto decoded = serve::DecodeBytes<PlanRequest>(
+        WithValue(gpt2_bytes, "billions", billions));
+    ASSERT_FALSE(decoded.ok()) << billions;
+    EXPECT_NE(decoded.status().message().find("billions"), std::string::npos)
+        << decoded.status();
+  }
+  ModelSpec huge = gpt2.model;
+  huge.billions = 1e15;
+  EXPECT_EQ(serve::BuildModel(huge).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // policy_mode is optional for pre-policy peers, but one that is present
 // names a mode: a number is not read as the legacy default.
 TEST(Wire, PolicyModeMustBeAModeName) {
