@@ -168,10 +168,15 @@ Result<PlanResponse> ServeClient::PlanWithRetry(const PlanRequest& request,
 }
 
 std::string ServeClient::EncodePlanEnvelope(const PlanRequest& request) {
-  json::Value envelope = json::Value::Object();
-  envelope.Set("type", "plan");
-  envelope.Set("request", PlanRequestToJson(request));
-  return envelope.Dump();
+  std::string out;
+  out.reserve(1024);
+  json::Writer w(&out);
+  w.BeginObject();
+  w.Field("type", "plan");
+  w.Key("request");
+  WritePlanRequest(request, &w);
+  w.EndObject();
+  return out;
 }
 
 Status ServeClient::SendNowait(const PlanRequest& request) {

@@ -841,14 +841,16 @@ void AppendSemanticFields(const PlanRequest& request, bool canonical,
 
 }  // namespace
 
+void WritePlanRequest(const PlanRequest& request, json::Writer* w) {
+  w->BeginObject();
+  AppendSemanticFields(request, /*canonical=*/false, w);
+  w->Field("deadline_ms", request.deadline_ms);
+  w->Field("bypass_cache", request.bypass_cache);
+  w->EndObject();
+}
+
 json::Value PlanRequestToJson(const PlanRequest& request) {
-  return Reparse([&request](json::Writer* w) {
-    w->BeginObject();
-    AppendSemanticFields(request, /*canonical=*/false, w);
-    w->Field("deadline_ms", request.deadline_ms);
-    w->Field("bypass_cache", request.bypass_cache);
-    w->EndObject();
-  });
+  return Reparse([&request](json::Writer* w) { WritePlanRequest(request, w); });
 }
 
 namespace {

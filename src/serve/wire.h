@@ -159,6 +159,7 @@ std::string PlanReplyFrame(const PlanResponse& response);
 // --- per-type JSON writers/readers (fixed member order; see contract) -----
 void WriteModelSpec(const ModelSpec& spec, json::Writer* w);
 void WriteGpuSpec(const hw::GpuSpec& gpu, json::Writer* w);
+void WritePlanRequest(const PlanRequest& request, json::Writer* w);
 
 json::Value ModelSpecToJson(const ModelSpec& spec);
 json::Value MachineSpecToJson(const hw::MachineSpec& machine);

@@ -19,6 +19,7 @@
 #include "common/cancel.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "serve/client.h"
 #include "serve/wire.h"
 #include "wire_corpus.h"
 
@@ -937,6 +938,19 @@ TEST(Json, NumberEdgeCasesParseAndDumpBitIdentically) {
 // wire bytes of 64 generated requests, pinned before the DOM-free writers
 // replaced the Value-built encodings.
 // ---------------------------------------------------------------------------
+
+// The client writes its plan envelope straight from the struct; the bytes
+// must be those of the Value-built envelope (replayed frames depend on it).
+TEST(Wire, ClientPlanEnvelopeMatchesTheValueEncoding) {
+  Rng rng(0x5eedc0de);
+  for (int i = 0; i < 64; ++i) {
+    const PlanRequest request = CorpusRequest(&rng, i);
+    EXPECT_EQ(serve::ServeClient::EncodePlanEnvelope(request),
+              "{\"type\":\"plan\",\"request\":" +
+                  serve::PlanRequestToJson(request).Dump() + "}")
+        << i;
+  }
+}
 
 TEST(Fingerprint, SeededCorpusIsPinned) {
   Rng rng(0x5eedc0de);
