@@ -217,8 +217,9 @@ class Writer {
 /// fail with the same messages at the same offsets.
 ///
 /// Each read skips the whitespace before its token. A copy of a reader is
-/// a bookmark: assigning it back rewinds to where the copy was taken. Objects and arrays are
-/// walked with Begin* then Next* until `*more` comes back false:
+/// a bookmark: assigning it back rewinds to where the copy was taken.
+/// Objects and arrays are walked with Begin* then Next* until `*more`
+/// comes back false:
 ///
 ///   HARMONY_RETURN_IF_ERROR(r.BeginObject());
 ///   for (;;) {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -154,46 +155,34 @@ Status Require(const std::array<Member, N>& members, uint32_t got,
   return Status::Ok();
 }
 
-// Take: reads member `i`'s value into `*out` and sets bit `i` of `*got`
-// when the value has out's JSON type; skips any other value, validating it,
-// so Require reports the member as missing or mistyped.
-
-Status Take(json::Reader* r, size_t i, uint32_t* got, bool* out) {
-  if (r->Peek() != json::Value::Type::kBool) return r->Skip();
+/// Reads member `i`'s value into `*out` and sets bit `i` of `*got` when the
+/// value has out's JSON type; skips any other value, still validating it,
+/// so Require reports the member as missing or mistyped. Integers travel
+/// as numbers; a double must be finite, since the parser maps 1e999 to inf
+/// and canonical bytes would render that as null.
+template <size_t N, typename T>
+Status Take(json::Reader* r, const std::array<Member, N>& members, size_t i,
+            uint32_t* got, T* out) {
+  using Type = json::Value::Type;
+  constexpr Type kWant = std::is_same_v<T, bool>          ? Type::kBool
+                         : std::is_same_v<T, std::string> ? Type::kString
+                                                          : Type::kNumber;
+  if (r->Peek() != kWant) return r->Skip();
   *got |= uint32_t{1} << i;
-  return r->ReadBool(out);
-}
-
-/// A double member must be finite: the parser maps 1e999 to inf, which the
-/// canonical bytes would render as null.
-Status Take(json::Reader* r, std::string_view key, size_t i, uint32_t* got,
-            double* out) {
-  if (r->Peek() != json::Value::Type::kNumber) return r->Skip();
-  *got |= uint32_t{1} << i;
-  HARMONY_RETURN_IF_ERROR(r->ReadNumber(out));
-  if (!std::isfinite(*out)) {
-    return Status::InvalidArgument("json: field '" + std::string(key) +
+  if constexpr (kWant == Type::kBool) {
+    return r->ReadBool(out);
+  } else if constexpr (kWant == Type::kString) {
+    return r->ReadString(out);
+  } else if constexpr (std::is_same_v<T, double>) {
+    HARMONY_RETURN_IF_ERROR(r->ReadNumber(out));
+    if (std::isfinite(*out)) return Status::Ok();
+    return Status::InvalidArgument("json: field '" + std::string(members[i].key) +
                                    "' is not finite");
+  } else {
+    double d = 0;
+    HARMONY_RETURN_IF_ERROR(r->ReadNumber(&d));
+    return json::ToInteger(members[i].key, d, out);
   }
-  return Status::Ok();
-}
-
-Status Take(json::Reader* r, size_t i, uint32_t* got, std::string* out) {
-  if (r->Peek() != json::Value::Type::kString) return r->Skip();
-  *got |= uint32_t{1} << i;
-  return r->ReadString(out);
-}
-
-/// Integers travel as numbers; one that is not an integer of out's type is
-/// an error naming `key`.
-template <typename Int>
-Status TakeInteger(json::Reader* r, std::string_view key, size_t i,
-                   uint32_t* got, Int* out) {
-  if (r->Peek() != json::Value::Type::kNumber) return r->Skip();
-  *got |= uint32_t{1} << i;
-  double d = 0;
-  HARMONY_RETURN_IF_ERROR(r->ReadNumber(&d));
-  return json::ToInteger(key, d, out);
 }
 
 /// Reads the array at `r`, calling `item()` with the reader at each item.
@@ -256,8 +245,9 @@ Result<ModelSpec> ModelSpec::FromName(const std::string& name) {
 Status ModelSpec::Validate() const {
   if (kind == Kind::kGpt2Custom &&
       !(billions > 0 && billions <= kMaxModelBillions)) {
-    return Status::InvalidArgument("gpt2-custom: billions must be in (0, " +
-                                   std::to_string(static_cast<int>(kMaxModelBillions)) + "]");
+    return Status::InvalidArgument(
+        "gpt2-custom: billions must be in (0, " +
+        std::to_string(static_cast<int>(kMaxModelBillions)) + "]");
   }
   if (kind != Kind::kTransformer) return Status::Ok();
   const std::pair<const char*, std::pair<int, int>> dims[] = {
@@ -357,10 +347,10 @@ Status Decode(json::Reader* r, ModelSpec* out) {
   bool is_bert = false;
   HARMONY_RETURN_IF_ERROR(ReadMembers(r, "model", kModelMembers, [&](size_t i) {
     switch (i) {
-      case kKind: return Take(r, i, &got, &kind);
-      case kName: return Take(r, i, &got, &out->name);
-      case kBillions: return Take(r, "billions", i, &got, &billions);
-      case kIsBert: return Take(r, i, &got, &is_bert);
+      case kKind: return Take(r, kModelMembers, i, &got, &kind);
+      case kName: return Take(r, kModelMembers, i, &got, &out->name);
+      case kBillions: return Take(r, kModelMembers, i, &got, &billions);
+      case kIsBert: return Take(r, kModelMembers, i, &got, &is_bert);
       default:  // an integer, converted once the kind says it is needed
         if (r->Peek() != json::Value::Type::kNumber) return r->Skip();
         got |= Bit(static_cast<int>(i));
@@ -477,12 +467,11 @@ Status Decode(json::Reader* r, hw::GpuSpec* out) {
   uint32_t got = 0;
   HARMONY_RETURN_IF_ERROR(ReadMembers(r, "gpu", kGpuMembers, [&](size_t i) {
     switch (i) {
-      case 0: return Take(r, i, &got, &out->name);
-      case 1: return TakeInteger(r, "memory_capacity", i, &got,
-                                 &out->memory_capacity);
-      case 2: return Take(r, "peak_flops", i, &got, &out->peak_flops);
+      case 0: return Take(r, kGpuMembers, i, &got, &out->name);
+      case 1: return Take(r, kGpuMembers, i, &got, &out->memory_capacity);
+      case 2: return Take(r, kGpuMembers, i, &got, &out->peak_flops);
       default:
-        return Take(r, "usable_fraction", i, &got, &out->usable_fraction);
+        return Take(r, kGpuMembers, i, &got, &out->usable_fraction);
     }
   }));
   return Require(kGpuMembers, got, AllOf(kGpuMembers));
@@ -496,13 +485,13 @@ Status Decode(json::Reader* r, hw::MachineSpec* out) {
   uint32_t got = 0;
   HARMONY_RETURN_IF_ERROR(ReadMembers(r, "machine", kMachineMembers, [&](size_t i) {
     switch (i) {
-      case kMachineName: return Take(r, i, &got, &out->name);
+      case kMachineName: return Take(r, kMachineMembers, i, &got, &out->name);
       case kGpu:
         got |= Bit(kGpu);
         return Decode(r, &out->gpu);
-      case kNumGpus: return TakeInteger(r, "num_gpus", i, &got, &out->num_gpus);
+      case kNumGpus: return Take(r, kMachineMembers, i, &got, &out->num_gpus);
       case kNumSwitches:
-        return TakeInteger(r, "num_switches", i, &got, &out->num_switches);
+        return Take(r, kMachineMembers, i, &got, &out->num_switches);
       case kGpuToSwitch:
         got |= Bit(kGpuToSwitch);
         return ReadArray(r, "gpu_to_switch", [&] {
@@ -513,15 +502,15 @@ Status Decode(json::Reader* r, hw::MachineSpec* out) {
           out->gpu_to_switch.push_back(s);
           return Status::Ok();
         });
-      case kPcieBw: return Take(r, "pcie_bw", i, &got, &out->pcie_bw);
-      case kUplinkBw: return Take(r, "uplink_bw", i, &got, &out->uplink_bw);
+      case kPcieBw: return Take(r, kMachineMembers, i, &got, &out->pcie_bw);
+      case kUplinkBw: return Take(r, kMachineMembers, i, &got, &out->uplink_bw);
       case kHostMemBw:
-        return Take(r, "host_mem_bw", i, &got, &out->host_mem_bw);
-      case kNvlinkBw: return Take(r, "nvlink_bw", i, &got, &out->nvlink_bw);
+        return Take(r, kMachineMembers, i, &got, &out->host_mem_bw);
+      case kNvlinkBw: return Take(r, kMachineMembers, i, &got, &out->nvlink_bw);
       case kHostMemory:
-        return TakeInteger(r, "host_memory", i, &got, &out->host_memory);
+        return Take(r, kMachineMembers, i, &got, &out->host_memory);
       case kCpuUpdateBw:
-        return Take(r, "cpu_update_bw", i, &got, &out->cpu_update_bw);
+        return Take(r, kMachineMembers, i, &got, &out->cpu_update_bw);
       case kPerGpu:
         return ReadArray(r, "per_gpu", [&] {
           return Decode(r, &out->per_gpu.emplace_back());
@@ -587,14 +576,15 @@ Status Decode(json::Reader* r, core::SearchOptions* out) {
   std::string policy_mode;
   HARMONY_RETURN_IF_ERROR(ReadMembers(r, "options", kOptionsMembers, [&](size_t i) {
     switch (i) {
-      case kUFwdMax: return TakeInteger(r, "u_fwd_max", i, &got, &out->u_fwd_max);
-      case kUBwdMax: return TakeInteger(r, "u_bwd_max", i, &got, &out->u_bwd_max);
+      case kUFwdMax: return Take(r, kOptionsMembers, i, &got, &out->u_fwd_max);
+      case kUBwdMax: return Take(r, kOptionsMembers, i, &got, &out->u_bwd_max);
       case kCapacityFraction:
-        return Take(r, "capacity_fraction", i, &got, &out->capacity_fraction);
-      case kEquiFb: return Take(r, i, &got, &out->equi_fb);
+        return Take(r, kOptionsMembers, i, &got, &out->capacity_fraction);
+      case kEquiFb: return Take(r, kOptionsMembers, i, &got, &out->equi_fb);
       case kNumThreads:
-        return TakeInteger(r, "num_threads", i, &got, &out->num_threads);
-      case kKeepExplored: return Take(r, i, &got, &out->keep_explored);
+        return Take(r, kOptionsMembers, i, &got, &out->num_threads);
+      case kKeepExplored:
+        return Take(r, kOptionsMembers, i, &got, &out->keep_explored);
       default:
         // Absent from pre-policy peers; when present, it names a mode.
         if (r->Peek() != json::Value::Type::kString) {
@@ -676,7 +666,7 @@ Status Decode(json::Reader* r, core::OptimizationFlags* out) {
                           &out->prefetch,             &out->cpu_optimizer,
                           &out->smart_eviction,       &use_recompute};
   HARMONY_RETURN_IF_ERROR(ReadMembers(r, "flags", kFlagsMembers, [&](size_t i) {
-    return Take(r, i, &got, fields[i]);
+    return Take(r, kFlagsMembers, i, &got, fields[i]);
   }));
   HARMONY_RETURN_IF_ERROR(Require(kFlagsMembers, got, AllOf(kFlagsMembers)));
   if (!use_recompute) {
@@ -876,18 +866,19 @@ Status Decode(json::Reader* r, PlanRequest* out) {
       case kMachine:
         got |= Bit(kMachine);
         return Decode(r, &out->machine);
-      case kMode: return Take(r, i, &got, &mode);
-      case kMinibatch: return TakeInteger(r, "minibatch", i, &got, &out->minibatch);
+      case kMode: return Take(r, kRequestMembers, i, &got, &mode);
+      case kMinibatch: return Take(r, kRequestMembers, i, &got, &out->minibatch);
       case kFlags:
         got |= Bit(kFlags);
         return Decode(r, &out->flags);
       case kOptions:
         got |= Bit(kOptions);
         return Decode(r, &out->options);
-      case kRunIteration: return Take(r, i, &got, &out->run_iteration);
+      case kRunIteration:
+        return Take(r, kRequestMembers, i, &got, &out->run_iteration);
       case kDeadlineMs:
-        return TakeInteger(r, "deadline_ms", i, &got, &out->deadline_ms);
-      default: return Take(r, i, &got, &out->bypass_cache);
+        return Take(r, kRequestMembers, i, &got, &out->deadline_ms);
+      default: return Take(r, kRequestMembers, i, &got, &out->bypass_cache);
     }
   }));
   HARMONY_RETURN_IF_ERROR(Require(kRequestMembers, got, AllOf(kRequestMembers)));
