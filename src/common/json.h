@@ -267,9 +267,6 @@ class Reader {
   /// Succeeds when only whitespace remains.
   Status Finish();
 
-  /// Bytes consumed so far.
-  size_t offset() const { return static_cast<size_t>(p_ - begin_); }
-
  private:
   Status Error(const char* what) const;
   void SkipWs();
